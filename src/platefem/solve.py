@@ -1,13 +1,17 @@
 """Linear solves, post-processing and error norms.
 
-The direct path is an in-repo sparse LDL^T (up-looking, elimination-tree
-based) on a reverse Cuthill-McKee ordering, with the numeric kernels
-compiled by numba.  A nonpositive pivot on a symmetric system raises
+Symmetric systems are solved by a sparse Cholesky factorization in pure
+numpy.  An algebraic nested-dissection ordering (George 1973) bisects
+the matrix graph recursively with breadth-first level-set separators;
+the multifrontal method (Liu 1992) then factors one dense front per
+separator-tree node with LAPACK and BLAS, children before parents, and
+extended-precision iterative refinement polishes the solution.  A front
+whose pivot block is not positive definite raises
 :class:`NonCoerciveError` - for the penalized schemes that is the
-diagnostic that the stabilization parameter is too small.  Below
-``DENSE_CAP`` unknowns a dense fallback is available (and is the default
-in the pure-numpy mode); Jacobi-preconditioned conjugate gradients serve
-as the iterative option for positive definite systems.
+diagnostic that the stabilization parameter is too small.  Nonsymmetric
+systems (theta != 1) use a dense LU factorization, limited to
+``DENSE_CAP`` unknowns; the ``dense`` method also serves as the oracle
+for symmetric systems of that size.
 """
 
 import time
@@ -15,8 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .accel import USE_NUMBA
 from .fespace import (
     DiscreteFunction,
     barycentric_gradients,
@@ -39,7 +41,11 @@ from .rhs import LoadSpec, smoothed_load_vector
 from .sparse import SparseMatrix
 
 DENSE_CAP = 2000
-CG_RTOL = 1e-12
+# parts of the graph up to this size are not bisected further: one dense
+# front of this order costs less than the Python work of splitting it
+LEAF_SIZE = 160
+# block order of the triangular inversion; larger blocks go through matmul
+INVERSE_BLOCK = 128
 
 
 class SolverError(RuntimeError):
@@ -55,86 +61,282 @@ class NonCoerciveError(SolverError):
     """
 
 
-def rcm_ordering(A: SparseMatrix) -> np.ndarray:
-    """Reverse Cuthill-McKee ordering of the symmetric sparsity pattern."""
+# ---------------------------------------------------------------------------
+# nested-dissection ordering
+# ---------------------------------------------------------------------------
+
+def _neighbours(indptr, adj, vertices):
+    """Concatenated adjacency lists of ``vertices``, and their lengths."""
+    start = indptr[vertices]
+    count = indptr[vertices + 1] - start
+    return adj[np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())], count
+
+
+def _bfs_levels(indptr, adj, roots, n):
+    """Breadth-first level of every vertex from the root of its part.
+
+    ``indptr``/``adj`` hold only edges inside a part, so one sweep runs
+    the searches of all parts at once; unreached vertices get -1.
+    """
+    level = np.full(n, -1, dtype=np.int64)
+    level[roots] = 0
+    mark = np.empty(n, dtype=np.int64)
+    frontier = roots
+    depth = 0
+    while frontier.size:
+        depth += 1
+        nb, _ = _neighbours(indptr, adj, frontier)
+        nb = nb[level[nb] < 0]
+        level[nb] = depth
+        # drop repeats: one of the positions written for each vertex survives
+        rank = np.arange(nb.size)
+        mark[nb] = rank
+        frontier = nb[mark[nb] == rank]
+    return level
+
+
+def _component_labels(n, src, dst):
+    """Smallest vertex index of every vertex's connected component."""
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, src, label[dst])
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def nested_dissection(A: SparseMatrix):
+    """Nested-dissection ordering of the lower triangle's pattern of ``A``.
+
+    Returns ``(perm, starts, parent)`` for a separator tree in postorder:
+    tree node k owns the permuted positions ``starts[k]:starts[k+1]``,
+    ``perm[i]`` is the original index at permuted position i, and
+    ``parent[k] > k`` (-1 for a root).  All parts of one depth are split
+    together: a breadth-first search from a pseudo-peripheral vertex
+    levels each part, and the median level's vertices that have a
+    neighbour one level further form the separator.  A part that is not
+    connected splits into its components instead.
+    """
     n = A.nrows
-    off = A.rows != A.cols
-    r = np.concatenate([A.rows[off], A.cols[off]])
-    c = np.concatenate([A.cols[off], A.rows[off]])
-    order = np.lexsort((c, r))
-    r, c = r[order], c[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, r + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    degree = np.diff(indptr)
-    visited = np.zeros(n, dtype=bool)
-    result = np.empty(n, dtype=np.int64)
-    pos = 0
-    while pos < n:
-        unvisited = np.flatnonzero(~visited)
-        start = unvisited[np.argmin(degree[unvisited])]
-        visited[start] = True
-        result[pos] = start
-        head = pos
-        pos += 1
-        while head < pos:
-            u = result[head]
-            head += 1
-            nbr = c[indptr[u]:indptr[u + 1]]
-            nbr = nbr[~visited[nbr]]
-            if nbr.size:
-                nbr = np.unique(nbr)
-                nbr = nbr[np.argsort(degree[nbr], kind="stable")]
-                visited[nbr] = True
-                result[pos:pos + nbr.size] = nbr
-                pos += nbr.size
-    return result[::-1].copy()
+    # both directions of the strictly lower entries, the ones the
+    # factorization reads, so the graph is symmetric whatever is stored
+    low = A.rows > A.cols
+    edges = np.concatenate([A.rows[low] * n + A.cols[low], A.cols[low] * n + A.rows[low]])
+    edges.sort()
+    src, dst = edges // n, edges % n
+    part = np.zeros(n, dtype=np.int64)
+    part_parent = np.array([-1])       # tree node each part hangs below
+    nodes, node_parent = [], []
+    while part_parent.size:
+        ps = part[src]
+        inside = (ps == part[dst]) & (ps >= 0)
+        src, dst, ps = src[inside], dst[inside], ps[inside]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        members = np.flatnonzero(part >= 0)
+        members = members[np.argsort(part[members], kind="stable")]
+        pm = part[members]
+        size = np.bincount(pm, minlength=part_parent.size)
+        end = np.cumsum(size)
+        start = end - size
+        big = size > LEAF_SIZE
+        # pseudo-peripheral root: the farthest vertex from the part's first one
+        level = _bfs_levels(indptr, dst, members[start[big]], n)
+        far = members[np.lexsort((level[members], pm))]
+        level = _bfs_levels(indptr, dst, far[end[big] - 1], n)
+        lm = level[members]
+        ordered = members[np.lexsort((lm, pm))]
+        connected = np.bincount(pm, weights=lm >= 0, minlength=size.size) == size
+        mid = level[ordered[start + size // 2]]
+        # a part whose median lies in its last level is too dense to split
+        split = big & connected & (mid < level[ordered[end - 1]])
+        broken = big & ~connected
+        mid[~split] = -2
+        at_mid = members[lm == mid[pm]]
+        nb, count = _neighbours(indptr, dst, at_mid)
+        owner = np.repeat(at_mid, count)
+        in_sep = np.zeros(n, dtype=bool)
+        in_sep[owner[level[nb] > level[owner]]] = True
+        # next round's parts by key: a component's smallest vertex, or
+        # n + 2 * part (+ 1 beyond the separator)
+        key = np.full(n, -1, dtype=np.int64)
+        key_parent = np.full(n, -1, dtype=np.int64)
+        key_parent[members] = part_parent[pm]
+        if broken.any():
+            label = _component_labels(n, src[broken[ps]], dst[broken[ps]])
+            sel = members[broken[pm]]
+            key[sel] = label[sel]
+        sel = split[pm] & ~in_sep[members]
+        key[members[sel]] = n + 2 * pm[sel] + (lm[sel] > mid[pm[sel]])
+        for p in np.flatnonzero(~split & ~broken):    # leaves
+            nodes.append(members[start[p]:end[p]])
+            node_parent.append(part_parent[p])
+        seps = members[in_sep[members]]
+        sep_size = np.bincount(part[seps], minlength=size.size)
+        sep_end = np.cumsum(sep_size)
+        for p in np.flatnonzero(split):
+            key_parent[members[start[p]:end[p]]] = len(nodes)
+            nodes.append(seps[sep_end[p] - sep_size[p]:sep_end[p]])
+            node_parent.append(part_parent[p])
+        keyed = np.flatnonzero(key >= 0)
+        _, first, part_of_key = np.unique(key[keyed], return_index=True, return_inverse=True)
+        part = np.full(n, -1, dtype=np.int64)
+        part[keyed] = part_of_key
+        part_parent = key_parent[keyed[first]]
+    # postorder = reversed depth-first preorder; it keeps subtrees contiguous
+    children = [[] for _ in nodes]
+    stack = []
+    for k, p in enumerate(node_parent):
+        (children[p] if p >= 0 else stack).append(k)
+    pre = []
+    while stack:
+        k = stack.pop()
+        pre.append(k)
+        stack.extend(children[k])
+    post = pre[::-1]
+    new_id = np.empty(len(nodes), dtype=np.int64)
+    new_id[post] = np.arange(len(nodes))
+    parent = np.array([new_id[node_parent[k]] if node_parent[k] >= 0 else -1 for k in post],
+                      dtype=np.int64)
+    perm = np.concatenate([nodes[k] for k in post]) if nodes else np.zeros(0, np.int64)
+    starts = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum([nodes[k].size for k in post], out=starts[1:])
+    return perm, starts, parent
+
+
+# ---------------------------------------------------------------------------
+# multifrontal Cholesky
+# ---------------------------------------------------------------------------
+
+def _sorted_unique(a):
+    """Sorted distinct values; plain np.unique imports numpy.ma on first use."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def _lower_inverse(L):
+    """Inverse of a lower triangular matrix, by blocks through matmul."""
+    k = L.shape[0]
+    X = np.zeros_like(L)
+    for i in range(0, k, INVERSE_BLOCK):
+        j = min(i + INVERSE_BLOCK, k)
+        D = np.linalg.inv(L[i:j, i:j])
+        X[i:j, i:j] = D
+        if i:
+            X[i:j, :i] = -D @ (L[i:j, :i] @ X[:i, :i])
+    return X
 
 
 @dataclass
 class LdltFactor:
-    perm: np.ndarray
-    inv_perm: np.ndarray
-    Lp: np.ndarray
-    Li: np.ndarray
-    Lx: np.ndarray
-    D: np.ndarray
+    """Cholesky factor L L^T of the nested-dissection permuted matrix.
 
-    @property
-    def min_pivot(self):
-        return float(self.D.min())
+    ``fronts`` lists, in elimination order, one tuple
+    ``(start, end, boundary, Linv, L21)`` per separator-tree node: the
+    node's pivots are the permuted positions ``start:end``, ``Linv`` is
+    the inverse of their diagonal Cholesky block and ``L21`` holds the
+    rows of L at the permuted positions ``boundary``.  ``min_pivot`` is
+    the smallest pivot D of the equivalent L D L^T factorization.
+    """
+
+    perm: np.ndarray
+    fronts: list
+    min_pivot: float
+    nnz: int              # strictly lower entries of the unit-diagonal L
+    max_front: int
+    order_time: float
+    factor_time: float
 
     def solve(self, b):
-        x = kernels.ldlt_solve(self.D.size, self.Lp, self.Li, self.Lx, self.D, b[self.perm])
+        x = b[self.perm]
+        for s, e, boundary, Linv, L21 in self.fronts:
+            y = Linv @ x[s:e]
+            x[s:e] = y
+            if boundary.size:
+                x[boundary] -= L21 @ y
+        for s, e, boundary, Linv, L21 in reversed(self.fronts):
+            y = x[s:e]
+            if boundary.size:
+                y = y - L21.T @ x[boundary]
+            x[s:e] = Linv.T @ y
         out = np.empty_like(x)
         out[self.perm] = x
         return out
 
 
 def ldlt_factor(A: SparseMatrix) -> LdltFactor:
-    """Factor a symmetric positive definite matrix as L D L^T."""
+    """Factor a symmetric positive definite matrix (multifrontal Cholesky).
+
+    Only the lower triangle of ``A`` is read.  Each separator-tree node,
+    children first, gathers a dense front from its own columns of the
+    permuted lower triangle plus its children's update matrices
+    (extend-add), factors the pivot block with LAPACK Cholesky and passes
+    the Schur complement on to its parent.
+    """
     n = A.nrows
-    perm = rcm_ordering(A)
+    t0 = time.perf_counter()
+    perm, starts, parent = nested_dissection(A)
+    t1 = time.perf_counter()
     inv = np.empty(n, dtype=np.int64)
     inv[perm] = np.arange(n)
-    rp, cp = inv[A.rows], inv[A.cols]
-    keep = rp <= cp
-    r, c, v = rp[keep], cp[keep], A.vals[keep]
-    order = np.lexsort((r, c))
-    r, c, v = r[order], c[order], v[order]
-    Ap = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(Ap, c + 1, 1)
-    np.cumsum(Ap, out=Ap)
-    parent, Lnz = kernels.ldlt_symbolic(n, Ap, r)
-    Lp = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(Lnz, out=Lp[1:])
-    Li, Lx, D, bad = kernels.ldlt_numeric(n, Ap, r, v, parent, Lp)
-    if bad >= 0:
-        raise NonCoerciveError(
-            f"nonpositive pivot {D[bad]:.3e} at elimination step {bad}: the system "
-            "is not coercive with the given penalty parameters (increase sigma)"
-        )
-    return LdltFactor(perm, inv, Lp, Li, Lx, D)
+    lower = A.rows >= A.cols
+    rows, cols, vals = inv[A.rows[lower]], inv[A.cols[lower]], A.vals[lower]
+    rows, cols = np.maximum(rows, cols), np.minimum(rows, cols)
+    nnodes = starts.size - 1
+    node_of = np.repeat(np.arange(nnodes), np.diff(starts))
+    order = np.argsort(node_of[cols], kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    entry_start = np.searchsorted(cols, starts)
+    children = [[] for _ in range(nnodes)]
+    for k, p in enumerate(parent):
+        if p >= 0:
+            children[p].append(k)
+    updates = {}
+    local = np.empty(n, dtype=np.int64)
+    fronts = []
+    min_pivot = np.inf
+    nnz = max_front = 0
+    for k in range(nnodes):
+        s, e = int(starts[k]), int(starts[k + 1])
+        r, c = rows[entry_start[k]:entry_start[k + 1]], cols[entry_start[k]:entry_start[k + 1]]
+        kids = [updates.pop(child) for child in children[k]]
+        boundary = _sorted_unique(np.concatenate([r[r >= e]] + [b[b >= e] for b, _ in kids]))
+        p = e - s
+        m = p + boundary.size
+        local[s:e] = np.arange(p)
+        local[boundary] = np.arange(p, m)
+        # the pivot block gets its lower triangle only: Cholesky reads no more
+        front = np.zeros((m, m))
+        front[local[r], c - s] = vals[entry_start[k]:entry_start[k + 1]]
+        for b, update in kids:
+            pos = local[b]
+            front[pos[:, None], pos] += update
+        try:
+            L11 = np.linalg.cholesky(front[:p, :p])
+        except np.linalg.LinAlgError:
+            raise NonCoerciveError(
+                f"front {k} of {nnodes} (elimination steps {s}..{e - 1}) is not positive "
+                "definite: the system is not coercive with the given penalty parameters "
+                "(increase sigma)"
+            ) from None
+        min_pivot = min(min_pivot, float(np.diag(L11).min()) ** 2)
+        Linv = _lower_inverse(L11)
+        L21 = front[p:, :p] @ Linv.T
+        if boundary.size:
+            updates[k] = (boundary, front[p:, p:] - L21 @ L21.T)
+        fronts.append((s, e, boundary, Linv, L21))
+        nnz += p * (p - 1) // 2 + boundary.size * p
+        max_front = max(max_front, m)
+    return LdltFactor(perm, fronts, min_pivot, nnz, max_front, t1 - t0,
+                      time.perf_counter() - t1)
 
 
 def _dense_spd_solve(A: SparseMatrix, b):
@@ -150,12 +352,13 @@ def _dense_spd_solve(A: SparseMatrix, b):
 
 
 def solve(matrix: SparseMatrix, vector: np.ndarray, symmetric: bool,
-          method: str = "auto", rtol: float = CG_RTOL):
+          method: str = "auto"):
     """Solve the linear system; returns (coefficients, stats dict).
 
-    methods: 'ldlt' (sparse direct, symmetric), 'cg' (Jacobi-CG, SPD),
-    'dense' (LU/Cholesky below DENSE_CAP), 'auto'.  Symmetric systems
-    that fail positive-definiteness raise NonCoerciveError.
+    methods: 'ldlt' (sparse multifrontal Cholesky, symmetric), 'dense'
+    (LU/Cholesky below DENSE_CAP), 'auto' ('ldlt' for symmetric systems,
+    'dense' otherwise).  Symmetric systems that fail
+    positive-definiteness raise NonCoerciveError.
     """
     b = np.asarray(vector, dtype=np.float64)
     n = matrix.nrows
@@ -166,17 +369,12 @@ def solve(matrix: SparseMatrix, vector: np.ndarray, symmetric: bool,
     t0 = time.perf_counter()
     stats = {"n": n, "nnz": matrix.nnz}
     if method == "auto":
-        if not symmetric:
-            method = "dense"
-        elif USE_NUMBA:
-            method = "ldlt"
-        else:
-            method = "dense" if n <= DENSE_CAP else "cg"
+        method = "ldlt" if symmetric else "dense"
     if method == "dense":
         if n > DENSE_CAP:
             raise SolverError(
                 f"dense fallback limited to {DENSE_CAP} unknowns (system has {n}); "
-                "symmetric systems use the sparse LDL^T or CG paths"
+                "symmetric systems use the sparse multifrontal Cholesky"
             )
         if symmetric:
             x = _dense_spd_solve(matrix, b)
@@ -208,28 +406,11 @@ def solve(matrix: SparseMatrix, vector: np.ndarray, symmetric: bool,
             x, r, rnorm = x_new, r_new, rnorm_new
         stats["method"] = "ldlt"
         stats["min_pivot"] = factor.min_pivot
-        stats["factor_nnz"] = int(factor.Lp[-1])
-    elif method == "cg":
-        if not symmetric:
-            raise SolverError("CG requires a symmetric positive definite system")
-        diag = matrix.diagonal()
-        if np.any(diag <= 0):
-            raise NonCoerciveError("nonpositive diagonal entry: system cannot be SPD")
-        if USE_NUMBA:
-            indptr, indices, data = matrix.to_csr()
-            x, iters, relres, flag = kernels.cg_jacobi(indptr, indices, data, diag, b,
-                                                       rtol, 20 * n + 100)
-        else:
-            x, iters, relres, flag = _cg_jacobi_numpy(matrix, diag, b, rtol, 20 * n + 100)
-        if flag == 2:
-            raise NonCoerciveError(
-                "conjugate gradients found a direction of nonpositive curvature: "
-                "the system is not coercive with the given penalty parameters"
-            )
-        if flag == 1:
-            raise SolverError(f"CG did not converge in {iters} iterations (relres {relres:.3e})")
-        stats["method"] = "cg"
-        stats["iterations"] = int(iters)
+        stats["factor_nnz"] = factor.nnz
+        stats["fronts"] = len(factor.fronts)
+        stats["max_front"] = factor.max_front
+        stats["order_time"] = factor.order_time
+        stats["factor_time"] = factor.factor_time
     else:
         raise ValueError(f"unknown method {method!r}")
     bnorm = np.linalg.norm(b)
@@ -255,35 +436,6 @@ def _residual_extended(matrix: SparseMatrix, x, b):
     np.subtract.at(r, matrix.rows,
                    matrix.vals.astype(np.longdouble) * x.astype(np.longdouble)[matrix.cols])
     return r
-
-
-def _cg_jacobi_numpy(matrix, diag, b, rtol, maxiter):
-    """Vectorized Jacobi-CG for the pure-numpy acceleration mode."""
-    n = b.size
-    x = np.zeros(n)
-    r = b.copy()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return x, 0, 0.0, 0
-    z = r / diag
-    p = z.copy()
-    rz = r @ z
-    for it in range(1, maxiter + 1):
-        Ap = matrix.matvec(p)
-        pAp = p @ Ap
-        if pAp <= 0.0:
-            return x, it, np.linalg.norm(r) / bnorm, 2
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        relres = np.linalg.norm(r) / bnorm
-        if relres <= rtol:
-            return x, it, relres, 0
-        z = r / diag
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, maxiter, np.linalg.norm(r) / bnorm, 1
 
 
 # ---------------------------------------------------------------------------

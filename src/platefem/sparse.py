@@ -1,7 +1,7 @@
 """Minimal sparse matrix support: coordinate storage with CSR conversion.
 
-Kept in-repo on purpose; the solver (LDL^T, CG) works directly on these
-arrays.  Entries are deduplicated and sorted row-major at construction.
+Kept in-repo on purpose; the solver works directly on these arrays.
+Entries are deduplicated and sorted row-major at construction.
 """
 
 from dataclasses import dataclass
@@ -122,17 +122,6 @@ class SparseMatrix:
     def scale(self, alpha):
         return SparseMatrix(self.nrows, self.ncols, self.rows, self.cols,
                             alpha * self.vals, self.symmetric)
-
-    def upper_csc(self):
-        """Column-compressed upper triangle (incl. diagonal) for LDL^T."""
-        keep = self.rows <= self.cols
-        r, c, v = self.rows[keep], self.cols[keep], self.vals[keep]
-        order = np.lexsort((r, c))
-        r, c, v = r[order], c[order], v[order]
-        indptr = np.zeros(self.ncols + 1, dtype=np.int64)
-        np.add.at(indptr, c + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return indptr, r, v
 
     def export_coo_text(self):
         """Coordinate text form 'i j value' with 1-based indices."""

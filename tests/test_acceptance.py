@@ -19,7 +19,6 @@ import time
 import numpy as np
 import pytest
 
-from platefem.accel import USE_NUMBA
 from platefem.fespace import (
     DiscreteFunction,
     SpaceTag,
@@ -51,11 +50,6 @@ from platefem.solve import (
 
 U1 = get_manufactured("u1")
 U2 = get_manufactured("u2")
-
-pytestmark = pytest.mark.skipif(
-    not USE_NUMBA, reason="acceptance timings assume the accelerated solver path"
-)
-
 
 def report(criterion, ok, detail):
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")

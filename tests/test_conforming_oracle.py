@@ -10,9 +10,7 @@ schemes were built from exactly this functional.
 """
 
 import numpy as np
-import pytest
 
-from platefem.accel import USE_NUMBA
 from platefem.fespace import (
     DiscreteFunction,
     SpaceTag,
@@ -56,7 +54,6 @@ def conforming_solution(mesh, quad_order=9):
     return DiscreteFunction(dofmap, x)
 
 
-@pytest.mark.skipif(not USE_NUMBA, reason="oracle study needs the fast solver")
 def test_conforming_solution_validates_pipeline():
     meshes = [unit_square_mesh(4)]
     for _ in range(2):

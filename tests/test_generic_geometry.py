@@ -8,7 +8,6 @@ axis-alignment or congruence assumption survives unnoticed.
 import numpy as np
 import pytest
 
-from platefem.accel import USE_NUMBA
 from platefem.fespace import DiscreteFunction, SpaceTag, build_dof_map, to_dgp2
 from platefem.forms import (
     SchemeConfig,
@@ -59,7 +58,6 @@ def test_all_schemes_solve_point_load_on_skew_mesh(skew_mesh):
         assert np.isfinite(sol.u_star.coeffs).all()
 
 
-@pytest.mark.skipif(not USE_NUMBA, reason="surrogate study needs the fast solver")
 def test_surrogate_errors_shrink_on_skew_domain(skew_mesh):
     # no closed-form solution on the skew domain: measure against the
     # nonconforming solution two levels further down and require decay

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from platefem.accel import USE_NUMBA
 from platefem.forms import SchemeConfig, SchemeTag
 from platefem.functions import get_manufactured
 from platefem.harness import (
@@ -13,11 +12,6 @@ from platefem.harness import (
     run_wopsip,
 )
 from platefem.rhs import LoadSpec
-
-needs_accel = pytest.mark.skipif(
-    not USE_NUMBA, reason="full-scale studies need the accelerated solver path"
-)
-
 
 # --- manufactured solutions vs finite differences ---------------------------------
 
@@ -170,7 +164,6 @@ def test_solver_failure_yields_partial_flagged_report():
     assert "aborted" in rep.to_json_dict()
 
 
-@needs_accel
 def test_polynomial_manufactured_solution_end_to_end():
     # the degree-8 polynomial solution drives the solver at the same rates
     cfg = StudyConfig(scheme=SchemeConfig(scheme=SchemeTag.MORLEY),

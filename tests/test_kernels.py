@@ -1,13 +1,9 @@
-"""The numba-compiled kernels and their pure-Python fallbacks agree."""
+"""The sparse factorization on a random SPD system, and the minimal sparse type."""
 
 import numpy as np
 import pytest
 
-from platefem import kernels
-from platefem.accel import HAVE_NUMBA
-from platefem.forms import SchemeConfig, SchemeTag, assemble_scheme
-from platefem.mesh import unit_square_mesh
-from platefem.solve import ldlt_factor, rcm_ordering
+from platefem.solve import ldlt_factor
 from platefem.sparse import SparseMatrix, TripletAccumulator
 
 
@@ -30,69 +26,12 @@ def spd_system(n=60, seed=4):
     return A, b
 
 
-def to_upper_csc(A):
-    return A.upper_csc()
-
-
 def test_ldlt_matches_dense(rng):
     A, b = spd_system()
     factor = ldlt_factor(A)
     x = factor.solve(b)
     assert np.abs(x - np.linalg.solve(A.to_dense(), b)).max() < 1e-11
     assert factor.min_pivot > 0
-
-
-def test_ldlt_pure_path_matches_jit():
-    A, b = spd_system(40, seed=9)
-    n = A.nrows
-    Ap, Ai, Ax = to_upper_csc(A)
-    parent, Lnz = kernels.ldlt_symbolic(n, Ap, Ai)
-    Lp = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(Lnz, out=Lp[1:])
-    jit_out = kernels.ldlt_numeric(n, Ap, Ai, Ax, parent, Lp)
-    py_out = kernels.ldlt_numeric.py_func(n, Ap, Ai, Ax, parent, Lp)
-    for a, b_ in zip(jit_out, py_out):
-        assert np.array_equal(np.asarray(a), np.asarray(b_))
-
-
-def test_csr_matvec_pure_path(rng):
-    A, _ = spd_system(50, seed=2)
-    x = rng.standard_normal(50)
-    indptr, indices, data = A.to_csr()
-    out1 = kernels.csr_matvec(indptr, indices, data, x, np.zeros(50))
-    out2 = kernels.csr_matvec.py_func(indptr, indices, data, x, np.zeros(50))
-    assert np.array_equal(out1, out2)
-    assert np.abs(out1 - A.to_dense() @ x).max() < 1e-12
-
-
-def test_cg_converges_and_detects_indefinite(rng):
-    A, b = spd_system(80, seed=7)
-    indptr, indices, data = A.to_csr()
-    x, it, res, flag = kernels.cg_jacobi(indptr, indices, data, A.diagonal(), b,
-                                         1e-12, 2000)
-    assert flag == 0 and res <= 1e-12
-    assert np.abs(x - np.linalg.solve(A.to_dense(), b)).max() < 1e-9
-    # indefinite matrix: flip one diagonal entry hard
-    vals = A.vals.copy()
-    vals[(A.rows == 0) & (A.cols == 0)] = -50.0
-    B = SparseMatrix(A.nrows, A.ncols, A.rows, A.cols, vals, symmetric=False)
-    indptr, indices, data = B.to_csr()
-    diag = np.abs(B.diagonal())
-    x, it, res, flag = kernels.cg_jacobi(indptr, indices, data, diag, b, 1e-12, 2000)
-    assert flag == 2
-
-
-def test_rcm_is_permutation():
-    A, _ = assemble_scheme(unit_square_mesh(4), SchemeConfig(scheme=SchemeTag.DG))
-    perm = rcm_ordering(A)
-    assert np.array_equal(np.sort(perm), np.arange(A.nrows))
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_kernels_have_py_func():
-    for fn in (kernels.ldlt_symbolic, kernels.ldlt_numeric, kernels.ldlt_solve,
-               kernels.csr_matvec, kernels.cg_jacobi):
-        assert hasattr(fn, "py_func")
 
 
 # --- minimal sparse type --------------------------------------------------------
