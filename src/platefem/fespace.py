@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .mesh import Triangulation, cross2
+from .mesh import Triangulation, cross2, derived
 
 
 class ElementError(ValueError):
@@ -42,10 +42,9 @@ class SpaceTag(Enum):
 # quadratic Lagrange machinery (shared by Morley / dG / continuous P2)
 # ---------------------------------------------------------------------------
 
+@derived
 def barycentric_gradients(mesh: Triangulation):
     """Gradients of the barycentric coordinates, shape (nt, 3, 2)."""
-    if "bary_grad" in mesh._cache:
-        return mesh._cache["bary_grad"]
     p = mesh.tri_coords()
     det = 2.0 * mesh.tri_area
     g = np.empty((mesh.num_triangles, 3, 2))
@@ -53,7 +52,6 @@ def barycentric_gradients(mesh: Triangulation):
         j, k = (i + 1) % 3, (i + 2) % 3
         g[:, i, 0] = (p[:, j, 1] - p[:, k, 1]) / det
         g[:, i, 1] = (p[:, k, 0] - p[:, j, 0]) / det
-    mesh._cache["bary_grad"] = g
     return g
 
 
@@ -100,10 +98,9 @@ def p2_gradients(lam, g, per_cell=False):
     return out
 
 
+@derived
 def p2_hessians(mesh: Triangulation):
     """Constant Hessians of the P2 basis per triangle, shape (nt, 6, 2, 2)."""
-    if "p2_hess" in mesh._cache:
-        return mesh._cache["p2_hess"]
     g = barycentric_gradients(mesh)
     H = np.empty((mesh.num_triangles, 6, 2, 2))
     for i in range(3):
@@ -113,7 +110,6 @@ def p2_hessians(mesh: Triangulation):
             np.einsum("ti,tj->tij", g[:, j], g[:, k])
             + np.einsum("ti,tj->tij", g[:, k], g[:, j])
         )
-    mesh._cache["p2_hess"] = H
     return H
 
 
@@ -138,6 +134,7 @@ def morley_dof_matrix(mesh: Triangulation):
     return M
 
 
+@derived
 def morley_local_basis(mesh: Triangulation):
     """Morley shape functions as P2 Lagrange coefficients, (nt, 6, 6).
 
@@ -145,15 +142,11 @@ def morley_local_basis(mesh: Triangulation):
     function dual to local DOF a; for local Morley DOFs ``u`` the local
     Lagrange coefficients are ``C[t] @ u``.
     """
-    if "morley_basis" in mesh._cache:
-        return mesh._cache["morley_basis"]
     scale = mesh.tri_diam ** 2
     if np.any(mesh.tri_area < 1e-14 * scale):
         bad = int(np.argmin(mesh.tri_area / scale))
         raise ElementError(f"triangle {bad} is numerically degenerate")
-    C = np.linalg.inv(morley_dof_matrix(mesh))
-    mesh._cache["morley_basis"] = C
-    return C
+    return np.linalg.inv(morley_dof_matrix(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +229,7 @@ def _hct_rows(xi, scale, want="val"):
     raise ValueError(want)
 
 
+@derived
 def hct_local_basis(mesh: Triangulation) -> HctBasis:
     """Build the 12 macro shape functions on every triangle.
 
@@ -246,8 +240,6 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
     (those 18 conditions imply full C^1 across the internal edges, which
     is verified for random data in the test suite).
     """
-    if "hct_basis" in mesh._cache:
-        return mesh._cache["hct_basis"]
     nt = mesh.num_triangles
     p = mesh.tri_coords()
     center = p.mean(axis=1)
@@ -335,9 +327,7 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
         sub[:, i, 0] = p[:, j]
         sub[:, i, 1] = p[:, k]
         sub[:, i, 2] = center
-    basis = HctBasis(center=center, scale=scale, sub_coords=sub, coeffs=coeffs)
-    mesh._cache["hct_basis"] = basis
-    return basis
+    return HctBasis(center=center, scale=scale, sub_coords=sub, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +363,7 @@ def _number(flags):
     return out
 
 
+@derived
 def build_dof_map(mesh: Triangulation, tag: SpaceTag) -> DofMap:
     nv, ne, nt = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
     vi = ~mesh.vertex_is_boundary

@@ -32,7 +32,7 @@ from .fespace import (
     p2_hessians,
     p2_values,
 )
-from .mesh import Triangulation
+from .mesh import Triangulation, derived
 from .quadrature import edge_rule
 from .sparse import SparseMatrix, TripletAccumulator
 
@@ -90,6 +90,7 @@ class SchemeConfig:
 # edge trace tables
 # ---------------------------------------------------------------------------
 
+@derived
 def edge_traces(mesh: Triangulation, params):
     """P2 basis traces on both sides of every edge at parameters ``params``.
 
@@ -99,9 +100,6 @@ def edge_traces(mesh: Triangulation, params):
     all-edges interior mask; side 1 arrays are zero on boundary edges.
     """
     params = np.asarray(params, dtype=np.float64)
-    key = ("edge_traces", params.tobytes())
-    if key in mesh._cache:
-        return mesh._cache[key]
     info = mesh.edge_side_info()
     g = barycentric_gradients(mesh)
     ne, nq = mesh.num_edges, params.size
@@ -124,7 +122,6 @@ def edge_traces(mesh: Triangulation, params):
         out[f"G{side}"] = G
         out[f"t{side}"] = ts
         out[f"valid{side}"] = valid
-    mesh._cache[key] = out
     return out
 
 
@@ -302,16 +299,8 @@ def jump_seminorm(f: DiscreteFunction) -> float:
     j_h(v)^2 = sum_E sum_{z in V(E)} h_E^-2 [v]_E(z)^2
              + sum_E ( mean_E [dv/dnu] )^2, single traces on the boundary.
     """
-    mesh = f.mesh
-    lag = local_lagrange_coeffs(f)
-    traces = edge_traces(mesh, np.array([0.0, 1.0, 0.5]))
-    loc = np.concatenate([lag[traces["t0"]], lag[traces["t1"]]], axis=1)
-    loc[~traces["valid1"], 6:] = 0.0
-    Jv = _jump_rows(traces, "value")[:, :2]
-    Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)[:, 2]
-    vjump = np.einsum("eqa,ea->eq", Jv, loc)
-    njump = np.einsum("ea,ea->e", Jn, loc)
-    h = mesh.edge_length
+    vjump, njump = _point_jumps(f)
+    h = f.mesh.edge_length
     return float(np.sqrt(np.sum(vjump ** 2 / h[:, None] ** 2) + np.sum(njump ** 2)))
 
 
@@ -320,6 +309,16 @@ def _edge_local_coeffs(f: DiscreteFunction, traces):
     loc = np.concatenate([lag[traces["t0"]], lag[traces["t1"]]], axis=1)
     loc[~traces["valid1"], 6:] = 0.0
     return loc
+
+
+def _point_jumps(f: DiscreteFunction):
+    """Endpoint value jumps (ne, 2) and edge-mean normal-slope jumps (ne,)."""
+    mesh = f.mesh
+    traces = edge_traces(mesh, np.array([0.0, 1.0, 0.5]))
+    loc = _edge_local_coeffs(f, traces)
+    Jv = _jump_rows(traces, "value")[:, :2]
+    Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)[:, 2]
+    return np.einsum("eqa,ea->eq", Jv, loc), np.einsum("ea,ea->e", Jn, loc)
 
 
 def penalty_value(f: DiscreteFunction, config: SchemeConfig) -> float:
@@ -334,12 +333,7 @@ def penalty_value(f: DiscreteFunction, config: SchemeConfig) -> float:
         return 0.0
     h = mesh.edge_length
     if config.scheme is SchemeTag.WOPSIP:
-        traces = edge_traces(mesh, np.array([0.0, 1.0, 0.5]))
-        loc = _edge_local_coeffs(f, traces)
-        Jv = _jump_rows(traces, "value")[:, :2]
-        Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)[:, 2]
-        vjump = np.einsum("eqa,ea->eq", Jv, loc)
-        njump = np.einsum("ea,ea->e", Jn, loc)
+        vjump, njump = _point_jumps(f)
         return float(np.sum(vjump ** 2 / h[:, None] ** 4) + np.sum(njump ** 2 / h ** 2))
     s, w = edge_rule(EDGE_GAUSS)
     traces = edge_traces(mesh, s)

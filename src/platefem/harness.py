@@ -8,7 +8,7 @@ deterministic: identical configurations produce bit-identical CSV.
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,13 +17,14 @@ from .fespace import (
     SpaceTag,
     build_dof_map,
     local_lagrange_coeffs,
+    p2_hessians,
     prolongate_to_refined,
     to_dgp2,
 )
-from .forms import SchemeConfig, SchemeTag, assemble_apw, jump_seminorm
+from .forms import SchemeConfig, SchemeTag, assemble_apw, jump_seminorm, penalty_value
 from .functions import ScalarFunction, get_manufactured
 from .interp import morley_interp_avg
-from .mesh import Triangulation, refine_uniform, unit_square_mesh
+from .mesh import Triangulation, derived, refine_uniform, unit_square_mesh
 from .rhs import LoadSpec
 from .solve import (
     ErrorReport,
@@ -165,8 +166,6 @@ def _interp_energy(u: ScalarFunction, mesh: Triangulation, quad_order: int,
         _, _, energy = broken_error_norms(u, v_m, quad_order)
         return float(energy)
     # ||| h_T I_M u |||_pw with the cellwise constant Hessian of I_M u
-    from .fespace import p2_hessians
-
     lag = local_lagrange_coeffs(v_m)
     H = np.einsum("taij,ta->tij", p2_hessians(mesh), lag)
     return float(np.sqrt(np.sum(
@@ -219,22 +218,11 @@ def run_wopsip(config: StudyConfig) -> ConvergenceReport:
     interpolant, the extra term in the scheme's a priori bound, and the
     penalty energy of the discrete solution per level.
     """
-    cfg = StudyConfig(
-        scheme=SchemeConfig(
-            scheme=SchemeTag.WOPSIP,
-            theta=config.scheme.theta,
-            sigma1=config.scheme.sigma1, sigma2=config.scheme.sigma2,
-            sigma_ip=config.scheme.sigma_ip, quad_order=config.scheme.quad_order,
-        ),
-        n0=config.n0, levels=config.levels,
-        solution=config.solution, load=config.load, quad_order=config.quad_order,
-    )
+    cfg = replace(config, scheme=replace(config.scheme, scheme=SchemeTag.WOPSIP))
     u = cfg.exact()
     load = cfg.load_spec()
     meshes = mesh_sequence(cfg.n0, cfg.levels)
     records = []
-    from .forms import penalty_value
-
     aborted = None
     for k, mesh in enumerate(meshes):
         try:
@@ -278,11 +266,7 @@ def run_comparison(config: StudyConfig, extra_levels: int = 2) -> ConvergenceRep
     study_meshes = meshes[: config.levels]
     solutions = {}
     for tag in COMPARISON_SCHEMES:
-        cfg = SchemeConfig(
-            scheme=tag, theta=config.scheme.theta,
-            sigma1=config.scheme.sigma1, sigma2=config.scheme.sigma2,
-            sigma_ip=config.scheme.sigma_ip, quad_order=config.scheme.quad_order,
-        )
+        cfg = replace(config.scheme, scheme=tag)
         solutions[tag] = [solve_scheme(m, cfg, load) for m in study_meshes]
 
     per_level = []
@@ -361,11 +345,14 @@ def reference_error_norm_h(u_h: DiscreteFunction, chain, u_ref: DiscreteFunction
     fine_dg = build_dof_map(fine, SpaceTag.DG_P2)
     ref = to_dgp2(u_ref, fine_dg)
     diff = DiscreteFunction(fine_dg, ref.coeffs - f.coeffs)
-    key = "apw_dg"
-    if key not in fine._cache:
-        fine._cache[key] = assemble_apw(fine, fine_dg)
-    energy2 = float(diff.coeffs @ fine._cache[key].matvec(diff.coeffs))
+    energy2 = float(diff.coeffs @ _dg_energy_matrix(fine).matvec(diff.coeffs))
     return float(np.sqrt(energy2 + jump_seminorm(diff) ** 2))
+
+
+@derived
+def _dg_energy_matrix(mesh: Triangulation):
+    """Broken Hessian energy form on the discontinuous quadratics."""
+    return assemble_apw(mesh, build_dof_map(mesh, SpaceTag.DG_P2))
 
 
 def write_report(report: ConvergenceReport, csv_path=None, json_path=None):

@@ -39,7 +39,7 @@ from .fespace import (
     morley_local_basis,
     p2_gradients,
 )
-from .mesh import Triangulation
+from .mesh import Triangulation, derived
 from .quadrature import edge_rule
 from .sparse import SparseMatrix, TripletAccumulator
 
@@ -61,13 +61,6 @@ class InterpolationReport:
         return self.max_residual <= self.tolerance
 
 
-def _dof_map(mesh, tag):
-    key = ("dofmap", tag)
-    if key not in mesh._cache:
-        mesh._cache[key] = build_dof_map(mesh, tag)
-    return mesh._cache[key]
-
-
 def _expand_ragged(indptr, keys):
     """Expand CSR ranges for ``keys``: returns (owner_index, flat_position)."""
     counts = indptr[keys + 1] - indptr[keys]
@@ -78,20 +71,17 @@ def _expand_ragged(indptr, keys):
     return owner, starts + offs
 
 
+@derived
 def _morley_vertex_grad_rows(mesh):
     """Gradient of the local Morley shape functions at the vertices.
 
     Returns (nt, 3, 6, 2): entry [t, lv, a, :] is the gradient at local
     vertex lv of the shape function dual to local DOF a.
     """
-    if "morley_vgrad" in mesh._cache:
-        return mesh._cache["morley_vgrad"]
     g = barycentric_gradients(mesh)
     grads = p2_gradients(np.eye(3), g)  # (nt, 3, 6, 2) Lagrange gradients
     C = morley_local_basis(mesh)
-    out = np.einsum("tvbi,tba->tvai", grads, C)
-    mesh._cache["morley_vgrad"] = out
-    return out
+    return np.einsum("tvbi,tba->tvai", grads, C)
 
 
 def interp_matrix(space_map: DofMap) -> SparseMatrix:
@@ -100,11 +90,13 @@ def interp_matrix(space_map: DofMap) -> SparseMatrix:
     Maps coefficients of ``space_map`` (quadratic spaces or the macro
     space) to coefficients of the Morley-type space on the same mesh.
     """
-    mesh = space_map.mesh
-    key = ("imat", space_map.tag)
-    if key in mesh._cache:
-        return mesh._cache[key]
-    morley_map = _dof_map(mesh, SpaceTag.MORLEY)
+    return _interp_matrix(space_map.mesh, space_map.tag)
+
+
+@derived
+def _interp_matrix(mesh: Triangulation, tag: SpaceTag) -> SparseMatrix:
+    space_map = build_dof_map(mesh, tag)
+    morley_map = build_dof_map(mesh, SpaceTag.MORLEY)
     acc = TripletAccumulator(morley_map.n_free, space_map.n_free)
 
     if space_map.tag is SpaceTag.MORLEY:
@@ -148,17 +140,14 @@ def interp_matrix(space_map: DofMap) -> SparseMatrix:
                 acc.add(rows, space_map.vertex_dofs[v, 1 + comp], nu[:, comp] / 6.0)
     else:
         raise ValueError(f"no interpolation from {space_map.tag}")
-    mat = acc.build()
-    mesh._cache[key] = mat
-    return mat
+    return acc.build()
 
 
+@derived
 def companion_matrix(mesh: Triangulation) -> SparseMatrix:
     """The right-inverse into the C^1 macro space as a sparse matrix."""
-    if "companion_mat" in mesh._cache:
-        return mesh._cache["companion_mat"]
-    morley_map = _dof_map(mesh, SpaceTag.MORLEY)
-    hct_map = _dof_map(mesh, SpaceTag.HCT)
+    morley_map = build_dof_map(mesh, SpaceTag.MORLEY)
+    hct_map = build_dof_map(mesh, SpaceTag.HCT)
     acc = TripletAccumulator(hct_map.n_free, morley_map.n_free)
 
     vids = np.flatnonzero(~mesh.vertex_is_boundary)
@@ -192,17 +181,14 @@ def companion_matrix(mesh: Triangulation) -> SparseMatrix:
         rows = np.repeat(erows[sel][owner], 6).reshape(-1, 6)
         acc.add(rows, morley_map.cell_dofs[t_in], w[:, None] * gdot)
 
-    mat = acc.build()
-    mesh._cache["companion_mat"] = mat
-    return mat
+    return acc.build()
 
 
+@derived
 def transfer_ic_matrix(mesh: Triangulation) -> SparseMatrix:
     """Transfer onto continuous quadratics (midpoint-trace averaging)."""
-    if "ic_mat" in mesh._cache:
-        return mesh._cache["ic_mat"]
-    morley_map = _dof_map(mesh, SpaceTag.MORLEY)
-    lag_map = _dof_map(mesh, SpaceTag.LAGRANGE_P2)
+    morley_map = build_dof_map(mesh, SpaceTag.MORLEY)
+    lag_map = build_dof_map(mesh, SpaceTag.LAGRANGE_P2)
     acc = TripletAccumulator(lag_map.n_free, morley_map.n_free)
     vids = np.flatnonzero(~mesh.vertex_is_boundary)
     acc.add(lag_map.vertex_dofs[vids], morley_map.vertex_dofs[vids], np.ones(vids.size))
@@ -216,9 +202,7 @@ def transfer_ic_matrix(mesh: Triangulation) -> SparseMatrix:
         rows = np.repeat(lag_map.edge_dofs[eids], 6).reshape(-1, 6)
         vals = 0.5 * C[t, 3 + le, :]
         acc.add(rows, morley_map.cell_dofs[t], vals)
-    mat = acc.build()
-    mesh._cache["ic_mat"] = mat
-    return mat
+    return acc.build()
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +232,10 @@ def morley_interp_avg(v, mesh: Triangulation | None = None) -> DiscreteFunction:
     """
     if isinstance(v, DiscreteFunction):
         mat = interp_matrix(v.space)
-        return DiscreteFunction(_dof_map(v.mesh, SpaceTag.MORLEY), mat.matvec(v.coeffs))
+        return DiscreteFunction(build_dof_map(v.mesh, SpaceTag.MORLEY), mat.matvec(v.coeffs))
     if mesh is None:
         raise ValueError("mesh is required for analytic input")
-    morley_map = _dof_map(mesh, SpaceTag.MORLEY)
+    morley_map = build_dof_map(mesh, SpaceTag.MORLEY)
     out = np.zeros(morley_map.n_free)
     vd = morley_map.vertex_dofs
     keep = vd >= 0
@@ -299,7 +283,7 @@ def morley_interp_local(v, mesh: Triangulation | None = None) -> DiscreteFunctio
         dofs[:, 3:] = means[mesh.tri_edges]
     C = morley_local_basis(mesh)
     lag = np.einsum("tba,ta->tb", C, dofs)
-    return DiscreteFunction(_dof_map(mesh, SpaceTag.DG_P2), lag.ravel())
+    return DiscreteFunction(build_dof_map(mesh, SpaceTag.DG_P2), lag.ravel())
 
 
 def companion(v: DiscreteFunction) -> DiscreteFunction:
@@ -307,7 +291,7 @@ def companion(v: DiscreteFunction) -> DiscreteFunction:
     if v.tag is not SpaceTag.MORLEY:
         raise ValueError("companion expects a function in the nonconforming space")
     mat = companion_matrix(v.mesh)
-    return DiscreteFunction(_dof_map(v.mesh, SpaceTag.HCT), mat.matvec(v.coeffs))
+    return DiscreteFunction(build_dof_map(v.mesh, SpaceTag.HCT), mat.matvec(v.coeffs))
 
 
 def transfer_ic(v: DiscreteFunction) -> DiscreteFunction:
@@ -315,7 +299,7 @@ def transfer_ic(v: DiscreteFunction) -> DiscreteFunction:
     if v.tag is not SpaceTag.MORLEY:
         raise ValueError("transfer expects a function in the nonconforming space")
     mat = transfer_ic_matrix(v.mesh)
-    return DiscreteFunction(_dof_map(v.mesh, SpaceTag.LAGRANGE_P2), mat.matvec(v.coeffs))
+    return DiscreteFunction(build_dof_map(v.mesh, SpaceTag.LAGRANGE_P2), mat.matvec(v.coeffs))
 
 
 def smoother(v: DiscreteFunction) -> DiscreteFunction:
@@ -326,8 +310,8 @@ def smoother(v: DiscreteFunction) -> DiscreteFunction:
 def verify_right_inverse(mesh: Triangulation, samples: int = 50, seed: int = 2024,
                          tolerance: float = 1e-11) -> InterpolationReport:
     """Check that interpolation after the companion is the identity."""
-    morley_map = _dof_map(mesh, SpaceTag.MORLEY)
-    hct_map = _dof_map(mesh, SpaceTag.HCT)
+    morley_map = build_dof_map(mesh, SpaceTag.MORLEY)
+    hct_map = build_dof_map(mesh, SpaceTag.HCT)
     J = companion_matrix(mesh)
     I = interp_matrix(hct_map)
     rng = np.random.default_rng(seed)

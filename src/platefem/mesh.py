@@ -5,8 +5,16 @@ interior-penalty assembly: every edge has a fixed orientation with the
 unit normal pointing out of its first adjacent triangle ``T+`` (the one
 with the smaller index; outward for boundary edges).  Instances are
 immutable after construction and safe to share.
+
+Data derived from a mesh (adjacency tables, shape functions, DOF maps,
+transfer operators) is computed once per mesh and memoized on it by
+:func:`derived`; no other module touches the store.  A refined mesh
+starts with an empty store.  Two concurrent first calls may compute the
+same entry twice; both results are equal and one of them is kept.
 """
 
+import functools
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +29,34 @@ def cross2(a, b):
     a = np.asarray(a)
     b = np.asarray(b)
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def derived(fn):
+    """Memoize ``fn(mesh, *args)`` on the mesh.
+
+    The key is ``(fn, *args)``, with arguments passed by name moved to
+    their positions; array arguments are keyed by their dtype, shape and
+    bytes, so equal arrays share one entry, and other arguments must be
+    hashable.  Entries live as long as the mesh and are shared by every
+    caller, so they must not be mutated.
+    """
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def memo(*args, **kwargs):
+        if kwargs:
+            args = signature.bind(*args, **kwargs).args
+        mesh, *rest = args
+        key = (fn,) + tuple(
+            (a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
+            for a in rest
+        )
+        store = mesh._cache
+        if key not in store:
+            store[key] = fn(*args)
+        return store[key]
+
+    return memo
 
 
 @dataclass(frozen=True)
@@ -62,28 +98,28 @@ class Triangulation:
         """Vertex coordinates per triangle, shape (nt, 3, 2)."""
         return self.vertices[self.triangles]
 
+    @derived
     def vertex_tri_patches(self):
         """Vertex-to-triangle adjacency as (indptr, tris, local_vertex).
 
         ``tris[indptr[z]:indptr[z+1]]`` are the triangles attached to
         vertex z and ``local_vertex`` the position (0..2) of z in each.
         """
-        if "v2t" not in self._cache:
-            tri_ids = np.repeat(np.arange(self.num_triangles), 3)
-            local_ids = np.tile(np.arange(3), self.num_triangles)
-            verts = self.triangles.ravel()
-            order = np.argsort(verts, kind="stable")
-            indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
-            np.add.at(indptr, verts + 1, 1)
-            np.cumsum(indptr, out=indptr)
-            self._cache["v2t"] = (indptr, tri_ids[order], local_ids[order])
-        return self._cache["v2t"]
+        tri_ids = np.repeat(np.arange(self.num_triangles), 3)
+        local_ids = np.tile(np.arange(3), self.num_triangles)
+        verts = self.triangles.ravel()
+        order = np.argsort(verts, kind="stable")
+        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        np.add.at(indptr, verts + 1, 1)
+        np.cumsum(indptr, out=indptr)
+        return indptr, tri_ids[order], local_ids[order]
 
     def vertex_patch_counts(self):
         """Number of attached triangles |T(z)| per vertex."""
         indptr, _, _ = self.vertex_tri_patches()
         return np.diff(indptr)
 
+    @derived
     def edge_side_info(self):
         """Local placement of each edge inside its adjacent triangles.
 
@@ -92,8 +128,6 @@ class Triangulation:
         tri_edges) and ``local_a``/``local_b`` (local vertex index of the
         edge endpoints edge_vertices[:, 0] / [:, 1]).
         """
-        if "side_info" in self._cache:
-            return self._cache["side_info"]
         ne = self.num_edges
         local_edge = np.full((ne, 2), -1, dtype=np.int64)
         local_a = np.full((ne, 2), -1, dtype=np.int64)
@@ -109,9 +143,7 @@ class Triangulation:
             b = self.edge_vertices[ok, 1][:, None]
             local_a[eids[ok], side] = np.argmax(tri_v == a, axis=1)
             local_b[eids[ok], side] = np.argmax(tri_v == b, axis=1)
-        info = {"local_edge": local_edge, "local_a": local_a, "local_b": local_b}
-        self._cache["side_info"] = info
-        return info
+        return {"local_edge": local_edge, "local_a": local_a, "local_b": local_b}
 
 
 def _signed_areas(vertices, triangles):

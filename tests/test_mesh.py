@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from platefem.fespace import SpaceTag, barycentric_gradients, build_dof_map
+from platefem.forms import edge_traces
+from platefem.interp import companion_matrix, interp_matrix
 from platefem.mesh import (
     MeshError,
     build_triangulation,
+    derived,
     read_mesh,
     refine_uniform,
     unit_square_mesh,
@@ -149,3 +153,65 @@ def test_build_rejects_nonccw():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match="counterclockwise"):
         build_triangulation(verts, np.array([[0, 2, 1]]))
+
+
+def test_derived_repeated_call_returns_same_object():
+    m = unit_square_mesh(2)
+    assert m.vertex_tri_patches() is m.vertex_tri_patches()
+    assert m.edge_side_info() is m.edge_side_info()
+    assert barycentric_gradients(m) is barycentric_gradients(m)
+    assert companion_matrix(m) is companion_matrix(m)
+
+
+def test_derived_keys_on_arguments():
+    m = unit_square_mesh(2)
+    maps = {tag: build_dof_map(m, tag) for tag in SpaceTag}
+    assert len({id(dm) for dm in maps.values()}) == len(SpaceTag)
+    for tag, dm in maps.items():
+        assert dm.tag is tag and dm.mesh is m
+        assert build_dof_map(m, tag) is dm
+        assert build_dof_map(mesh=m, tag=tag) is dm
+    # equal arrays share an entry; different values or dtypes do not
+    a = edge_traces(m, np.array([0.0, 1.0, 0.5]))
+    assert edge_traces(m, np.array([0.0, 1.0, 0.5])) is a
+    assert edge_traces(m, np.array([0.0, 0.5, 1.0])) is not a
+
+    calls = []
+
+    @derived
+    def probe(mesh, *args):
+        calls.append(args)
+        return object()
+
+    x = np.array([0.0, 1.0])
+    first = probe(m, x)
+    assert probe(m, x.copy()) is first
+    assert probe(m, x.view(np.int64)) is not first  # same bytes, other dtype
+    assert probe(m, x.reshape(2, 1)) is not first   # same bytes, other shape
+    assert len(calls) == 3
+
+
+def test_derived_entries_do_not_reach_refined_mesh():
+    coarse = unit_square_mesh(2)
+    calls = []
+
+    @derived
+    def probe(mesh):
+        calls.append(mesh)
+        return object()
+
+    coarse_value = probe(coarse)
+    dg = build_dof_map(coarse, SpaceTag.DG_P2)
+    fine = refine_uniform(coarse)
+    assert probe(fine) is not coarse_value
+    assert calls == [coarse, fine]
+    fine_dg = build_dof_map(fine, SpaceTag.DG_P2)
+    assert fine_dg is not dg and fine_dg.mesh is fine
+    assert fine_dg.n_free == 4 * dg.n_free
+
+
+def test_interp_matrix_is_memoized_per_space():
+    m = unit_square_mesh(2)
+    mat = interp_matrix(build_dof_map(m, SpaceTag.DG_P2))
+    assert interp_matrix(build_dof_map(m, SpaceTag.DG_P2)) is mat
+    assert interp_matrix(build_dof_map(m, SpaceTag.HCT)) is not mat
