@@ -6,8 +6,8 @@ triangles and the cyclic vertex order inside each triangle permuted.
 Exact identities must hold on the renumbered mesh, and the error norms
 must match the unpermuted mesh up to round-off.
 
-The error norms hold that only while each triangle keeps its cyclic
-vertex order: ``triangle_rule`` is a conical-product rule, not symmetric
+The norms match only while each triangle keeps its cyclic vertex
+order: ``triangle_rule`` is a conical-product rule, not symmetric
 in the three vertices, so rotating them moves the quadrature error of
 the norms (about 6e-5 relative at n=2).  The full property is kept as a
 strict expected failure on the smallest such mesh.
