@@ -13,6 +13,16 @@ every integral is computed with an exact rule:
 
 Jumps on boundary edges use the single trace (homogeneous clamped
 boundary conditions are imposed weakly through them).
+
+Every form is a set of dense blocks: 6x6 per cell for ``a_pw`` and
+12x12 per edge (both sides' DOFs) for the edge forms.  The sparsity
+pattern of each block set is built once per (mesh, space) and memoized
+with ``derived``.  A form sums its block values onto its pattern with
+``np.add.reduceat`` in the stable order of the entries, which are the
+sums that sorting its triplets gives, so nothing is sorted per form.
+The edge pattern contains every cell block, so ``assemble_scheme`` adds
+the forms entrywise on it.  Symmetry is checked in O(nnz) through the
+pattern's memoized transpose index.
 """
 
 from dataclasses import dataclass
@@ -34,7 +44,7 @@ from .fespace import (
 )
 from .mesh import Triangulation, derived
 from .quadrature import edge_rule
-from .sparse import SparseMatrix, TripletAccumulator
+from .sparse import SparseMatrix, transpose_index
 
 EDGE_GAUSS = 3  # exact for edge integrands of degree <= 5 (value jumps: 4)
 
@@ -125,15 +135,6 @@ def edge_traces(mesh: Triangulation, params):
     return out
 
 
-def _side_dofs(dofmap: DofMap, traces):
-    """Combined (ne, 12) global DOF ids across both edge sides; -1 padded."""
-    mesh = dofmap.mesh
-    d0 = dofmap.cell_dofs[traces["t0"]]
-    d1 = dofmap.cell_dofs[traces["t1"]].copy()
-    d1[~traces["valid1"]] = -1
-    return np.concatenate([d0, d1], axis=1)
-
-
 def _jump_rows(traces, kind, normals=None):
     """Jump functional rows over the combined 12 DOFs of both edge sides.
 
@@ -170,6 +171,96 @@ def _space_local_hessian_matrix(mesh, dofmap):
 
 
 # ---------------------------------------------------------------------------
+# block patterns
+# ---------------------------------------------------------------------------
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@dataclass(frozen=True)
+class BlockPattern:
+    """Entries of one block set and the order in which its slots sum.
+
+    Slot ``(k, a, b)`` of a block array adds to the entry
+    ``(dofs[k, a], dofs[k, b])``; slots with a constrained DOF are
+    dropped.  ``rows``/``cols`` list the entries row-major and
+    ``tperm[k]`` is the position of entry k's transpose.  ``gather``
+    lists the kept slots sorted stably by entry and ``starts`` the first
+    of each entry's slots, so :meth:`reduce` adds every entry's slots in
+    slot order, the sums that sorting the triplets gives.  All arrays
+    are shared and read-only.
+    """
+
+    dofmap: DofMap
+    rows: np.ndarray
+    cols: np.ndarray
+    tperm: np.ndarray
+    gather: np.ndarray
+    starts: np.ndarray
+
+    def reduce(self, blocks):
+        """Entry values of the block array ``blocks`` (one value per slot)."""
+        return np.add.reduceat(blocks.reshape(-1)[self.gather], self.starts)
+
+    def matrix(self, vals, symmetric=False):
+        n = self.dofmap.n_free
+        A = SparseMatrix(n, n, self.rows, self.cols, vals, symmetric)
+        if symmetric:
+            A._check_symmetry(self.tperm)
+        return A
+
+
+@derived
+def _block_pattern(mesh: Triangulation, tag: SpaceTag, kind) -> BlockPattern:
+    """Pattern of the ``"cell"`` blocks (one per triangle, its 6 DOFs) or
+    the ``"edge"`` blocks (one per edge, the 6 DOFs of its first triangle
+    then the 6 of its second, none on the boundary) of the space ``tag``.
+    """
+    dofmap = build_dof_map(mesh, tag)
+    n, dofs = dofmap.n_free, dofmap.cell_dofs
+    if kind == "edge":
+        t = mesh.edge_tris
+        side1 = np.where((t[:, 1] >= 0)[:, None], dofs[t[:, 1]], -1)
+        dofs = np.concatenate([dofs[t[:, 0]], side1], axis=1)
+    m = dofs.shape[1]
+    rows = np.repeat(dofs, m, axis=1).ravel()   # slot (k, a, b) -> dofs[k, a]
+    cols = np.tile(dofs, (1, m)).ravel()        # slot (k, a, b) -> dofs[k, b]
+    gather = np.flatnonzero((rows >= 0) & (cols >= 0))
+    keys = rows[gather] * n + cols[gather]
+    order = np.argsort(keys, kind="stable")     # the order of lexsort((cols, rows))
+    gather, keys = gather[order], keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    rows, cols = np.divmod(keys[starts], n)
+    tperm = transpose_index(n, rows, cols)
+    return BlockPattern(dofmap, *_frozen(rows, cols, tperm, gather, starts))
+
+
+@derived
+def _cell_positions(mesh: Triangulation, tag: SpaceTag):
+    """Position of each cell-pattern entry among the edge-pattern entries.
+
+    A triangle is a side of each of its edges, so every cell block lies
+    inside an edge block: the edge pattern is the whole system's pattern.
+    """
+    cell, edge = _block_pattern(mesh, tag, "cell"), _block_pattern(mesh, tag, "edge")
+    n = cell.dofmap.n_free
+    pos = np.searchsorted(edge.rows * n + edge.cols, cell.rows * n + cell.cols)
+    _frozen(pos)
+    return pos
+
+
+def _reduce(mesh, dofmap, kind, blocks, symmetric=False):
+    """The form with block values ``blocks`` on the ``kind`` block set."""
+    pattern = _block_pattern(mesh, dofmap.tag, kind)
+    if pattern.dofmap is not dofmap:
+        raise ValueError("forms are assembled on the mesh's own DOF map (build_dof_map)")
+    return pattern.matrix(pattern.reduce(blocks), symmetric)
+
+
+# ---------------------------------------------------------------------------
 # bilinear forms
 # ---------------------------------------------------------------------------
 
@@ -184,10 +275,7 @@ def assemble_apw(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
     if dofmap.tag not in (SpaceTag.MORLEY, SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
         raise ValueError("energy form is assembled on the quadratic spaces")
     K = _space_local_hessian_matrix(mesh, dofmap)
-    acc = TripletAccumulator(dofmap.n_free, dofmap.n_free)
-    cd = dofmap.cell_dofs
-    acc.add(cd[:, :, None], cd[:, None, :], K)
-    return acc.build(symmetric=True)
+    return _reduce(mesh, dofmap, "cell", K, symmetric=True)
 
 
 def assemble_jump_form(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
@@ -203,11 +291,8 @@ def assemble_jump_form(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
     traces = edge_traces(mesh, s)
     Jg = np.concatenate([traces["G0"], -traces["G1"]], axis=2)  # (ne, nq, 12, 2)
     Hn = _hess_avg_rows(mesh, traces)
-    dofs = _side_dofs(dofmap, traces)
     block = np.einsum("q,eqji,eai->eaj", w, Jg, Hn) * mesh.edge_length[:, None, None]
-    acc = TripletAccumulator(dofmap.n_free, dofmap.n_free)
-    acc.add(dofs[:, :, None], dofs[:, None, :], block)
-    return acc.build()
+    return _reduce(mesh, dofmap, "edge", block)
 
 
 def assemble_cdg(mesh: Triangulation, dofmap: DofMap,
@@ -220,13 +305,10 @@ def assemble_cdg(mesh: Triangulation, dofmap: DofMap,
     traces = edge_traces(mesh, s)
     Jv = _jump_rows(traces, "value")
     Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)
-    dofs = _side_dofs(dofmap, traces)
     h = mesh.edge_length
     block = sigma1 * (h ** -2)[:, None, None] * np.einsum("q,eqa,eqb->eab", w, Jv, Jv)
     block += sigma2 * np.einsum("q,eqa,eqb->eab", w, Jn, Jn)
-    acc = TripletAccumulator(dofmap.n_free, dofmap.n_free)
-    acc.add(dofs[:, :, None], dofs[:, None, :], block)
-    return acc.build(symmetric=True)
+    return _reduce(mesh, dofmap, "edge", block, symmetric=True)
 
 
 def assemble_cip(mesh: Triangulation, dofmap: DofMap, sigma_ip: float) -> SparseMatrix:
@@ -239,11 +321,8 @@ def assemble_cip(mesh: Triangulation, dofmap: DofMap, sigma_ip: float) -> Sparse
     s, w = edge_rule(EDGE_GAUSS)
     traces = edge_traces(mesh, s)
     Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)
-    dofs = _side_dofs(dofmap, traces)
     block = sigma_ip * np.einsum("q,eqa,eqb->eab", w, Jn, Jn)
-    acc = TripletAccumulator(dofmap.n_free, dofmap.n_free)
-    acc.add(dofs[:, :, None], dofs[:, None, :], block)
-    return acc.build(symmetric=True)
+    return _reduce(mesh, dofmap, "edge", block, symmetric=True)
 
 
 def assemble_cp(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
@@ -258,35 +337,36 @@ def assemble_cp(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
     traces = edge_traces(mesh, np.array([0.0, 1.0, 0.5]))
     Jv = _jump_rows(traces, "value")[:, :2]          # endpoint value jumps
     Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)[:, 2]  # midpoint = mean
-    dofs = _side_dofs(dofmap, traces)
     h = mesh.edge_length
     block = (h ** -4)[:, None, None] * np.einsum("eqa,eqb->eab", Jv, Jv)
     block += (h ** -2)[:, None, None] * np.einsum("ea,eb->eab", Jn, Jn)
-    acc = TripletAccumulator(dofmap.n_free, dofmap.n_free)
-    acc.add(dofs[:, :, None], dofs[:, None, :], block)
-    return acc.build(symmetric=True)
+    return _reduce(mesh, dofmap, "edge", block, symmetric=True)
 
 
 def assemble_scheme(mesh: Triangulation, config: SchemeConfig):
-    """System matrix and DOF map of the configured scheme."""
+    """System matrix and DOF map of the configured scheme.
+
+    The forms are summed entrywise on the edge pattern, in the order
+    a_pw + (-theta B - B^T) + c_h (a_pw + c_p for WOPSIP).
+    """
     dofmap = build_dof_map(mesh, config.space_tag)
     A = assemble_apw(mesh, dofmap)
     if config.scheme is SchemeTag.MORLEY:
         return A, dofmap
+    pattern = _block_pattern(mesh, dofmap.tag, "edge")
+    # -0.0 + x is exactly x, signed zeros included, so an entry a_pw does
+    # not store takes the edge forms' sum unchanged
+    vals = np.full(pattern.rows.size, -0.0)
+    vals[_cell_positions(mesh, dofmap.tag)] = A.vals
     if config.scheme is SchemeTag.WOPSIP:
-        return A.add(assemble_cp(mesh, dofmap), symmetric=True), dofmap
+        return pattern.matrix(vals + assemble_cp(mesh, dofmap).vals, symmetric=True), dofmap
     B = assemble_jump_form(mesh, dofmap)
-    consistency = B.scale(-config.theta).add(B.transpose().scale(-1.0))
+    vals = vals + (-config.theta * B.vals - B.vals[pattern.tperm])
     if config.scheme is SchemeTag.DG:
         C = assemble_cdg(mesh, dofmap, config.sigma1, config.sigma2)
     else:
         C = assemble_cip(mesh, dofmap, config.sigma_ip)
-    A = A.add(consistency).add(C)
-    if config.symmetric:
-        A = SparseMatrix.from_triplets(
-            A.nrows, A.ncols, A.rows, A.cols, A.vals, symmetric=True
-        )
-    return A, dofmap
+    return pattern.matrix(vals + C.vals, config.symmetric), dofmap
 
 
 # ---------------------------------------------------------------------------

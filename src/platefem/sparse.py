@@ -2,6 +2,12 @@
 
 Kept in-repo on purpose; the solver works directly on these arrays.
 Entries are deduplicated and sorted row-major at construction.
+
+``from_triplets`` sorts and sums arbitrary triplets; it serves the
+interpolation operators, input and tests.  The bilinear forms do not
+sort: they reduce their dense blocks onto a block pattern built once per
+mesh (see ``forms``), which sums the same values in the same order and
+hands its rows, columns and transpose index to the matrices it makes.
 """
 
 from dataclasses import dataclass
@@ -14,7 +20,8 @@ class SparseMatrix:
     """Sparse matrix in deduplicated, row-major sorted COO form.
 
     ``symmetric`` marks matrices that are symmetric by construction;
-    the flag is verified (to 1e-12 relative) when set.
+    the flag is verified (to 1e-12 relative) when set.  Assembled
+    matrices share ``rows``/``cols`` with their block pattern, read-only.
     """
 
     nrows: int
@@ -25,7 +32,7 @@ class SparseMatrix:
     symmetric: bool = False
 
     @staticmethod
-    def from_triplets(nrows, ncols, rows, cols, vals, symmetric=False, check=True):
+    def from_triplets(nrows, ncols, rows, cols, vals, symmetric=False):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -40,26 +47,27 @@ class SparseMatrix:
             vals = np.add.reduceat(vals, idx)
             rows, cols = rows[idx], cols[idx]
         mat = SparseMatrix(nrows, ncols, rows, cols, vals, symmetric)
-        if symmetric and check:
+        if symmetric:
             mat._check_symmetry()
         return mat
 
-    def _check_symmetry(self):
+    def _check_symmetry(self, tperm=None):
+        """Verify the symmetric flag to 1e-12 relative, without sorting.
+
+        ``tperm`` is the :func:`transpose_index` of this pattern when the
+        caller already has it; an entry whose transpose is not stored is
+        compared against zero.
+        """
         if self.nrows != self.ncols:
             raise ValueError("symmetric flag on a non-square matrix")
-        asym = self._max_asymmetry()
-        scale = np.abs(self.vals).max() if self.vals.size else 1.0
-        if asym > 1e-12 * max(scale, 1.0):
+        if not self.vals.size:
+            return
+        if tperm is None:
+            tperm = transpose_index(self.nrows, self.rows, self.cols)
+        mirrored = np.where(tperm >= 0, self.vals[tperm], 0.0)
+        asym = np.abs(self.vals - mirrored).max()
+        if asym > 1e-12 * max(np.abs(self.vals).max(), 1.0):
             raise ValueError(f"matrix flagged symmetric but asymmetry {asym:.3e}")
-
-    def _max_asymmetry(self):
-        t = SparseMatrix.from_triplets(
-            self.nrows, self.ncols,
-            np.concatenate([self.rows, self.cols]),
-            np.concatenate([self.cols, self.rows]),
-            np.concatenate([self.vals, -self.vals]),
-        )
-        return np.abs(t.vals).max() if t.vals.size else 0.0
 
     @property
     def shape(self):
@@ -72,28 +80,18 @@ class SparseMatrix:
     def to_csr(self):
         """Return (indptr, indices, data); entries are already sorted."""
         indptr = np.zeros(self.nrows + 1, dtype=np.int64)
-        np.add.at(indptr, self.rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        indptr[1:] = np.cumsum(np.bincount(self.rows, minlength=self.nrows))
         return indptr, self.cols.copy(), self.vals.copy()
 
+    # bincount adds the weights one by one in input order, as np.add.at does
     def matvec(self, x):
         x = np.asarray(x, dtype=np.float64)
-        out = np.zeros(self.nrows)
-        np.add.at(out, self.rows, self.vals * x[self.cols])
-        return out
+        return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.nrows)
 
     def rmatvec(self, y):
         """Transpose matvec A^T y."""
         y = np.asarray(y, dtype=np.float64)
-        out = np.zeros(self.ncols)
-        np.add.at(out, self.cols, self.vals * y[self.rows])
-        return out
-
-    def transpose(self):
-        return SparseMatrix.from_triplets(
-            self.ncols, self.nrows, self.cols, self.rows, self.vals, self.symmetric,
-            check=False,
-        )
+        return np.bincount(self.cols, self.vals * y[self.rows], minlength=self.ncols)
 
     def diagonal(self):
         d = np.zeros(min(self.shape))
@@ -106,19 +104,6 @@ class SparseMatrix:
         dense[self.rows, self.cols] = self.vals
         return dense
 
-    def add(self, other, symmetric=None):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        if symmetric is None:
-            symmetric = self.symmetric and other.symmetric
-        return SparseMatrix.from_triplets(
-            self.nrows, self.ncols,
-            np.concatenate([self.rows, other.rows]),
-            np.concatenate([self.cols, other.cols]),
-            np.concatenate([self.vals, other.vals]),
-            symmetric=symmetric, check=False,
-        )
-
     def scale(self, alpha):
         return SparseMatrix(self.nrows, self.ncols, self.rows, self.cols,
                             alpha * self.vals, self.symmetric)
@@ -129,6 +114,21 @@ class SparseMatrix:
         for i, j, v in zip(self.rows, self.cols, self.vals):
             lines.append(f"{i + 1} {j + 1} {v:.17g}")
         return "\n".join(lines) + "\n"
+
+
+def transpose_index(n, rows, cols):
+    """Position of each entry's transpose among the entries; -1 if absent.
+
+    ``rows``/``cols`` index an n x n pattern that is deduplicated and
+    sorted row-major, as a SparseMatrix stores it.
+    """
+    keys = rows * n + cols
+    if not keys.size:
+        return np.zeros(0, dtype=np.int64)
+    tkeys = cols * n + rows
+    pos = np.searchsorted(keys, tkeys)
+    pos[pos == keys.size] = 0
+    return np.where(keys[pos] == tkeys, pos, -1)
 
 
 class TripletAccumulator:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -324,6 +326,17 @@ def test_ip_restriction_of_dg(mesh2, rng):
         lhs = fa.coeffs @ A_dg.matvec(fb.coeffs)
         rhs = a @ A_ip.matvec(b)
         assert abs(lhs - rhs) < 1e-12 * scale * max(1.0, np.abs(a).max() * np.abs(b).max())
+
+
+def test_forms_require_the_meshes_own_dof_map(mesh2, mesh4):
+    dofmap = build_dof_map(mesh2, SpaceTag.DG_P2)
+    with pytest.raises(ValueError, match="different mesh"):
+        assemble_apw(mesh4, dofmap)
+    # an equal map that is not the memoized one could number differently
+    copy = dataclasses.replace(dofmap, cell_dofs=dofmap.cell_dofs[:, ::-1].copy())
+    for assemble in (assemble_apw, assemble_jump_form, assemble_cp):
+        with pytest.raises(ValueError, match="own DOF map"):
+            assemble(mesh2, copy)
 
 
 def test_config_validation():

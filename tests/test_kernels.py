@@ -57,7 +57,33 @@ def test_matvec_rmatvec_transpose(rng):
     dense = A.to_dense()
     assert np.allclose(A.matvec(x), dense @ x)
     assert np.allclose(A.rmatvec(y), dense.T @ y)
-    assert np.allclose(A.transpose().to_dense(), dense.T)
+
+
+def test_products_match_sequential_accumulation(rng):
+    # reference: np.add.at, which adds in input order; bincount must give the same bits
+    rows, cols = rng.integers(0, 40, 600), rng.integers(0, 30, 600)
+    A = SparseMatrix.from_triplets(40, 30, rows, cols, rng.standard_normal(600))
+    x, y = rng.standard_normal(30), rng.standard_normal(40)
+    want = np.zeros(40)
+    np.add.at(want, A.rows, A.vals * x[A.cols])
+    assert A.matvec(x).tobytes() == want.tobytes()
+    want = np.zeros(30)
+    np.add.at(want, A.cols, A.vals * y[A.rows])
+    assert A.rmatvec(y).tobytes() == want.tobytes()
+    indptr, indices, data = A.to_csr()
+    assert indptr[0] == 0 and np.array_equal(np.diff(indptr), np.bincount(A.rows, minlength=40))
+    assert np.array_equal(indices, A.cols) and np.array_equal(data, A.vals)
+
+
+@pytest.mark.parametrize("shape, rows, cols, vals, match", [
+    ((3, 3), [0, 1, 1, 2], [1, 0, 2, 1], [1.0, 1.0, 2.0, 2.0 + 1e-9], "asymmetry"),
+    ((3, 3), [0, 0, 1, 1, 2], [0, 1, 0, 2, 2], [4.0, 1.0, 1.0, 0.5, 4.0], "asymmetry"),
+    ((2, 3), [0, 1], [1, 0], [1.0, 1.0], "non-square"),
+])
+def test_symmetric_flag_rejects(shape, rows, cols, vals, match):
+    # an asymmetric value, an entry (1, 2) whose transpose is not stored, a wide matrix
+    with pytest.raises(ValueError, match=match):
+        SparseMatrix.from_triplets(*shape, rows, cols, vals, symmetric=True)
 
 
 def test_accumulator_drops_constrained():

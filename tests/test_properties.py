@@ -12,9 +12,16 @@ in the three vertices, so rotating them moves the quadrature error of
 the norms (about 6e-5 relative at n=2).  The full property is kept as a
 strict expected failure on the smallest such mesh.
 
+The assembled systems must also equal, bit for bit, those of an
+oracle that sorts and sums every form's triplets and combines the forms
+by sort-merges, as the assembly did before it reduced onto memoized
+block patterns.
+
 Examples are derandomized and no example database is written, so the
 suite is deterministic.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,12 +29,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from platefem import forms
+from platefem.fespace import build_dof_map
 from platefem.forms import SchemeConfig, SchemeTag, assemble_scheme
 from platefem.functions import get_manufactured
 from platefem.interp import verify_right_inverse
 from platefem.mesh import build_triangulation, unit_square_mesh
 from platefem.rhs import LoadSpec, smoothed_load_vector
 from platefem.solve import compute_errors, solve, solve_scheme
+from platefem.sparse import SparseMatrix, TripletAccumulator
 
 PROPERTY_SETTINGS = settings(database=None, derandomize=True, deadline=None,
                              max_examples=10)
@@ -116,3 +126,82 @@ def test_error_norm_invariant_under_cyclic_vertex_order():
     nv, nt = mesh.num_vertices, mesh.num_triangles
     shifts = np.arange(nt) % 3
     assert _norm_h_mismatches(mesh, _renumbered(mesh, np.arange(nv), np.arange(nt), shifts)) == []
+
+
+# --- triplet oracle of the assembly -----------------------------------------------
+
+def _triplet_form(mesh, dofmap, kind, blocks, symmetric=False):
+    """A form built from all its (row, col, value) triplets, sorted and summed."""
+    dofs = dofmap.cell_dofs
+    if kind == "edge":
+        t0, t1 = mesh.edge_tris.T
+        side1 = dofs[np.maximum(t1, 0)].copy()
+        side1[t1 < 0] = -1
+        dofs = np.concatenate([dofs[t0], side1], axis=1)
+    acc = TripletAccumulator(dofmap.n_free, dofmap.n_free)
+    acc.add(dofs[:, :, None], dofs[:, None, :], blocks)
+    return acc.build(symmetric=symmetric)
+
+
+def _merged(a, b, symmetric=False):
+    return SparseMatrix.from_triplets(
+        a.nrows, a.ncols, np.concatenate([a.rows, b.rows]), np.concatenate([a.cols, b.cols]),
+        np.concatenate([a.vals, b.vals]), symmetric=symmetric)
+
+
+def _scaled(a, alpha):
+    return SparseMatrix(a.nrows, a.ncols, a.rows, a.cols, alpha * a.vals)
+
+
+def _oracle_scheme(mesh, config):
+    dofmap = build_dof_map(mesh, config.space_tag)
+    with mock.patch.object(forms, "_reduce", _triplet_form):
+        A = forms.assemble_apw(mesh, dofmap)
+        if config.scheme is SchemeTag.MORLEY:
+            return A
+        if config.scheme is SchemeTag.WOPSIP:
+            return _merged(A, forms.assemble_cp(mesh, dofmap), symmetric=True)
+        B = forms.assemble_jump_form(mesh, dofmap)
+        if config.scheme is SchemeTag.DG:
+            C = forms.assemble_cdg(mesh, dofmap, config.sigma1, config.sigma2)
+        else:
+            C = forms.assemble_cip(mesh, dofmap, config.sigma_ip)
+    Bt = SparseMatrix.from_triplets(B.ncols, B.nrows, B.cols, B.rows, B.vals)
+    A = _merged(_merged(A, _merged(_scaled(B, -config.theta), _scaled(Bt, -1.0))), C)
+    if config.symmetric:
+        A = SparseMatrix.from_triplets(A.nrows, A.ncols, A.rows, A.cols, A.vals, symmetric=True)
+    return A
+
+
+ORACLE_CONFIGS = [SchemeConfig(scheme=tag) for tag in SchemeTag] + [
+    SchemeConfig(scheme=tag, theta=theta)
+    for tag in (SchemeTag.DG, SchemeTag.C0IP) for theta in (0.0, -1.0)
+]
+
+
+@PROPERTY_SETTINGS
+@given(perturbed_pairs())
+def test_assembly_equals_triplet_oracle_bit_for_bit(pair):
+    _, renumbered = pair
+    for config in ORACLE_CONFIGS:
+        A, _ = assemble_scheme(renumbered, config)
+        want = _oracle_scheme(renumbered, config)
+        label = (config.scheme.value, config.theta)
+        assert A.shape == want.shape and A.symmetric == want.symmetric, label
+        assert np.array_equal(A.rows, want.rows) and np.array_equal(A.cols, want.cols), label
+        assert np.array_equal(A.vals.view(np.int64), want.vals.view(np.int64)), label
+
+
+def test_memoized_patterns_are_read_only(mesh2):
+    for config in ORACLE_CONFIGS:
+        A, _ = assemble_scheme(mesh2, config)
+        assert not (A.rows.flags.writeable or A.cols.flags.writeable)
+    tags = (forms.SpaceTag.MORLEY, forms.SpaceTag.DG_P2, forms.SpaceTag.LAGRANGE_P2)
+    patterns = [forms._block_pattern(mesh2, tag, "cell") for tag in tags]
+    patterns += [forms._block_pattern(mesh2, tag, "edge") for tag in tags[1:]]
+    memo = [forms._cell_positions(mesh2, tag) for tag in tags[1:]]
+    memo += [a for p in patterns for a in (p.rows, p.cols, p.tperm, p.gather, p.starts)]
+    for arr in memo:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]

@@ -103,6 +103,21 @@ def test_residual_and_backward_error_reported(mesh4):
     assert sol.stats["backward_error"] < 1e-13
 
 
+@pytest.mark.parametrize("scheme, theta", [(SchemeTag.WOPSIP, 1.0), (SchemeTag.DG, 0.0)])
+def test_stage_times_and_refinement_steps_reported(scheme, theta):
+    sol = solve_scheme(unit_square_mesh(4), SchemeConfig(scheme=scheme, theta=theta),
+                       LoadSpec(density=U1.biharmonic))
+    stages = [sol.stats[key] for key in ("dofmap_time", "forms_time", "load_time")]
+    assert all(type(t) is float and t >= 0.0 for t in stages)
+    assert sol.stats["assembly_time"] == pytest.approx(sum(stages), rel=1e-9, abs=1e-12)
+    steps = sol.stats["refine_steps"]
+    assert type(steps) is int
+    if theta == 1.0:
+        assert 1 <= steps <= 3     # the h^-4 penalized system needs refinement
+    else:
+        assert steps == 0          # dense LU is not refined
+
+
 # --- nested-dissection multifrontal Cholesky ------------------------------------
 
 def renumbered_mesh(n, seed):
