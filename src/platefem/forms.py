@@ -180,6 +180,11 @@ def _frozen(*arrays):
     return arrays
 
 
+def _slot_index(a, slots):
+    """Indices ``a`` into ``slots`` positions, as int32 when they fit."""
+    return a.astype(np.int32 if slots < 2 ** 31 else np.int64)
+
+
 @dataclass(frozen=True)
 class BlockPattern:
     """Entries of one block set and the order in which its slots sum.
@@ -191,7 +196,8 @@ class BlockPattern:
     lists the kept slots sorted stably by entry and ``starts`` the first
     of each entry's slots, so :meth:`reduce` adds every entry's slots in
     slot order, the sums that sorting the triplets gives.  All arrays
-    are shared and read-only.
+    are shared and read-only; ``tperm``, ``gather`` and ``starts`` are
+    int32 unless the block set has 2^31 slots or more.
     """
 
     dofmap: DofMap
@@ -229,12 +235,13 @@ def _block_pattern(mesh: Triangulation, tag: SpaceTag, kind) -> BlockPattern:
     rows = np.repeat(dofs, m, axis=1).ravel()   # slot (k, a, b) -> dofs[k, a]
     cols = np.tile(dofs, (1, m)).ravel()        # slot (k, a, b) -> dofs[k, b]
     gather = np.flatnonzero((rows >= 0) & (cols >= 0))
-    keys = rows[gather] * n + cols[gather]
+    keys = rows[gather] * n + cols[gather]      # int64: n^2 passes 2^31 for DG at n=64
     order = np.argsort(keys, kind="stable")     # the order of lexsort((cols, rows))
     gather, keys = gather[order], keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     rows, cols = np.divmod(keys[starts], n)
     tperm = transpose_index(n, rows, cols)
+    tperm, gather, starts = (_slot_index(a, dofs.size * m) for a in (tperm, gather, starts))
     return BlockPattern(dofmap, *_frozen(rows, cols, tperm, gather, starts))
 
 
@@ -248,6 +255,7 @@ def _cell_positions(mesh: Triangulation, tag: SpaceTag):
     cell, edge = _block_pattern(mesh, tag, "cell"), _block_pattern(mesh, tag, "edge")
     n = cell.dofmap.n_free
     pos = np.searchsorted(edge.rows * n + edge.cols, cell.rows * n + cell.cols)
+    pos = _slot_index(pos, edge.rows.size)
     _frozen(pos)
     return pos
 

@@ -7,6 +7,8 @@ deterministic: identical configurations produce bit-identical CSV.
 """
 
 import json
+import os
+import platform
 import time
 from dataclasses import dataclass, field, replace
 
@@ -355,11 +357,18 @@ def _dg_energy_matrix(mesh: Triangulation):
     return assemble_apw(mesh, build_dof_map(mesh, SpaceTag.DG_P2))
 
 
+def environment():
+    """numpy and Python versions and CPU count of the running process."""
+    return {"numpy": np.__version__, "python": platform.python_version(),
+            "cpu_count": os.cpu_count()}
+
+
 def write_report(report: ConvergenceReport, csv_path=None, json_path=None):
+    """Write the CSV and/or the JSON report; the JSON adds an ``env`` block."""
     if csv_path:
         with open(csv_path, "w") as fh:
             fh.write(report.to_csv())
     if json_path:
         with open(json_path, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
+            json.dump({**report.to_json_dict(), "env": environment()}, fh, indent=2)
             fh.write("\n")

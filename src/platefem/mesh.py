@@ -38,12 +38,13 @@ def derived(fn):
     their positions; array arguments are keyed by their dtype, shape and
     bytes, so equal arrays share one entry, and other arguments must be
     hashable.  Entries live as long as the mesh and are shared by every
-    caller, so they must not be mutated.
+    caller, so they must not be mutated.  A call that raises stores
+    nothing.  ``memo.cached(mesh, *args)`` tells whether the entry is
+    already stored, without computing it.
     """
     signature = inspect.signature(fn)
 
-    @functools.wraps(fn)
-    def memo(*args, **kwargs):
+    def lookup(args, kwargs):
         if kwargs:
             args = signature.bind(*args, **kwargs).args
         mesh, *rest = args
@@ -51,11 +52,20 @@ def derived(fn):
             (a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
             for a in rest
         )
-        store = mesh._cache
+        return mesh._cache, key, args
+
+    @functools.wraps(fn)
+    def memo(*args, **kwargs):
+        store, key, args = lookup(args, kwargs)
         if key not in store:
             store[key] = fn(*args)
         return store[key]
 
+    def cached(*args, **kwargs):
+        store, key, _ = lookup(args, kwargs)
+        return key in store
+
+    memo.cached = cached
     return memo
 
 

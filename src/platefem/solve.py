@@ -12,6 +12,11 @@ diagnostic that the stabilization parameter is too small.  Nonsymmetric
 systems (theta != 1) use a dense LU factorization, limited to
 ``DENSE_CAP`` unknowns; the ``dense`` method also serves as the oracle
 for symmetric systems of that size.
+
+The scheme's matrix does not depend on the load, so :func:`solve_scheme`
+memoizes the assembled system and its Cholesky factor per (mesh, scheme
+configuration) with ``derived``: every later load on that mesh costs a
+load vector, triangular solves, the refinement and the smoother.
 """
 
 import time
@@ -36,7 +41,7 @@ from .fespace import (
 from .forms import SchemeConfig, assemble_scheme, jump_seminorm, penalty_value
 from .functions import ScalarFunction
 from .interp import smoother
-from .mesh import Triangulation
+from .mesh import Triangulation, derived
 from .quadrature import triangle_rule
 from .rhs import LoadSpec, smoothed_load_vector
 from .sparse import SparseMatrix
@@ -353,22 +358,27 @@ def _dense_spd_solve(A: SparseMatrix, b):
 
 
 def solve(matrix: SparseMatrix, vector: np.ndarray, symmetric: bool,
-          method: str = "auto"):
+          method: str = "auto", factor: LdltFactor | None = None):
     """Solve the linear system; returns (coefficients, stats dict).
 
     methods: 'ldlt' (sparse multifrontal Cholesky, symmetric), 'dense'
     (LU/Cholesky below DENSE_CAP), 'auto' ('ldlt' for symmetric systems,
     'dense' otherwise).  Symmetric systems that fail
-    positive-definiteness raise NonCoerciveError.
+    positive-definiteness raise NonCoerciveError.  ``factor`` is an
+    :func:`ldlt_factor` of ``matrix`` built earlier: the 'ldlt' route
+    then solves with it, reports ``factor_reused`` and zero ordering and
+    factorization times, and still refines against ``matrix``.
     """
     b = np.asarray(vector, dtype=np.float64)
     n = matrix.nrows
     if matrix.ncols != n or b.shape != (n,):
         raise ValueError("matrix/vector dimensions do not agree")
     if n == 0:
-        return np.zeros(0), {"method": "empty", "residual": 0.0, "refine_steps": 0}
+        return np.zeros(0), {"method": "empty", "residual": 0.0, "refine_steps": 0,
+                             "factor_reused": False}
     t0 = time.perf_counter()
-    stats = {"n": n, "nnz": matrix.nnz, "refine_steps": 0}
+    stats = {"n": n, "nnz": matrix.nnz, "refine_steps": 0, "factor_reused": False}
+    bnorm = np.linalg.norm(b)
     if method == "auto":
         method = "ldlt" if symmetric else "dense"
     if method == "dense":
@@ -383,15 +393,17 @@ def solve(matrix: SparseMatrix, vector: np.ndarray, symmetric: bool,
         else:
             x = np.linalg.solve(matrix.to_dense(), b)
             stats["method"] = "dense-lu"
+        r = _residual_extended(matrix, x, b)
     elif method == "ldlt":
         if not symmetric:
             raise SolverError("LDL^T requires a symmetric system")
-        factor = ldlt_factor(matrix)
+        reused = factor is not None
+        if not reused:
+            factor = ldlt_factor(matrix)
         x = factor.solve(b)
         # mixed-precision iterative refinement: the penalty terms scale like
         # h^-4, and residuals of the badly scaled system evaluated in double
-        # precision drown in cancellation noise
-        bnorm = np.linalg.norm(b)
+        # precision drown in cancellation noise; r stays the residual of x
         r = _residual_extended(matrix, x, b)
         rnorm = np.linalg.norm(r.astype(np.float64))
         for _ in range(3):
@@ -408,16 +420,16 @@ def solve(matrix: SparseMatrix, vector: np.ndarray, symmetric: bool,
             x, r, rnorm = x_new, r_new, rnorm_new
             stats["refine_steps"] += 1
         stats["method"] = "ldlt"
+        stats["factor_reused"] = reused
         stats["min_pivot"] = factor.min_pivot
         stats["factor_nnz"] = factor.nnz
         stats["fronts"] = len(factor.fronts)
         stats["max_front"] = factor.max_front
-        stats["order_time"] = factor.order_time
-        stats["factor_time"] = factor.factor_time
+        stats["order_time"] = 0.0 if reused else factor.order_time
+        stats["factor_time"] = 0.0 if reused else factor.factor_time
     else:
         raise ValueError(f"unknown method {method!r}")
-    bnorm = np.linalg.norm(b)
-    r = _residual_extended(matrix, x, b).astype(np.float64)
+    r = r.astype(np.float64)
     residual = np.linalg.norm(r) / (bnorm if bnorm > 0 else 1.0)
     # componentwise backward error: ~machine epsilon means x is as good as a
     # double precision representation of the solution can be, even when the
@@ -456,17 +468,45 @@ class Solution:
         return self.config.scheme
 
 
+@derived
+def _scheme_system(mesh: Triangulation, config: SchemeConfig):
+    """Matrix and DOF map of the scheme; the load does not enter them."""
+    return assemble_scheme(mesh, config)
+
+
+@derived
+def _scheme_factor(mesh: Triangulation, config: SchemeConfig) -> LdltFactor:
+    """Cholesky factor of the scheme's matrix; a NonCoerciveError stores nothing."""
+    return ldlt_factor(_scheme_system(mesh, config)[0])
+
+
 def solve_scheme(mesh: Triangulation, config: SchemeConfig, load: LoadSpec,
                  method: str = "auto") -> Solution:
-    """Assemble and solve one scheme with the smoothed right-hand side."""
+    """Solve one scheme with the smoothed right-hand side of ``load``.
+
+    The matrix, its DOF map and (on the 'ldlt' route) its factor are
+    memoized per (mesh, config), so only the first load on a mesh
+    assembles and factors; the factorization is timed in ``solve_time``.
+    """
     t0 = time.perf_counter()
     build_dof_map(mesh, config.space_tag)   # memoized; assemble_scheme reuses it
     t1 = time.perf_counter()
-    A, dofmap = assemble_scheme(mesh, config)
+    A, dofmap = _scheme_system(mesh, config)
     t2 = time.perf_counter()
     b = smoothed_load_vector(mesh, dofmap, load, quad_order=config.quad_order)
     t3 = time.perf_counter()
-    x, stats = solve(A, b, symmetric=config.symmetric, method=method)
+    factor = None
+    if config.symmetric and method in ("auto", "ldlt") and A.nrows:   # empty: nothing to factor
+        reused = _scheme_factor.cached(mesh, config)
+        factor = _scheme_factor(mesh, config)
+    t4 = time.perf_counter()
+    x, stats = solve(A, b, symmetric=config.symmetric, method=method, factor=factor)
+    if factor is not None:
+        stats["solve_time"] += t4 - t3
+        if not reused:
+            # built by this call: its ordering and factorization times are this call's
+            stats.update(factor_reused=False, order_time=factor.order_time,
+                         factor_time=factor.factor_time)
     u_h = DiscreteFunction(dofmap, x)
     u_star = smoother(u_h)
     stats["dofmap_time"] = t1 - t0

@@ -154,6 +154,26 @@ def test_json_round_trip(tmp_path):
     assert csv_path.read_text() == rep.to_csv()
 
 
+def test_report_env_block_round_trips(tmp_path):
+    import json
+    import os
+    import platform
+
+    from platefem.harness import environment, write_report
+
+    cfg = StudyConfig(scheme=SchemeConfig(scheme=SchemeTag.MORLEY),
+                      n0=2, levels=2, solution="u1")
+    rep = run_convergence(cfg)
+    json_path = tmp_path / "out.json"
+    write_report(rep, json_path=json_path)
+    data = json.loads(json_path.read_text())
+    assert data["env"] == environment()
+    assert data["env"] == {"numpy": np.__version__, "python": platform.python_version(),
+                           "cpu_count": os.cpu_count()}
+    assert {k: v for k, v in data.items() if k != "env"} == json.loads(
+        json.dumps(rep.to_json_dict()))
+
+
 def test_solver_failure_yields_partial_flagged_report():
     cfg = StudyConfig(
         scheme=SchemeConfig(scheme=SchemeTag.DG, sigma1=1e-6, sigma2=1e-6),

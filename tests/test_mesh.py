@@ -191,6 +191,28 @@ def test_derived_keys_on_arguments():
     assert len(calls) == 3
 
 
+def test_derived_cached_and_failures_store_nothing():
+    m = unit_square_mesh(2)
+    calls = []
+
+    @derived
+    def probe(mesh, fail):
+        calls.append(fail)
+        if fail:
+            raise RuntimeError("no entry")
+        return object()
+
+    assert not probe.cached(m, False)
+    first = probe(m, fail=False)
+    assert probe.cached(m, False) and probe.cached(mesh=m, fail=False)
+    assert probe(m, False) is first
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="no entry"):
+            probe(m, True)
+        assert not probe.cached(m, True)
+    assert calls == [False, True, True]
+
+
 def test_derived_entries_do_not_reach_refined_mesh():
     coarse = unit_square_mesh(2)
     calls = []

@@ -200,7 +200,9 @@ def test_memoized_patterns_are_read_only(mesh2):
     patterns = [forms._block_pattern(mesh2, tag, "cell") for tag in tags]
     patterns += [forms._block_pattern(mesh2, tag, "edge") for tag in tags[1:]]
     memo = [forms._cell_positions(mesh2, tag) for tag in tags[1:]]
-    memo += [a for p in patterns for a in (p.rows, p.cols, p.tperm, p.gather, p.starts)]
+    memo += [a for p in patterns for a in (p.tperm, p.gather, p.starts)]
+    assert all(a.dtype == np.int32 for a in memo)   # slot indices: half the memo
+    memo += [a for p in patterns for a in (p.rows, p.cols)]
     for arr in memo:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -11,6 +11,7 @@ from platefem.solve import (
     LEAF_SIZE,
     NonCoerciveError,
     SolverError,
+    _scheme_factor,
     broken_error_norms,
     compute_errors,
     ldlt_factor,
@@ -116,6 +117,87 @@ def test_stage_times_and_refinement_steps_reported(scheme, theta):
         assert 1 <= steps <= 3     # the h^-4 penalized system needs refinement
     else:
         assert steps == 0          # dense LU is not refined
+
+
+# --- one factorization per (mesh, config) ----------------------------------------
+
+def point_load(x, y):
+    return LoadSpec(points=((1.0, (x, y)),))
+
+
+@pytest.mark.parametrize("scheme", list(SchemeTag))
+def test_second_load_reuses_the_factor_bit_for_bit(scheme):
+    mesh, config = unit_square_mesh(4), SchemeConfig(scheme=scheme)
+    first = solve_scheme(mesh, config, point_load(0.3, 0.6))
+    second = solve_scheme(mesh, config, point_load(0.55, 0.25))
+    assert first.stats["factor_reused"] is False
+    assert second.stats["factor_reused"] is True
+    assert first.stats["order_time"] > 0.0 and first.stats["factor_time"] > 0.0
+    assert second.stats["order_time"] == 0.0 and second.stats["factor_time"] == 0.0
+    assert first.stats["solve_time"] > first.stats["order_time"] + first.stats["factor_time"]
+    for key in ("method", "factor_nnz", "fronts", "max_front", "min_pivot"):
+        assert second.stats[key] == first.stats[key]
+    assert second.stats["method"] == "ldlt"
+    fresh = solve_scheme(unit_square_mesh(4), config, point_load(0.55, 0.25))
+    assert fresh.stats["factor_reused"] is False
+    assert second.u_h.coeffs.tobytes() == fresh.u_h.coeffs.tobytes()
+    assert second.u_star.coeffs.tobytes() == fresh.u_star.coeffs.tobytes()
+    for sol in (first, second, fresh):
+        assert sol.stats["backward_error"] <= 1e-12
+
+
+def test_reused_factor_still_refines_against_the_matrix():
+    mesh, config = unit_square_mesh(4), SchemeConfig(scheme=SchemeTag.WOPSIP)
+    A, dofmap = assemble_scheme(mesh, config)
+    factor = ldlt_factor(A)
+    for x0, y0 in ((0.3, 0.6), (0.55, 0.25), (0.5, 0.5)):
+        b = smoothed_load_vector(mesh, dofmap, point_load(x0, y0))
+        x, stats = solve(A, b, symmetric=True, factor=factor)
+        want, built = solve(A, b, symmetric=True)
+        assert stats["factor_reused"] is True and built["factor_reused"] is False
+        assert x.tobytes() == want.tobytes()
+        for key in ("residual", "backward_error", "converged", "refine_steps"):
+            assert stats[key] == built[key]
+        r = (b.astype(np.longdouble) - A.to_dense().astype(np.longdouble) @ x).astype(float)
+        assert stats["residual"] == pytest.approx(np.linalg.norm(r) / np.linalg.norm(b),
+                                                  rel=1e-6)
+        assert stats["backward_error"] <= 1e-12
+    # the dense route ignores a factor
+    _, dense = solve(A, b, symmetric=True, method="dense", factor=factor)
+    assert dense["method"] == "dense-cholesky" and dense["factor_reused"] is False
+
+
+def test_configs_differing_in_a_penalty_do_not_share_a_factor():
+    mesh = unit_square_mesh(4)
+    load = point_load(0.3, 0.6)
+    weak = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.DG), load)
+    strong = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.DG, sigma1=70.0), load)
+    assert weak.stats["factor_reused"] is False and strong.stats["factor_reused"] is False
+    assert weak.stats["min_pivot"] != strong.stats["min_pivot"]
+    again = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.DG, sigma1=70.0), load)
+    assert again.stats["factor_reused"] is True
+    assert again.u_h.coeffs.tobytes() == strong.u_h.coeffs.tobytes()
+
+
+def test_non_coercive_factorization_is_not_memoized():
+    mesh = unit_square_mesh(2)
+    config = SchemeConfig(scheme=SchemeTag.DG, sigma1=1e-6, sigma2=1e-6)
+    for _ in range(2):
+        with pytest.raises(NonCoerciveError, match="not coercive"):
+            solve_scheme(mesh, config, point_load(0.3, 0.6))
+        assert not _scheme_factor.cached(mesh, config)
+
+
+def test_nonsymmetric_repeat_loads_stay_on_dense_lu():
+    mesh, config = unit_square_mesh(2), SchemeConfig(scheme=SchemeTag.DG, theta=0.0)
+    for x0, y0 in ((0.3, 0.6), (0.55, 0.25)):
+        sol = solve_scheme(mesh, config, point_load(x0, y0))
+        assert sol.stats["method"] == "dense-lu"
+        assert sol.stats["factor_reused"] is False
+        assert sol.stats["residual"] < 1e-10
+    sym = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.MORLEY), point_load(0.3, 0.6),
+                       method="dense")
+    assert sym.stats["method"] == "dense-cholesky" and sym.stats["factor_reused"] is False
 
 
 # --- nested-dissection multifrontal Cholesky ------------------------------------
