@@ -25,6 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .mesh import Triangulation, cross2, derived
+from .quadrature import triangle_points
 
 
 class ElementError(ValueError):
@@ -153,52 +154,62 @@ def morley_local_basis(mesh: Triangulation):
 # HCT macro element
 # ---------------------------------------------------------------------------
 
-_EXP = np.array(
-    [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)],
-    dtype=np.int64,
-)
-
-
-def _powers(x, max_exp=3):
-    out = np.ones(x.shape + (max_exp + 1,))
-    for k in range(1, max_exp + 1):
-        out[..., k] = out[..., k - 1] * x
-    return out
-
+# Cubic monomials x^a y^b (a + b <= 3), ordered 1, x, y, x^2, xy, y^2,
+# x^3, x^2 y, x y^2, y^3, and their derivatives as direct column products.
 
 def monomial_values(xi):
     """Cubic monomials 1, x, y, ..., y^3 at points xi (..., 2) -> (..., 10)."""
-    px = _powers(xi[..., 0])
-    py = _powers(xi[..., 1])
-    return px[..., _EXP[:, 0]] * py[..., _EXP[:, 1]]
+    x, y = xi[..., 0], xi[..., 1]
+    xx, yy = x * x, y * y
+    out = np.empty(x.shape + (10,))
+    out[..., 0] = 1.0
+    out[..., 1] = x
+    out[..., 2] = y
+    out[..., 3] = xx
+    out[..., 4] = x * y
+    out[..., 5] = yy
+    out[..., 6] = xx * x
+    out[..., 7] = xx * y
+    out[..., 8] = x * yy
+    out[..., 9] = yy * y
+    return out
 
 
 def monomial_gradients(xi):
     """Gradients of the cubic monomials, (..., 10, 2) (frame coordinates)."""
-    px = _powers(xi[..., 0])
-    py = _powers(xi[..., 1])
-    a = _EXP[:, 0]
-    b = _EXP[:, 1]
-    gx = a * px[..., np.maximum(a - 1, 0)] * py[..., b]
-    gy = b * px[..., a] * py[..., np.maximum(b - 1, 0)]
-    return np.stack([gx, gy], axis=-1)
+    x, y = xi[..., 0], xi[..., 1]
+    x2, y2 = 2.0 * x, 2.0 * y
+    out = np.zeros(x.shape + (10, 2))
+    out[..., 1, 0] = 1.0
+    out[..., 2, 1] = 1.0
+    out[..., 3, 0] = x2
+    out[..., 4, 0] = y
+    out[..., 4, 1] = x
+    out[..., 5, 1] = y2
+    out[..., 6, 0] = 3.0 * (x * x)
+    out[..., 7, 0] = x2 * y
+    out[..., 7, 1] = x * x
+    out[..., 8, 0] = y * y
+    out[..., 8, 1] = x2 * y
+    out[..., 9, 1] = 3.0 * (y * y)
+    return out
 
 
 def monomial_hessians(xi):
     """Second derivatives of the cubic monomials, (..., 10, 2, 2)."""
-    px = _powers(xi[..., 0])
-    py = _powers(xi[..., 1])
-    a = _EXP[:, 0]
-    b = _EXP[:, 1]
-    hxx = a * (a - 1) * px[..., np.maximum(a - 2, 0)] * py[..., b]
-    hyy = b * (b - 1) * px[..., a] * py[..., np.maximum(b - 2, 0)]
-    hxy = a * b * px[..., np.maximum(a - 1, 0)] * py[..., np.maximum(b - 1, 0)]
-    H = np.empty(hxx.shape + (2, 2))
-    H[..., 0, 0] = hxx
-    H[..., 0, 1] = hxy
-    H[..., 1, 0] = hxy
-    H[..., 1, 1] = hyy
-    return H
+    x, y = xi[..., 0], xi[..., 1]
+    x2, y2 = 2.0 * x, 2.0 * y
+    out = np.zeros(x.shape + (10, 2, 2))
+    out[..., 3, 0, 0] = 2.0
+    out[..., 4, 0, 1] = out[..., 4, 1, 0] = 1.0
+    out[..., 5, 1, 1] = 2.0
+    out[..., 6, 0, 0] = 6.0 * x
+    out[..., 7, 0, 0] = y2
+    out[..., 7, 0, 1] = out[..., 7, 1, 0] = x2
+    out[..., 8, 0, 1] = out[..., 8, 1, 0] = y2
+    out[..., 8, 1, 1] = x2
+    out[..., 9, 1, 1] = 6.0 * y
+    return out
 
 
 @dataclass(frozen=True)
@@ -218,6 +229,16 @@ class HctBasis:
 
     def to_frame(self, t, points):
         return (points - self.center[t]) / self.scale[t][..., None]
+
+    def sub_points(self, bary):
+        """Rule points ``bary`` (nq, 3) on every sub-triangle.
+
+        Returns the physical points and their frame coordinates, both of
+        shape (nt, 3, nq, 2).
+        """
+        pts = triangle_points(bary, self.sub_coords)
+        xi = (pts - self.center[:, None, None, :]) / self.scale[:, None, None, None]
+        return pts, xi
 
 
 def _hct_rows(xi, scale, want="val"):
@@ -316,7 +337,7 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
 
     coeffs = sol.reshape(nt, 3, 10, 12)
     # duality check: DOF functionals applied to the basis give the identity
-    dofs = np.einsum("trc,tcm->trm", A[:, :12, :], sol)
+    dofs = A[:, :12] @ sol
     resid = np.abs(dofs - rhs[:12]).max()
     if not np.isfinite(resid) or resid > 1e-8:
         raise ElementError(f"HCT construction failed duality check ({resid:.3e})")

@@ -66,4 +66,4 @@ def triangle_points(bary, tri_vertices):
     ``tri_vertices`` has shape (..., 3, 2); the result has shape
     (..., nq, 2).
     """
-    return np.einsum("qi,...ij->...qj", bary, tri_vertices)
+    return np.matmul(bary, tri_vertices)

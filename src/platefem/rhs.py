@@ -28,10 +28,13 @@ class LoadError(ValueError):
 class LoadSpec:
     """Right-hand side description.
 
-    ``density`` is a vectorized callable f(x, y) (or a ScalarFunction);
-    ``density_degree`` may declare it piecewise polynomial of that total
-    degree, which selects an exact quadrature rule.  ``points`` is a
-    sequence of (weight, (x, y)) point loads inside the closed domain.
+    ``density`` is a vectorized callable f(x, y) (or a ScalarFunction).
+    It receives two float64 arrays of the same shape (rows, nq), one row
+    of quadrature points per (sub-)triangle, and returns f at every
+    point, as an array of that shape.  ``density_degree`` may declare it
+    piecewise polynomial of that total degree, which selects an exact
+    quadrature rule.  ``points`` is a sequence of (weight, (x, y)) point
+    loads inside the closed domain.
     """
 
     density: object | None = None
@@ -110,15 +113,21 @@ def _hct_functional(mesh, load: LoadSpec, quad_order):
         if quad_order < 3:
             raise LoadError("quadrature order below 3 cannot integrate the cubic basis")
         bary, w = triangle_rule(quad_order)
-        third_area = mesh.tri_area / 3.0
-        cd = hct_map.cell_dofs
+        pts, xi = basis.sub_points(bary)
+        nt, nq = mesh.num_triangles, w.size
+        f = fn(pts[..., 0].reshape(3 * nt, nq), pts[..., 1].reshape(3 * nt, nq))
+        wf = (w * np.reshape(f, (nt, 3, nq)))[..., None, :]
+        # quadrature first: moments of w f against the monomials, then the
+        # shape-function coefficients; one sub-triangle at a time bounds the
+        # monomial table
+        moments = np.empty((nt, 3, 1, 10))
         for s in range(3):
-            pts = np.einsum("qi,tij->tqj", bary, basis.sub_coords[:, s])
-            xi = (pts - basis.center[:, None, :]) / basis.scale[:, None, None]
-            vals = np.einsum("tqm,tma->tqa", monomial_values(xi), basis.coeffs[:, s])
-            f = fn(pts[..., 0], pts[..., 1])
-            contrib = third_area[:, None] * np.einsum("q,tq,tqa->ta", w, f, vals)
-            np.add.at(b, np.maximum(cd, 0), np.where(cd >= 0, contrib, 0.0))
+            moments[:, s] = wf[:, s] @ monomial_values(xi[:, s])
+        local = (moments @ basis.coeffs).sum(axis=(1, 2))
+        contrib = mesh.tri_area[:, None] / 3.0 * local
+        cd = hct_map.cell_dofs
+        keep = cd >= 0
+        b += np.bincount(cd[keep], contrib[keep], minlength=b.size)
     for pl in resolve_point_loads(mesh, load):
         if pl.snapped:
             dof = hct_map.vertex_dofs[pl.vertex, 0]

@@ -137,7 +137,7 @@ def nested_dissection(A: SparseMatrix):
     edges.sort()
     src, dst = edges // n, edges % n
     part = np.zeros(n, dtype=np.int64)
-    part_parent = np.array([-1])       # tree node each part hangs below
+    part_parent = np.full(min(n, 1), -1)   # tree node each part hangs below; none if n == 0
     nodes, node_parent = [], []
     while part_parent.size:
         ps = part[src]
@@ -375,7 +375,7 @@ def solve(matrix: SparseMatrix, vector: np.ndarray, symmetric: bool,
         raise ValueError("matrix/vector dimensions do not agree")
     if n == 0:
         return np.zeros(0), {"method": "empty", "residual": 0.0, "refine_steps": 0,
-                             "factor_reused": False}
+                             "factor_reused": factor is not None, "solve_time": 0.0}
     t0 = time.perf_counter()
     stats = {"n": n, "nnz": matrix.nnz, "refine_steps": 0, "factor_reused": False}
     bnorm = np.linalg.norm(b)
@@ -496,7 +496,7 @@ def solve_scheme(mesh: Triangulation, config: SchemeConfig, load: LoadSpec,
     b = smoothed_load_vector(mesh, dofmap, load, quad_order=config.quad_order)
     t3 = time.perf_counter()
     factor = None
-    if config.symmetric and method in ("auto", "ldlt") and A.nrows:   # empty: nothing to factor
+    if config.symmetric and method in ("auto", "ldlt"):
         reused = _scheme_factor.cached(mesh, config)
         factor = _scheme_factor(mesh, config)
     t4 = time.perf_counter()
@@ -568,25 +568,28 @@ def broken_error_norms(u: ScalarFunction, f_h: DiscreteFunction, quad_order: int
     return np.sqrt(l2), np.sqrt(h1), np.sqrt(h2)
 
 
+def _hct_sub_polynomials(basis, s: DiscreteFunction):
+    """Monomial coefficients of ``s`` on every sub-triangle, (nt, 3, 10)."""
+    return (basis.coeffs @ local_dof_values(s)[:, None, :, None])[..., 0]
+
+
 def hct_error_norms(u: ScalarFunction, f_star: DiscreteFunction, quad_order: int):
     """(L2, H1 seminorm, broken-H2-on-subtriangles seminorm) of u - f_star."""
     mesh = f_star.mesh
     basis = hct_local_basis(mesh)
-    loc = np.einsum(
-        "tsma,ta->tsm", basis.coeffs, local_dof_values(f_star)
-    )  # (nt, 3, 10) polynomial per sub-triangle
+    loc = _hct_sub_polynomials(basis, f_star)
     bary, w = triangle_rule(quad_order)
+    pts, xi = basis.sub_points(bary)
     third = mesh.tri_area / 3.0
+    h = basis.scale[:, None, None]
     l2 = h1 = h2 = 0.0
-    for s in range(3):
-        pts = np.einsum("qi,tij->tqj", bary, basis.sub_coords[:, s])
-        xi = (pts - basis.center[:, None, :]) / basis.scale[:, None, None]
-        vals, grads, hess = _exact_on_points(u, pts)
-        vh = np.einsum("tqm,tm->tq", monomial_values(xi), loc[:, s])
-        gh = np.einsum("tqmi,tm->tqi", monomial_gradients(xi), loc[:, s])
-        gh /= basis.scale[:, None, None]
-        Hh = np.einsum("tqmij,tm->tqij", monomial_hessians(xi), loc[:, s])
-        Hh /= basis.scale[:, None, None, None] ** 2
+    for s in range(3):   # one sub-triangle at a time bounds the Hessian table
+        vals, grads, hess = _exact_on_points(u, pts[:, s])
+        c = loc[:, s, None, None, :]
+        vh = (monomial_values(xi[:, s]) @ loc[:, s, :, None])[..., 0]
+        gh = (c @ monomial_gradients(xi[:, s]))[..., 0, :] / h
+        Hh = (c @ monomial_hessians(xi[:, s]).reshape(hess.shape[:2] + (10, 4)))[..., 0, :]
+        Hh = Hh.reshape(hess.shape) / (h ** 2)[..., None]
         l2 += np.einsum("t,q,tq->", third, w, (vals - vh) ** 2)
         h1 += np.einsum("t,q,tqi->", third, w, (grads - gh) ** 2)
         h2 += np.einsum("t,q,tqij->", third, w, (hess - Hh) ** 2)
@@ -604,17 +607,16 @@ def energy_distance_p2_hct(f: DiscreteFunction, s: DiscreteFunction) -> float:
     basis = hct_local_basis(mesh)
     lag = local_lagrange_coeffs(f)
     Hf = np.einsum("taij,ta->tij", p2_hessians(mesh), lag)
-    loc = np.einsum("tsma,ta->tsm", basis.coeffs, local_dof_values(s))
+    loc = _hct_sub_polynomials(basis, s)
     bary, w = triangle_rule(4)
+    _, xi = basis.sub_points(bary)
     third = mesh.tri_area / 3.0
+    h2 = (basis.scale ** 2)[:, None, None]
     total = 0.0
     for sub in range(3):
-        pts = np.einsum("qi,tij->tqj", bary, basis.sub_coords[:, sub])
-        xi = (pts - basis.center[:, None, :]) / basis.scale[:, None, None]
-        Hs = np.einsum("tqmij,tm->tqij", monomial_hessians(xi), loc[:, sub])
-        Hs /= basis.scale[:, None, None, None] ** 2
-        diff = Hs - Hf[:, None, :, :]
-        total += np.einsum("t,q,tqij->", third, w, diff ** 2)
+        Hs = loc[:, sub, None, None, :] @ monomial_hessians(xi[:, sub]).reshape(-1, w.size, 10, 4)
+        diff = Hs[..., 0, :] / h2 - Hf.reshape(-1, 1, 4)
+        total += np.einsum("t,q,tqk->", third, w, diff ** 2)
     return float(np.sqrt(total))
 
 

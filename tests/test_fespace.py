@@ -9,6 +9,7 @@ from platefem.fespace import (
     hct_local_basis,
     interpolate_nodal,
     monomial_gradients,
+    monomial_hessians,
     monomial_values,
     morley_dof_matrix,
     morley_local_basis,
@@ -362,3 +363,41 @@ def test_prolongation_is_exact(mesh2, rng):
         parent = int(fine.parent_tri[ft])
         lam_c = _bary(mesh2.tri_coords()[parent], x)
         assert abs(evaluate(g, ft, lam, 0) - evaluate(f, parent, lam_c, 0)) < 1e-11
+
+
+# the cubic monomial kernels as a table of powers gathered by exponent; the
+# direct column products must reproduce it bit for bit
+_EXP = np.array(
+    [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
+)
+
+
+def _powers(x):
+    out = np.ones(x.shape + (4,))
+    for k in range(1, 4):
+        out[..., k] = out[..., k - 1] * x
+    return out
+
+
+def _power_table_kernels(xi):
+    px, py = _powers(xi[..., 0]), _powers(xi[..., 1])
+    a, b = _EXP[:, 0], _EXP[:, 1]
+    a1, b1, a2, b2 = (np.maximum(e, 0) for e in (a - 1, b - 1, a - 2, b - 2))
+    values = px[..., a] * py[..., b]
+    grads = np.stack([a * px[..., a1] * py[..., b], b * px[..., a] * py[..., b1]], axis=-1)
+    hxx = a * (a - 1) * px[..., a2] * py[..., b]
+    hyy = b * (b - 1) * px[..., a] * py[..., b2]
+    hxy = a * b * px[..., a1] * py[..., b1]
+    hess = np.stack([np.stack([hxx, hxy], -1), np.stack([hxy, hyy], -1)], -2)
+    return values, grads, hess
+
+
+@pytest.mark.parametrize("shape", [(1,), (17,), (4, 9), (3, 2, 5)])
+def test_monomial_kernels_match_power_table_bit_for_bit(rng, shape):
+    xi = rng.uniform(-1.5, 1.5, shape + (2,))
+    xi.flat[::7] = 0.0
+    values, grads, hess = _power_table_kernels(xi)
+    assert monomial_values(xi).shape == shape + (10,)
+    assert np.array_equal(monomial_values(xi), values)
+    assert np.array_equal(monomial_gradients(xi), grads)
+    assert np.array_equal(monomial_hessians(xi), hess)

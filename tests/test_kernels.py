@@ -44,6 +44,21 @@ def test_triplets_dedup_and_sort():
     assert list(A.vals) == [5.0, 5.0]
 
 
+def test_triplets_sort_like_a_lexsort_oracle(rng):
+    # duplicated random triplets: the stable sort of the row-major key must
+    # give lexsort's permutation, so the sums keep their bits
+    k = 5000
+    rows, cols = rng.integers(0, 50, k), rng.integers(0, 37, k)
+    vals = rng.standard_normal(k)
+    A = SparseMatrix.from_triplets(50, 37, rows, cols, vals)
+    order = np.lexsort((cols, rows))
+    r, c, v = rows[order], cols[order], vals[order]
+    first = np.flatnonzero(np.concatenate(([True], (r[1:] != r[:-1]) | (c[1:] != c[:-1]))))
+    assert A.nnz < k
+    assert np.array_equal(A.rows, r[first]) and np.array_equal(A.cols, c[first])
+    assert A.vals.tobytes() == np.add.reduceat(v, first).tobytes()
+
+
 def test_symmetry_flag_enforced():
     with pytest.raises(ValueError, match="asymmetry"):
         SparseMatrix.from_triplets(2, 2, [0, 1], [1, 0], [1.0, 2.0], symmetric=True)

@@ -15,7 +15,9 @@ strict expected failure on the smallest such mesh.
 The assembled systems must also equal, bit for bit, those of an
 oracle that sorts and sums every form's triplets and combines the forms
 by sort-merges, as the assembly did before it reduced onto memoized
-block patterns.
+block patterns.  The macro-space load, which contracts the quadrature
+first, must match to round-off an oracle that evaluates every shape
+function at every quadrature point of one sub-triangle at a time.
 
 Examples are derandomized and no example database is written, so the
 suite is deterministic.
@@ -30,12 +32,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from platefem import forms
-from platefem.fespace import build_dof_map
+from platefem.fespace import (
+    DiscreteFunction,
+    SpaceTag,
+    build_dof_map,
+    evaluate,
+    hct_local_basis,
+    monomial_values,
+)
 from platefem.forms import SchemeConfig, SchemeTag, assemble_scheme
 from platefem.functions import get_manufactured
 from platefem.interp import verify_right_inverse
 from platefem.mesh import build_triangulation, unit_square_mesh
-from platefem.rhs import LoadSpec, smoothed_load_vector
+from platefem.quadrature import triangle_rule
+from platefem.rhs import LoadSpec, _hct_functional, locate_point, smoothed_load_vector
 from platefem.solve import compute_errors, solve, solve_scheme
 from platefem.sparse import SparseMatrix, TripletAccumulator
 
@@ -207,3 +217,59 @@ def test_memoized_patterns_are_read_only(mesh2):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
+
+
+# --- per-sub-triangle oracle of the smoothed load ------------------------------------
+
+def _hct_functional_oracle(mesh, load, quad_order):
+    """The macro-space load in the order it had before quadrature came first.
+
+    The density term evaluates all 12 shape functions at every point of one
+    sub-triangle at a time; each point load sums its weight times the value
+    of every free shape function, taken from ``evaluate``.
+    """
+    hct_map = build_dof_map(mesh, SpaceTag.HCT)
+    basis = hct_local_basis(mesh)
+    cd = hct_map.cell_dofs
+    b = np.zeros(hct_map.n_free)
+    if load.density is not None:
+        bary, w = triangle_rule(quad_order)
+        for s in range(3):
+            pts = np.einsum("qi,tij->tqj", bary, basis.sub_coords[:, s])
+            xi = (pts - basis.center[:, None, :]) / basis.scale[:, None, None]
+            vals = np.einsum("tqm,tma->tqa", monomial_values(xi), basis.coeffs[:, s])
+            f = load.density(pts[..., 0], pts[..., 1])
+            contrib = mesh.tri_area[:, None] / 3.0 * np.einsum("q,tq,tqa->ta", w, f, vals)
+            np.add.at(b, np.maximum(cd, 0), np.where(cd >= 0, contrib, 0.0))
+    for weight, xy in load.points:
+        t, lam = locate_point(mesh, np.asarray(xy))
+        for i in range(hct_map.n_free):
+            unit = DiscreteFunction(hct_map, np.eye(1, hct_map.n_free, i)[0])
+            b[i] += weight * evaluate(unit, t, lam)
+    return b
+
+
+def _relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("quad_order", [3, 7, 9])
+@PROPERTY_SETTINGS
+@given(pair=perturbed_pairs())
+def test_density_load_matches_per_subtriangle_oracle(quad_order, pair):
+    load = LoadSpec(density=get_manufactured("u1").biharmonic)
+    for mesh in pair:
+        got = _hct_functional(mesh, load, quad_order)
+        assert _relative_gap(got, _hct_functional_oracle(mesh, load, quad_order)) <= 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(pair=perturbed_pairs(),
+       points=st.lists(st.tuples(st.floats(-2.0, 2.0),
+                                 st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95))),
+                       min_size=1, max_size=3))
+def test_density_and_point_loads_match_oracle(pair, points):
+    _, renumbered = pair
+    load = LoadSpec(density=lambda x, y: 1.0 + x * y ** 2, points=tuple(points))
+    got = _hct_functional(renumbered, load, 7)
+    assert _relative_gap(got, _hct_functional_oracle(renumbered, load, 7)) <= 1e-13

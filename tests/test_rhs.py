@@ -5,6 +5,7 @@ from platefem.fespace import DiscreteFunction, SpaceTag, build_dof_map, evaluate
 from platefem.functions import get_manufactured
 from platefem.interp import smoother
 from platefem.mesh import unit_square_mesh
+from platefem.quadrature import triangle_rule
 from platefem.rhs import (
     LoadError,
     LoadSpec,
@@ -121,3 +122,17 @@ def test_smoothed_on_macro_space_rejected(mesh2):
     hct = build_dof_map(mesh2, SpaceTag.HCT)
     with pytest.raises(ValueError, match="trial space"):
         smoothed_load_vector(mesh2, hct, LoadSpec(density=lambda x, y: x))
+
+
+def test_density_callable_receives_two_dimensional_arrays(mesh2):
+    # a density written for (rows, nq) arrays only, evaluated row by row
+    def density(x, y):
+        if x.ndim != 2 or x.shape != y.shape or x.shape[1] != nq:
+            raise TypeError(f"expected two (rows, {nq}) arrays, got {x.shape} and {y.shape}")
+        return np.stack([U1.biharmonic(rx, ry) for rx, ry in zip(x, y)])
+
+    nq = triangle_rule(7)[1].size
+    dm = build_dof_map(mesh2, SpaceTag.MORLEY)
+    got = smoothed_load_vector(mesh2, dm, LoadSpec(density=density), quad_order=7)
+    want = smoothed_load_vector(mesh2, dm, LoadSpec(density=U1.biharmonic), quad_order=7)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -308,6 +308,23 @@ def test_multifrontal_single_unknown():
     assert x[0] == 0.5 and stats["fronts"] == 1 and stats["min_pivot"] == 4.0
 
 
+def test_empty_system_on_one_triangle():
+    # every Morley DOF of a lone triangle lies on the clamped boundary
+    mesh = build_triangulation(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                               np.array([[0, 1, 2]]))
+    config = SchemeConfig(scheme=SchemeTag.MORLEY)
+    A, dofmap = assemble_scheme(mesh, config)
+    assert A.shape == (0, 0) and dofmap.n_free == 0
+    factor = ldlt_factor(A)
+    assert factor.perm.size == 0 and factor.fronts == [] and factor.nnz == 0
+    assert factor.solve(np.zeros(0)).shape == (0,)
+    loads = (LoadSpec(points=((1.0, (0.25, 0.25)),)), LoadSpec(density=U1.biharmonic))
+    for reused, load in enumerate(loads):
+        sol = solve_scheme(mesh, config, load)
+        assert sol.u_h.coeffs.shape == (0,) and sol.stats["method"] == "empty"
+        assert sol.stats["factor_reused"] is bool(reused)
+
+
 def test_multifrontal_indefinite_raises():
     # the lowest eigenvalue of the shifted Laplacian is 8 sin^2(pi/42) - 0.05 < 0
     rows, cols, vals = grid_laplacian(20, shift=-0.05)
