@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .mesh import Triangulation, cross2, derived
+from .mesh import Triangulation, barycentric, derived
 from .quadrature import triangle_points
 
 
@@ -241,15 +241,6 @@ class HctBasis:
         return pts, xi
 
 
-def _hct_rows(xi, scale, want="val"):
-    """Constraint row(s) in monomial coefficients at frame points xi."""
-    if want == "val":
-        return monomial_values(xi)
-    if want == "grad":
-        return monomial_gradients(xi) / scale[..., None, None]
-    raise ValueError(want)
-
-
 @derived
 def hct_local_basis(mesh: Triangulation) -> HctBasis:
     """Build the 12 macro shape functions on every triangle.
@@ -266,6 +257,7 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
     center = p.mean(axis=1)
     scale = mesh.tri_diam
     xi_v = (p - center[:, None, :]) / scale[:, None, None]  # vertices in frame
+    h = scale[:, None, None]   # frame gradients to physical ones
 
     A = np.zeros((nt, 30, 30))
     rhs = np.zeros((30, 12))
@@ -277,9 +269,9 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
     # 12 DOF rows
     for j in range(3):
         s = (j + 1) % 3  # K_s = conv{P_{j+2}, P_j, centroid} contains P_j
-        A[:, row, cols(s)] = _hct_rows(xi_v[:, j], scale, "val")
+        A[:, row, cols(s)] = monomial_values(xi_v[:, j])
         rhs[row, 3 * j] = 1.0
-        grad = _hct_rows(xi_v[:, j], scale, "grad")
+        grad = monomial_gradients(xi_v[:, j]) / h
         A[:, row + 1, cols(s)] = grad[..., 0]
         A[:, row + 2, cols(s)] = grad[..., 1]
         rhs[row + 1, 3 * j + 1] = 1.0
@@ -289,15 +281,15 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         xi_mid = 0.5 * (xi_v[:, j] + xi_v[:, k])
-        grad = _hct_rows(xi_mid, scale, "grad")
+        grad = monomial_gradients(xi_mid) / h
         A[:, row, cols(i)] = np.einsum("tmi,ti->tm", grad, normals[:, i])
         rhs[row, 9 + i] = 1.0
         row += 1
     # vertex ties: the second sub-triangle containing P_j matches value+gradient
     for j in range(3):
         s1, s2 = (j + 1) % 3, (j + 2) % 3
-        val = _hct_rows(xi_v[:, j], scale, "val")
-        grad = _hct_rows(xi_v[:, j], scale, "grad")
+        val = monomial_values(xi_v[:, j])
+        grad = monomial_gradients(xi_v[:, j]) / h
         A[:, row, cols(s1)] = val
         A[:, row, cols(s2)] = -val
         A[:, row + 1, cols(s1)] = grad[..., 0]
@@ -307,8 +299,8 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
         row += 3
     # centroid ties (frame origin)
     xi_c = np.zeros((nt, 2))
-    val_c = _hct_rows(xi_c, scale, "val")
-    grad_c = _hct_rows(xi_c, scale, "grad")
+    val_c = monomial_values(xi_c)
+    grad_c = monomial_gradients(xi_c) / h
     for s1, s2 in ((0, 1), (1, 2)):
         A[:, row, cols(s1)] = val_c
         A[:, row, cols(s2)] = -val_c
@@ -323,7 +315,7 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
         direction = xi_v[:, j]  # from the origin towards P_j in frame coords
         n = np.column_stack([direction[:, 1], -direction[:, 0]])
         n /= np.linalg.norm(n, axis=1)[:, None]
-        grad = _hct_rows(0.5 * xi_v[:, j], scale, "grad")
+        grad = monomial_gradients(0.5 * xi_v[:, j]) / h
         rows_n = np.einsum("tmi,ti->tm", grad, n)
         A[:, row, cols(s1)] = rows_n
         A[:, row, cols(s2)] = -rows_n
@@ -465,23 +457,14 @@ def to_dgp2(f: DiscreteFunction, dg_map: DofMap | None = None) -> DiscreteFuncti
     return DiscreteFunction(dg_map, local_lagrange_coeffs(f).ravel())
 
 
-def _locate_subtriangle(basis: HctBasis, t, points):
-    """Sub-triangle index of each point inside triangle t (vectorized)."""
-    pts = np.atleast_2d(points)
-    best = np.full(pts.shape[0], -1, dtype=np.int64)
-    best_min = np.full(pts.shape[0], -np.inf)
-    for s in range(3):
-        tri = basis.sub_coords[t, s]
-        v0, v1, v2 = tri[0], tri[1], tri[2]
-        det = cross2(v1 - v0, v2 - v0)
-        l1 = cross2(pts - v0, v2 - v0) / det
-        l2 = cross2(v1 - v0, pts - v0) / det
-        l0 = 1.0 - l1 - l2
-        m = np.minimum(np.minimum(l0, l1), l2)
-        upd = m > best_min
-        best[upd] = s
-        best_min[upd] = m[upd]
-    return best
+def locate_subtriangle(basis: HctBasis, t, points):
+    """Sub-triangle index of each point (n, 2) inside triangle t.
+
+    The sub-triangle whose smallest barycentric coordinate is largest,
+    the first one on a tie.
+    """
+    lam = barycentric(np.atleast_2d(points)[:, None, :], basis.sub_coords[t])
+    return lam.min(axis=-1).argmax(axis=-1)
 
 
 def evaluate(f: DiscreteFunction, tri: int, bary, order: int = 0):
@@ -501,7 +484,7 @@ def evaluate(f: DiscreteFunction, tri: int, bary, order: int = 0):
     if f.tag is SpaceTag.HCT:
         basis = hct_local_basis(mesh)
         x = lam @ mesh.tri_coords()[tri]
-        s = int(_locate_subtriangle(basis, tri, x[None])[0])
+        s = int(locate_subtriangle(basis, tri, x[None])[0])
         xi = basis.to_frame(tri, x)
         loc = local_dof_values(f)[tri]
         poly = basis.coeffs[tri, s] @ loc  # 10 monomial coefficients
@@ -581,13 +564,6 @@ def prolongate_to_refined(f: DiscreteFunction, fine: Triangulation,
     pts = np.concatenate(
         [fine.tri_coords(), fine.edge_midpoint[fine.tri_edges]], axis=1
     )  # (nt_fine, 6, 2)
-    cp = coarse.tri_coords()[par]
-    d1 = cp[:, 1] - cp[:, 0]
-    d2 = cp[:, 2] - cp[:, 0]
-    det = cross2(d1, d2)[:, None]
-    rel = pts - cp[:, 0][:, None, :]
-    lam_b = cross2(rel, d2[:, None, :]) / det
-    lam_c = cross2(d1[:, None, :], rel) / det
-    lam = np.stack([1.0 - lam_b - lam_c, lam_b, lam_c], axis=-1)
+    lam = barycentric(pts, coarse.tri_coords()[par][:, None])
     vals = np.einsum("tna,ta->tn", p2_values(lam), coarse_coeffs[par])
     return DiscreteFunction(fine_dg, vals.ravel())

@@ -41,7 +41,7 @@ from .fespace import (
 )
 from .mesh import Triangulation, derived
 from .quadrature import edge_rule
-from .sparse import SparseMatrix, TripletAccumulator
+from .sparse import SparseMatrix, TripletAccumulator, ragged_positions
 
 ANALYTIC_EDGE_GAUSS = 5  # exact for normal derivatives of degree <= 9
 
@@ -59,16 +59,6 @@ class InterpolationReport:
     @property
     def ok(self):
         return self.max_residual <= self.tolerance
-
-
-def _expand_ragged(indptr, keys):
-    """Expand CSR ranges for ``keys``: returns (owner_index, flat_position)."""
-    counts = indptr[keys + 1] - indptr[keys]
-    owner = np.repeat(np.arange(keys.size), counts)
-    starts = np.repeat(indptr[keys], counts)
-    total = counts.sum()
-    offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return owner, starts + offs
 
 
 @derived
@@ -107,7 +97,8 @@ def _interp_matrix(mesh: Triangulation, tag: SpaceTag) -> SparseMatrix:
         indptr, tris, lv = mesh.vertex_tri_patches()
         counts = mesh.vertex_patch_counts()
         vids = np.flatnonzero(~mesh.vertex_is_boundary)
-        owner, pos = _expand_ragged(indptr, vids)
+        pos, count = ragged_positions(indptr, vids)
+        owner = np.repeat(np.arange(vids.size), count)
         rows = morley_map.vertex_dofs[vids][owner]
         cols = space_map.cell_dofs[tris[pos], lv[pos]]
         acc.add(rows, cols, 1.0 / counts[vids][owner])
@@ -157,7 +148,8 @@ def companion_matrix(mesh: Triangulation) -> SparseMatrix:
     Gv = _morley_vertex_grad_rows(mesh)  # (nt, 3, 6, 2)
     indptr, tris, lv = mesh.vertex_tri_patches()
     counts = mesh.vertex_patch_counts()
-    owner, pos = _expand_ragged(indptr, vids)
+    pos, count = ragged_positions(indptr, vids)
+    owner = np.repeat(np.arange(vids.size), count)
     t_in, lv_in = tris[pos], lv[pos]
     w = (1.0 / counts[vids][owner])[:, None]
     cols = morley_map.cell_dofs[t_in]  # (N, 6)
@@ -174,7 +166,8 @@ def companion_matrix(mesh: Triangulation) -> SparseMatrix:
         v = mesh.edge_vertices[eids, endpoint]
         inner = ~mesh.vertex_is_boundary[v]  # boundary endpoint gradients are clamped
         sel = np.flatnonzero(inner)
-        owner, pos = _expand_ragged(indptr, v[sel])
+        pos, count = ragged_positions(indptr, v[sel])
+        owner = np.repeat(np.arange(sel.size), count)
         t_in, lv_in = tris[pos], lv[pos]
         w = (-0.25 / counts[v[sel]][owner])
         gdot = np.einsum("nai,ni->na", Gv[t_in, lv_in], nu[sel][owner])

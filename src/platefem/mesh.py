@@ -31,6 +31,19 @@ def cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def barycentric(points, corners):
+    """Barycentric coordinates (..., 3) of ``points`` (..., 2) in the
+    triangles ``corners`` (..., 3, 2), broadcasting."""
+    v0 = corners[..., 0, :]
+    d1 = corners[..., 1, :] - v0
+    d2 = corners[..., 2, :] - v0
+    det = cross2(d1, d2)
+    rel = points - v0
+    l1 = cross2(rel, d2) / det
+    l2 = cross2(d1, rel) / det
+    return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+
+
 def derived(fn):
     """Memoize ``fn(mesh, *args)`` on the mesh.
 

@@ -11,10 +11,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fespace import DofMap, SpaceTag, build_dof_map, hct_local_basis, monomial_values
+from .fespace import (
+    DofMap,
+    SpaceTag,
+    build_dof_map,
+    hct_local_basis,
+    locate_subtriangle,
+    monomial_values,
+)
 from .functions import ScalarFunction
 from .interp import companion_matrix, interp_matrix
-from .mesh import Triangulation, cross2
+from .mesh import Triangulation, barycentric
 from .quadrature import triangle_rule
 
 VERTEX_SNAP_TOL = 1e-12
@@ -65,15 +72,7 @@ class ResolvedPointLoad:
 def locate_point(mesh: Triangulation, xy, tol=1e-10):
     """Containing triangle and barycentric coordinates (first match)."""
     xy = np.asarray(xy, dtype=np.float64)
-    p = mesh.tri_coords()
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    det = cross2(d1, d2)
-    rel = xy[None, :] - p[:, 0]
-    lb = cross2(rel, d2) / det
-    lc = cross2(d1, rel) / det
-    la = 1.0 - lb - lc
-    lam = np.column_stack([la, lb, lc])
+    lam = barycentric(xy, mesh.tri_coords())
     inside = lam.min(axis=1) >= -tol
     hits = np.flatnonzero(inside)
     if hits.size == 0:
@@ -134,20 +133,10 @@ def _hct_functional(mesh, load: LoadSpec, quad_order):
             if dof >= 0:
                 b[dof] += pl.weight
             continue
-        x = pl.bary @ mesh.tri_coords()[pl.triangle]
         t = pl.triangle
-        sub = basis.sub_coords[t]
-        best, best_min = 0, -np.inf
-        for s in range(3):
-            v0, v1, v2 = sub[s]
-            det = cross2(v1 - v0, v2 - v0)
-            l1 = cross2(x - v0, v2 - v0) / det
-            l2 = cross2(v1 - v0, x - v0) / det
-            m = min(1.0 - l1 - l2, l1, l2)
-            if m > best_min:
-                best, best_min = s, m
-        xi = basis.to_frame(t, x)
-        vals = monomial_values(xi) @ basis.coeffs[t, best]
+        x = pl.bary @ mesh.tri_coords()[t]
+        sub = locate_subtriangle(basis, t, x[None])[0]
+        vals = monomial_values(basis.to_frame(t, x)) @ basis.coeffs[t, sub]
         cd = hct_map.cell_dofs[t]
         keep = cd >= 0
         b[cd[keep]] += pl.weight * vals[keep]

@@ -1,17 +1,17 @@
 """Linear solves, post-processing and error norms.
 
-Symmetric systems are solved by a sparse Cholesky factorization in pure
-numpy.  An algebraic nested-dissection ordering (George 1973) bisects
-the matrix graph recursively with breadth-first level-set separators;
-the multifrontal method (Liu 1992) then factors one dense front per
-separator-tree node with LAPACK and BLAS, children before parents, and
-extended-precision iterative refinement polishes the solution.  A front
-whose pivot block is not positive definite raises
-:class:`NonCoerciveError` - for the penalized schemes that is the
-diagnostic that the stabilization parameter is too small.  Nonsymmetric
-systems (theta != 1) use a dense LU factorization, limited to
-``DENSE_CAP`` unknowns; the ``dense`` method also serves as the oracle
-for symmetric systems of that size.
+The matrix picks its solver route: its verified ``symmetric`` flag
+sends it to a sparse Cholesky factorization in pure numpy, any other
+matrix to a dense LU factorization.  An algebraic nested-dissection
+ordering (George 1973) bisects the matrix graph recursively with
+breadth-first level-set separators; the multifrontal method (Liu 1992)
+then factors one dense front per separator-tree node with LAPACK and
+BLAS, children before parents, and extended-precision iterative
+refinement polishes the solution.  A front whose pivot block is not
+positive definite raises :class:`NonCoerciveError` - for the penalized
+schemes that is the diagnostic that the stabilization parameter is too
+small.  The dense LU of nonsymmetric systems (theta != 1) is limited
+to ``DENSE_CAP`` unknowns.
 
 The scheme's matrix does not depend on the load, so :func:`solve_scheme`
 memoizes the assembled system and its Cholesky factor per (mesh, scheme
@@ -44,7 +44,7 @@ from .interp import smoother
 from .mesh import Triangulation, derived
 from .quadrature import triangle_rule
 from .rhs import LoadSpec, smoothed_load_vector
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, ragged_positions
 
 DENSE_CAP = 2000
 # parts of the graph up to this size are not bisected further: one dense
@@ -71,13 +71,6 @@ class NonCoerciveError(SolverError):
 # nested-dissection ordering
 # ---------------------------------------------------------------------------
 
-def _neighbours(indptr, adj, vertices):
-    """Concatenated adjacency lists of ``vertices``, and their lengths."""
-    start = indptr[vertices]
-    count = indptr[vertices + 1] - start
-    return adj[np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())], count
-
-
 def _bfs_levels(indptr, adj, roots, n):
     """Breadth-first level of every vertex from the root of its part.
 
@@ -91,7 +84,7 @@ def _bfs_levels(indptr, adj, roots, n):
     depth = 0
     while frontier.size:
         depth += 1
-        nb, _ = _neighbours(indptr, adj, frontier)
+        nb = adj[ragged_positions(indptr, frontier)[0]]
         nb = nb[level[nb] < 0]
         level[nb] = depth
         # drop repeats: one of the positions written for each vertex survives
@@ -165,7 +158,8 @@ def nested_dissection(A: SparseMatrix):
         broken = big & ~connected
         mid[~split] = -2
         at_mid = members[lm == mid[pm]]
-        nb, count = _neighbours(indptr, dst, at_mid)
+        pos, count = ragged_positions(indptr, at_mid)
+        nb = dst[pos]
         owner = np.repeat(at_mid, count)
         in_sep = np.zeros(n, dtype=bool)
         in_sep[owner[level[nb] > level[owner]]] = True
@@ -345,29 +339,17 @@ def ldlt_factor(A: SparseMatrix) -> LdltFactor:
                       time.perf_counter() - t1)
 
 
-def _dense_spd_solve(A: SparseMatrix, b):
-    dense = A.to_dense()
-    try:
-        np.linalg.cholesky(dense)
-    except np.linalg.LinAlgError:
-        raise NonCoerciveError(
-            "dense factorization found the symmetric system indefinite: "
-            "not coercive with the given penalty parameters (increase sigma)"
-        ) from None
-    return np.linalg.solve(dense, b)
-
-
-def solve(matrix: SparseMatrix, vector: np.ndarray, symmetric: bool,
-          method: str = "auto", factor: LdltFactor | None = None):
+def solve(matrix: SparseMatrix, vector: np.ndarray, factor: LdltFactor | None = None):
     """Solve the linear system; returns (coefficients, stats dict).
 
-    methods: 'ldlt' (sparse multifrontal Cholesky, symmetric), 'dense'
-    (LU/Cholesky below DENSE_CAP), 'auto' ('ldlt' for symmetric systems,
-    'dense' otherwise).  Symmetric systems that fail
-    positive-definiteness raise NonCoerciveError.  ``factor`` is an
-    :func:`ldlt_factor` of ``matrix`` built earlier: the 'ldlt' route
-    then solves with it, reports ``factor_reused`` and zero ordering and
-    factorization times, and still refines against ``matrix``.
+    The matrix's verified ``symmetric`` flag selects the route: a
+    flagged matrix goes through the sparse multifrontal Cholesky
+    ('ldlt') and raises NonCoerciveError when it is not positive
+    definite; any other matrix goes through dense LU ('dense-lu'), below
+    DENSE_CAP unknowns.  ``factor`` is an :func:`ldlt_factor` of
+    ``matrix`` built earlier: the 'ldlt' route then solves with it,
+    reports ``factor_reused`` and zero ordering and factorization times,
+    and still refines against ``matrix``.
     """
     b = np.asarray(vector, dtype=np.float64)
     n = matrix.nrows
@@ -379,24 +361,16 @@ def solve(matrix: SparseMatrix, vector: np.ndarray, symmetric: bool,
     t0 = time.perf_counter()
     stats = {"n": n, "nnz": matrix.nnz, "refine_steps": 0, "factor_reused": False}
     bnorm = np.linalg.norm(b)
-    if method == "auto":
-        method = "ldlt" if symmetric else "dense"
-    if method == "dense":
+    if not matrix.symmetric:
         if n > DENSE_CAP:
             raise SolverError(
                 f"dense fallback limited to {DENSE_CAP} unknowns (system has {n}); "
                 "symmetric systems use the sparse multifrontal Cholesky"
             )
-        if symmetric:
-            x = _dense_spd_solve(matrix, b)
-            stats["method"] = "dense-cholesky"
-        else:
-            x = np.linalg.solve(matrix.to_dense(), b)
-            stats["method"] = "dense-lu"
+        x = np.linalg.solve(matrix.to_dense(), b)
+        stats["method"] = "dense-lu"
         r = _residual_extended(matrix, x, b)
-    elif method == "ldlt":
-        if not symmetric:
-            raise SolverError("LDL^T requires a symmetric system")
+    else:
         reused = factor is not None
         if not reused:
             factor = ldlt_factor(matrix)
@@ -427,8 +401,6 @@ def solve(matrix: SparseMatrix, vector: np.ndarray, symmetric: bool,
         stats["max_front"] = factor.max_front
         stats["order_time"] = 0.0 if reused else factor.order_time
         stats["factor_time"] = 0.0 if reused else factor.factor_time
-    else:
-        raise ValueError(f"unknown method {method!r}")
     r = r.astype(np.float64)
     residual = np.linalg.norm(r) / (bnorm if bnorm > 0 else 1.0)
     # componentwise backward error: ~machine epsilon means x is as good as a
@@ -480,11 +452,10 @@ def _scheme_factor(mesh: Triangulation, config: SchemeConfig) -> LdltFactor:
     return ldlt_factor(_scheme_system(mesh, config)[0])
 
 
-def solve_scheme(mesh: Triangulation, config: SchemeConfig, load: LoadSpec,
-                 method: str = "auto") -> Solution:
+def solve_scheme(mesh: Triangulation, config: SchemeConfig, load: LoadSpec) -> Solution:
     """Solve one scheme with the smoothed right-hand side of ``load``.
 
-    The matrix, its DOF map and (on the 'ldlt' route) its factor are
+    The matrix, its DOF map and (for a symmetric matrix) its factor are
     memoized per (mesh, config), so only the first load on a mesh
     assembles and factors; the factorization is timed in ``solve_time``.
     """
@@ -496,11 +467,11 @@ def solve_scheme(mesh: Triangulation, config: SchemeConfig, load: LoadSpec,
     b = smoothed_load_vector(mesh, dofmap, load, quad_order=config.quad_order)
     t3 = time.perf_counter()
     factor = None
-    if config.symmetric and method in ("auto", "ldlt"):
+    if A.symmetric:
         reused = _scheme_factor.cached(mesh, config)
         factor = _scheme_factor(mesh, config)
     t4 = time.perf_counter()
-    x, stats = solve(A, b, symmetric=config.symmetric, method=method, factor=factor)
+    x, stats = solve(A, b, factor=factor)
     if factor is not None:
         stats["solve_time"] += t4 - t3
         if not reused:
@@ -574,7 +545,7 @@ def _hct_sub_polynomials(basis, s: DiscreteFunction):
 
 
 def hct_error_norms(u: ScalarFunction, f_star: DiscreteFunction, quad_order: int):
-    """(L2, H1 seminorm, broken-H2-on-subtriangles seminorm) of u - f_star."""
+    """(L2, H1 seminorm) of u - f_star, for f_star in the macro space."""
     mesh = f_star.mesh
     basis = hct_local_basis(mesh)
     loc = _hct_sub_polynomials(basis, f_star)
@@ -582,18 +553,14 @@ def hct_error_norms(u: ScalarFunction, f_star: DiscreteFunction, quad_order: int
     pts, xi = basis.sub_points(bary)
     third = mesh.tri_area / 3.0
     h = basis.scale[:, None, None]
-    l2 = h1 = h2 = 0.0
-    for s in range(3):   # one sub-triangle at a time bounds the Hessian table
-        vals, grads, hess = _exact_on_points(u, pts[:, s])
-        c = loc[:, s, None, None, :]
+    l2 = h1 = 0.0
+    for s in range(3):   # one sub-triangle at a time bounds the gradient table
+        x, y = pts[:, s, ..., 0], pts[:, s, ..., 1]
         vh = (monomial_values(xi[:, s]) @ loc[:, s, :, None])[..., 0]
-        gh = (c @ monomial_gradients(xi[:, s]))[..., 0, :] / h
-        Hh = (c @ monomial_hessians(xi[:, s]).reshape(hess.shape[:2] + (10, 4)))[..., 0, :]
-        Hh = Hh.reshape(hess.shape) / (h ** 2)[..., None]
-        l2 += np.einsum("t,q,tq->", third, w, (vals - vh) ** 2)
-        h1 += np.einsum("t,q,tqi->", third, w, (grads - gh) ** 2)
-        h2 += np.einsum("t,q,tqij->", third, w, (hess - Hh) ** 2)
-    return np.sqrt(l2), np.sqrt(h1), np.sqrt(h2)
+        gh = (loc[:, s, None, None, :] @ monomial_gradients(xi[:, s]))[..., 0, :] / h
+        l2 += np.einsum("t,q,tq->", third, w, (u.value(x, y) - vh) ** 2)
+        h1 += np.einsum("t,q,tqi->", third, w, (u.grad(x, y) - gh) ** 2)
+    return np.sqrt(l2), np.sqrt(h1)
 
 
 def energy_distance_p2_hct(f: DiscreteFunction, s: DiscreteFunction) -> float:
@@ -648,7 +615,7 @@ def compute_errors(u_exact: ScalarFunction, sol: Solution,
     norm_h = float(np.hypot(energy, jump))
     pen = penalty_value(sol.u_h, sol.config)
     norm_scheme = float(np.sqrt(energy ** 2 + pen))
-    l2s, h1s, _ = hct_error_norms(u_exact, sol.u_star, quad_order)
+    l2s, h1s = hct_error_norms(u_exact, sol.u_star, quad_order)
     h1_star = float(np.hypot(l2s, h1s))
     best = pi0_hessian_deviation(u_exact, mesh, quad_order)
     return ErrorReport(

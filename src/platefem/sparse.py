@@ -1,4 +1,4 @@
-"""Minimal sparse matrix support: coordinate storage with CSR conversion.
+"""Minimal sparse matrix support: coordinate storage and CSR ranges.
 
 Kept in-repo on purpose; the solver works directly on these arrays.
 Entries are deduplicated and sorted row-major at construction.
@@ -20,8 +20,10 @@ class SparseMatrix:
     """Sparse matrix in deduplicated, row-major sorted COO form.
 
     ``symmetric`` marks matrices that are symmetric by construction;
-    the flag is verified (to 1e-12 relative) when set.  Assembled
-    matrices share ``rows``/``cols`` with their block pattern, read-only.
+    the flag is verified (to 1e-12 relative) when set, and it selects
+    the solver route: sparse Cholesky if set, dense LU if not.
+    Assembled matrices share ``rows``/``cols`` with their block pattern,
+    read-only.
     """
 
     nrows: int
@@ -78,12 +80,6 @@ class SparseMatrix:
     def nnz(self):
         return self.vals.size
 
-    def to_csr(self):
-        """Return (indptr, indices, data); entries are already sorted."""
-        indptr = np.zeros(self.nrows + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(np.bincount(self.rows, minlength=self.nrows))
-        return indptr, self.cols.copy(), self.vals.copy()
-
     # bincount adds the weights one by one in input order, as np.add.at does
     def matvec(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -93,12 +89,6 @@ class SparseMatrix:
         """Transpose matvec A^T y."""
         y = np.asarray(y, dtype=np.float64)
         return np.bincount(self.cols, self.vals * y[self.rows], minlength=self.ncols)
-
-    def diagonal(self):
-        d = np.zeros(min(self.shape))
-        on_diag = self.rows == self.cols
-        d[self.rows[on_diag]] = self.vals[on_diag]
-        return d
 
     def to_dense(self):
         dense = np.zeros(self.shape)
@@ -115,6 +105,13 @@ class SparseMatrix:
         for i, j, v in zip(self.rows, self.cols, self.vals):
             lines.append(f"{i + 1} {j + 1} {v:.17g}")
         return "\n".join(lines) + "\n"
+
+
+def ragged_positions(indptr, keys):
+    """Flat positions of the CSR ranges of ``keys``, concatenated, and their lengths."""
+    start = indptr[keys]
+    count = indptr[keys + 1] - start
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum()), count
 
 
 def transpose_index(n, rows, cols):

@@ -85,9 +85,6 @@ def test_products_match_sequential_accumulation(rng):
     want = np.zeros(30)
     np.add.at(want, A.cols, A.vals * y[A.rows])
     assert A.rmatvec(y).tobytes() == want.tobytes()
-    indptr, indices, data = A.to_csr()
-    assert indptr[0] == 0 and np.array_equal(np.diff(indptr), np.bincount(A.rows, minlength=40))
-    assert np.array_equal(indices, A.cols) and np.array_equal(data, A.vals)
 
 
 @pytest.mark.parametrize("shape, rows, cols, vals, match", [

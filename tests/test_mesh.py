@@ -6,7 +6,9 @@ from platefem.forms import edge_traces
 from platefem.interp import companion_matrix, interp_matrix
 from platefem.mesh import (
     MeshError,
+    barycentric,
     build_triangulation,
+    cross2,
     derived,
     read_mesh,
     refine_uniform,
@@ -114,6 +116,19 @@ def test_roundtrip_canonical():
     noisy = "# unit square\n 4   2 \n0 0\n1 0 # se\n0 1\n1 1\n0 1 3\n1 3 2\n"
     parsed = read_mesh(noisy)
     assert write_mesh(read_mesh(write_mesh(parsed))) == write_mesh(parsed)
+
+
+def test_barycentric_sums_to_one_and_reproduces_the_point(rng):
+    corners = rng.uniform(-1.0, 1.0, (300, 3, 2))
+    area = cross2(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    corners = corners[np.abs(area) > 0.05]
+    points = rng.uniform(-1.0, 1.0, (corners.shape[0], 4, 2))
+    lam = barycentric(points, corners[:, None])
+    assert lam.shape == (corners.shape[0], 4, 3)
+    assert np.abs(lam.sum(axis=-1) - 1.0).max() <= 1e-13 * np.abs(lam).max()
+    assert np.abs(lam @ corners - points).max() <= 1e-13 * np.abs(lam).max()
+    # one point against every triangle broadcasts the same way
+    assert np.array_equal(barycentric(points[0, 0], corners)[0], lam[0, 0])
 
 
 def test_empty_mesh_rejected():

@@ -118,7 +118,7 @@ def test_schemes_symmetric_and_coercive_at_default_penalties(pair):
         A, dofmap = assemble_scheme(renumbered, config)
         assert A.symmetric, tag
         b = smoothed_load_vector(renumbered, dofmap, load)
-        _, stats = solve(A, b, symmetric=True)
+        _, stats = solve(A, b)
         assert stats["min_pivot"] > 0.0, tag
         assert stats["backward_error"] <= 1e-12, (tag, stats["backward_error"])
 

@@ -22,6 +22,8 @@ from platefem.solve import (
 )
 from platefem.sparse import SparseMatrix
 
+from test_conforming_oracle import hct_energy_error
+
 U1 = get_manufactured("u1")
 
 
@@ -35,23 +37,22 @@ def identity_matrix(n):
 def test_identity_solve(rng):
     A = identity_matrix(10)
     b = rng.standard_normal(10)
-    for method in ("ldlt", "dense"):
-        x, stats = solve(A, b, symmetric=True, method=method)
-        assert np.allclose(x, b, atol=1e-13)
-        assert stats["converged"]
+    x, stats = solve(A, b)
+    assert np.allclose(x, np.linalg.solve(A.to_dense(), b), atol=1e-13)
+    assert stats["converged"]
 
 
 def test_dimension_mismatch(rng):
     A = identity_matrix(5)
     with pytest.raises(ValueError, match="dimensions"):
-        solve(A, np.zeros(6), symmetric=True)
+        solve(A, np.zeros(6))
 
 
 def test_spd_paths_agree(mesh4, rng):
     A, dm = assemble_scheme(mesh4, SchemeConfig(scheme=SchemeTag.MORLEY))
     b = rng.standard_normal(dm.n_free)
-    x1, s1 = solve(A, b, symmetric=True, method="ldlt")
-    x3, s3 = solve(A, b, symmetric=True, method="dense")
+    x1, s1 = solve(A, b)
+    x3 = np.linalg.solve(A.to_dense(), b)
     assert np.abs(x1 - x3).max() < 1e-9 * max(1.0, np.abs(x3).max())
     assert s1["min_pivot"] > 0
 
@@ -61,7 +62,7 @@ def test_morley_point_load_against_dense_oracle(mesh2):
     A, dm = assemble_scheme(mesh2, cfg)
     load = LoadSpec(points=((1.0, (0.5, 0.5)),))
     b = smoothed_load_vector(mesh2, dm, load)
-    x, stats = solve(A, b, symmetric=True)
+    x, stats = solve(A, b)
     oracle = np.linalg.solve(A.to_dense(), b)
     assert np.abs(x - oracle).max() < 1e-11
     center = int(np.flatnonzero(
@@ -88,6 +89,20 @@ def test_nonsymmetric_dense_path(mesh2):
     sol = solve_scheme(mesh2, cfg, load)
     assert sol.stats["method"] == "dense-lu"
     assert sol.stats["residual"] < 1e-10
+
+
+def test_symmetric_flag_selects_the_route(mesh2):
+    # the unflagged theta=0 DG matrix takes dense LU, every flagged matrix the Cholesky
+    load = LoadSpec(density=U1.biharmonic)
+    A, dm = assemble_scheme(mesh2, SchemeConfig(scheme=SchemeTag.DG, theta=0.0))
+    assert not A.symmetric
+    _, stats = solve(A, smoothed_load_vector(mesh2, dm, load))
+    assert stats["method"] == "dense-lu" and stats["residual"] <= 1e-10
+    for tag in SchemeTag:
+        A, dm = assemble_scheme(mesh2, SchemeConfig(scheme=tag))
+        assert A.symmetric
+        _, stats = solve(A, smoothed_load_vector(mesh2, dm, load))
+        assert stats["method"] == "ldlt", tag
 
 
 def test_nonsymmetric_beyond_dense_cap_raises():
@@ -152,8 +167,8 @@ def test_reused_factor_still_refines_against_the_matrix():
     factor = ldlt_factor(A)
     for x0, y0 in ((0.3, 0.6), (0.55, 0.25), (0.5, 0.5)):
         b = smoothed_load_vector(mesh, dofmap, point_load(x0, y0))
-        x, stats = solve(A, b, symmetric=True, factor=factor)
-        want, built = solve(A, b, symmetric=True)
+        x, stats = solve(A, b, factor=factor)
+        want, built = solve(A, b)
         assert stats["factor_reused"] is True and built["factor_reused"] is False
         assert x.tobytes() == want.tobytes()
         for key in ("residual", "backward_error", "converged", "refine_steps"):
@@ -162,9 +177,10 @@ def test_reused_factor_still_refines_against_the_matrix():
         assert stats["residual"] == pytest.approx(np.linalg.norm(r) / np.linalg.norm(b),
                                                   rel=1e-6)
         assert stats["backward_error"] <= 1e-12
-    # the dense route ignores a factor
-    _, dense = solve(A, b, symmetric=True, method="dense", factor=factor)
-    assert dense["method"] == "dense-cholesky" and dense["factor_reused"] is False
+    # the dense route, taken by an unflagged matrix, ignores a factor
+    unflagged = SparseMatrix(A.nrows, A.ncols, A.rows, A.cols, A.vals)
+    _, dense = solve(unflagged, b, factor=factor)
+    assert dense["method"] == "dense-lu" and dense["factor_reused"] is False
 
 
 def test_configs_differing_in_a_penalty_do_not_share_a_factor():
@@ -195,9 +211,12 @@ def test_nonsymmetric_repeat_loads_stay_on_dense_lu():
         assert sol.stats["method"] == "dense-lu"
         assert sol.stats["factor_reused"] is False
         assert sol.stats["residual"] < 1e-10
-    sym = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.MORLEY), point_load(0.3, 0.6),
-                       method="dense")
-    assert sym.stats["method"] == "dense-cholesky" and sym.stats["factor_reused"] is False
+    sym = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.MORLEY), point_load(0.3, 0.6))
+    A, dofmap = assemble_scheme(mesh, SchemeConfig(scheme=SchemeTag.MORLEY))
+    oracle = np.linalg.solve(A.to_dense(), smoothed_load_vector(mesh, dofmap,
+                                                               point_load(0.3, 0.6)))
+    assert sym.stats["method"] == "ldlt" and sym.stats["factor_reused"] is False
+    assert np.abs(sym.u_h.coeffs - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
 # --- nested-dissection multifrontal Cholesky ------------------------------------
@@ -230,7 +249,7 @@ def grid_laplacian(k, shift=0.0):
 
 def check_against_dense(A, rng, rtol=1e-10):
     b = rng.standard_normal(A.nrows)
-    x, stats = solve(A, b, symmetric=True)
+    x, stats = solve(A, b)
     oracle = np.linalg.solve(A.to_dense(), b)
     assert stats["method"] == "ldlt"
     assert np.abs(x - oracle).max() <= rtol * max(1.0, np.abs(oracle).max())
@@ -304,7 +323,7 @@ def test_multifrontal_path_graph(rng):
 
 def test_multifrontal_single_unknown():
     A = SparseMatrix.from_triplets(1, 1, [0], [0], [4.0], symmetric=True)
-    x, stats = solve(A, np.array([2.0]), symmetric=True)
+    x, stats = solve(A, np.array([2.0]))
     assert x[0] == 0.5 and stats["fronts"] == 1 and stats["min_pivot"] == 4.0
 
 
@@ -331,7 +350,7 @@ def test_multifrontal_indefinite_raises():
     A = SparseMatrix.from_triplets(400, 400, rows, cols, vals, symmetric=True)
     assert np.linalg.eigvalsh(A.to_dense()).min() < 0
     with pytest.raises(NonCoerciveError, match=r"front \d+ of \d+ \(elimination steps \d+\.\.\d+\).*not coercive"):
-        solve(A, np.ones(400), symmetric=True)
+        solve(A, np.ones(400))
 
 
 def test_min_pivot_matches_dense_ldlt():
@@ -457,9 +476,7 @@ def test_postprocessing_constant_stable():
     for _ in range(4):
         sol = solve_scheme(mesh, cfg, load)
         rep = compute_errors(U1, sol)
-        from platefem.solve import hct_error_norms
-
-        _, _, star_energy = hct_error_norms(U1, sol.u_star, 7)
+        star_energy = hct_energy_error(U1, sol.u_star, 7)
         consts.append(star_energy / rep.norm_h)
         mesh = refine_uniform(mesh)
     assert max(consts) / min(consts) <= 1.5
