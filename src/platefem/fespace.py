@@ -71,25 +71,16 @@ def p2_values(lam):
     return out
 
 
-def p2_gradients(lam, g, per_cell=False):
-    """Physical gradients of the P2 basis.
+def p2_gradients(lam, g):
+    """Physical gradients of the P2 basis, shape (nt, ..., 6, 2).
 
-    ``g`` is (nt, 3, 2).  With ``per_cell=False`` the points ``lam``
-    of shape (..., 3) are shared by all cells and the result is
-    (nt, ..., 6, 2); with ``per_cell=True`` the leading axis of ``lam``
-    (shape (nt, ..., 3)) runs over the cells.
+    ``g`` is (nt, 3, 2) and the barycentric points ``lam`` are
+    (nt, ..., 3), or (1, ..., 3) for points shared by all cells.
     """
     lam = np.asarray(lam)
     nt = g.shape[0]
-    if per_cell:
-        extra = lam.ndim - 2
-        shape = (nt,) + lam.shape[1:-1] + (6, 2)
-    else:
-        extra = lam.ndim - 1
-        lam = lam[None]
-        shape = (nt,) + lam.shape[1:-1] + (6, 2)
-    gx = g.reshape((nt,) + (1,) * extra + (3, 2))
-    out = np.zeros(shape)
+    gx = g.reshape((nt,) + (1,) * (lam.ndim - 2) + (3, 2))
+    out = np.zeros((nt,) + lam.shape[1:-1] + (6, 2))
     for i in range(3):
         out[..., i, :] = (4.0 * lam[..., i, None] - 1.0) * gx[..., i, :]
         j, k = (i + 1) % 3, (i + 2) % 3
@@ -129,7 +120,7 @@ def morley_dof_matrix(mesh: Triangulation):
     g = barycentric_gradients(mesh)
     M = np.zeros((mesh.num_triangles, 6, 6))
     M[:, :3, :3] = np.eye(3)
-    grads = p2_gradients(_EDGE_MID_BARY, g)  # (nt, 3, 6, 2)
+    grads = p2_gradients(_EDGE_MID_BARY[None], g)  # (nt, 3, 6, 2)
     normals = mesh.edge_normal[mesh.tri_edges]  # (nt, 3, 2)
     M[:, 3:, :] = np.einsum("teai,tei->tea", grads, normals)
     return M
@@ -499,7 +490,7 @@ def evaluate(f: DiscreteFunction, tri: int, bary, order: int = 0):
         return float(p2_values(lam) @ coeffs)
     g = barycentric_gradients(mesh)[tri : tri + 1]
     if order == 1:
-        grads = p2_gradients(lam[None, :], g)[0, 0]
+        grads = p2_gradients(lam[None], g)[0]
         return grads.T @ coeffs
     H = p2_hessians(mesh)[tri]
     return np.einsum("aij,a->ij", H, coeffs)

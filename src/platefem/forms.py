@@ -125,7 +125,7 @@ def edge_traces(mesh: Triangulation, params):
             + onehot_b[:, None, :] * params[None, :, None]
         )
         N = p2_values(lam)
-        G = p2_gradients(lam, g[ts], per_cell=True)
+        G = p2_gradients(lam, g[ts])
         N[~valid] = 0.0
         G[~valid] = 0.0
         out[f"N{side}"] = N

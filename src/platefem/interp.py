@@ -69,9 +69,22 @@ def _morley_vertex_grad_rows(mesh):
     vertex lv of the shape function dual to local DOF a.
     """
     g = barycentric_gradients(mesh)
-    grads = p2_gradients(np.eye(3), g)  # (nt, 3, 6, 2) Lagrange gradients
+    grads = p2_gradients(np.eye(3)[None], g)  # (nt, 3, 6, 2) Lagrange gradients
     C = morley_local_basis(mesh)
     return np.einsum("tvbi,tba->tvai", grads, C)
+
+
+def _vertex_patches(mesh, vids):
+    """The triangles around each vertex of ``vids``, concatenated.
+
+    Returns ``(owner, tris, lv, size)``: entry k is triangle ``tris[k]``,
+    in which vertex ``vids[owner[k]]`` is local vertex ``lv[k]``, and
+    ``size[k]`` is the number of triangles around that vertex.
+    """
+    indptr, tris, lv = mesh.vertex_tri_patches()
+    pos, count = ragged_positions(indptr, vids)
+    owner = np.repeat(np.arange(vids.size), count)
+    return owner, tris[pos], lv[pos], count[owner]
 
 
 def interp_matrix(space_map: DofMap) -> SparseMatrix:
@@ -94,14 +107,11 @@ def _interp_matrix(mesh: Triangulation, tag: SpaceTag) -> SparseMatrix:
         acc.add(eye, eye, np.ones(morley_map.n_free))
     elif space_map.tag in (SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
         # vertex rows: patch average of one-sided point values
-        indptr, tris, lv = mesh.vertex_tri_patches()
-        counts = mesh.vertex_patch_counts()
         vids = np.flatnonzero(~mesh.vertex_is_boundary)
-        pos, count = ragged_positions(indptr, vids)
-        owner = np.repeat(np.arange(vids.size), count)
+        owner, t_in, lv_in, size = _vertex_patches(mesh, vids)
         rows = morley_map.vertex_dofs[vids][owner]
-        cols = space_map.cell_dofs[tris[pos], lv[pos]]
-        acc.add(rows, cols, 1.0 / counts[vids][owner])
+        cols = space_map.cell_dofs[t_in, lv_in]
+        acc.add(rows, cols, 1.0 / size)
         # edge rows: mean of the two normal-derivative edge means
         Mdof = morley_dof_matrix(mesh)
         info = mesh.edge_side_info()
@@ -146,12 +156,8 @@ def companion_matrix(mesh: Triangulation) -> SparseMatrix:
 
     # vertex gradients: arithmetic mean over the vertex patch
     Gv = _morley_vertex_grad_rows(mesh)  # (nt, 3, 6, 2)
-    indptr, tris, lv = mesh.vertex_tri_patches()
-    counts = mesh.vertex_patch_counts()
-    pos, count = ragged_positions(indptr, vids)
-    owner = np.repeat(np.arange(vids.size), count)
-    t_in, lv_in = tris[pos], lv[pos]
-    w = (1.0 / counts[vids][owner])[:, None]
+    owner, t_in, lv_in, size = _vertex_patches(mesh, vids)
+    w = (1.0 / size)[:, None]
     cols = morley_map.cell_dofs[t_in]  # (N, 6)
     for comp in range(2):
         rows = np.repeat(hct_map.vertex_dofs[vids, 1 + comp][owner], 6).reshape(-1, 6)
@@ -166,10 +172,8 @@ def companion_matrix(mesh: Triangulation) -> SparseMatrix:
         v = mesh.edge_vertices[eids, endpoint]
         inner = ~mesh.vertex_is_boundary[v]  # boundary endpoint gradients are clamped
         sel = np.flatnonzero(inner)
-        pos, count = ragged_positions(indptr, v[sel])
-        owner = np.repeat(np.arange(sel.size), count)
-        t_in, lv_in = tris[pos], lv[pos]
-        w = (-0.25 / counts[v[sel]][owner])
+        owner, t_in, lv_in, size = _vertex_patches(mesh, v[sel])
+        w = -0.25 / size
         gdot = np.einsum("nai,ni->na", Gv[t_in, lv_in], nu[sel][owner])
         rows = np.repeat(erows[sel][owner], 6).reshape(-1, 6)
         acc.add(rows, morley_map.cell_dofs[t_in], w[:, None] * gdot)

@@ -10,7 +10,9 @@ Data derived from a mesh (adjacency tables, shape functions, DOF maps,
 transfer operators) is computed once per mesh and memoized on it by
 :func:`derived`; no other module touches the store.  A refined mesh
 starts with an empty store.  Two concurrent first calls may compute the
-same entry twice; both results are equal and one of them is kept.
+same entry twice; both results are equal and one of them is kept.  The
+same decorator memoizes a matrix's Cholesky factor on the matrix (see
+``solve``), so the factor lives exactly as long as its matrix.
 """
 
 import functools
@@ -45,27 +47,29 @@ def barycentric(points, corners):
 
 
 def derived(fn):
-    """Memoize ``fn(mesh, *args)`` on the mesh.
+    """Memoize ``fn(owner, *args)`` on its first argument.
 
-    The key is ``(fn, *args)``, with arguments passed by name moved to
-    their positions; array arguments are keyed by their dtype, shape and
+    The owner is any object with a ``_cache`` dict: a
+    :class:`Triangulation`, or a ``SparseMatrix`` for its factor.  The
+    key is ``(fn, *args)``, with arguments passed by name moved to their
+    positions; array arguments are keyed by their dtype, shape and
     bytes, so equal arrays share one entry, and other arguments must be
-    hashable.  Entries live as long as the mesh and are shared by every
+    hashable.  Entries live as long as the owner and are shared by every
     caller, so they must not be mutated.  A call that raises stores
-    nothing.  ``memo.cached(mesh, *args)`` tells whether the entry is
-    already stored, without computing it.
+    nothing.  ``memo.cached``, given the same arguments, tells whether
+    the entry is already stored, without computing it.
     """
     signature = inspect.signature(fn)
 
     def lookup(args, kwargs):
         if kwargs:
             args = signature.bind(*args, **kwargs).args
-        mesh, *rest = args
+        owner, *rest = args
         key = (fn,) + tuple(
             (a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
             for a in rest
         )
-        return mesh._cache, key, args
+        return owner._cache, key, args
 
     @functools.wraps(fn)
     def memo(*args, **kwargs):
@@ -136,11 +140,6 @@ class Triangulation:
         np.add.at(indptr, verts + 1, 1)
         np.cumsum(indptr, out=indptr)
         return indptr, tri_ids[order], local_ids[order]
-
-    def vertex_patch_counts(self):
-        """Number of attached triangles |T(z)| per vertex."""
-        indptr, _, _ = self.vertex_tri_patches()
-        return np.diff(indptr)
 
     @derived
     def edge_side_info(self):

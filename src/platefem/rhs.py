@@ -18,6 +18,8 @@ from .fespace import (
     hct_local_basis,
     locate_subtriangle,
     monomial_values,
+    morley_local_basis,
+    p2_values,
 )
 from .functions import ScalarFunction
 from .interp import companion_matrix, interp_matrix
@@ -175,8 +177,6 @@ def plain_load_vector(mesh: Triangulation, dofmap: DofMap, load: LoadSpec,
     if quad_order < 3:
         raise LoadError("quadrature order below 3 is rejected")
     bary, w = triangle_rule(quad_order)
-    from .fespace import morley_local_basis, p2_values  # local import avoids cycle
-
     pts = np.einsum("qi,tij->tqj", bary, mesh.tri_coords())
     f = fn(pts[..., 0], pts[..., 1])
     N = p2_values(bary)  # (nq, 6)

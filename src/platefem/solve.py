@@ -14,9 +14,10 @@ small.  The dense LU of nonsymmetric systems (theta != 1) is limited
 to ``DENSE_CAP`` unknowns.
 
 The scheme's matrix does not depend on the load, so :func:`solve_scheme`
-memoizes the assembled system and its Cholesky factor per (mesh, scheme
-configuration) with ``derived``: every later load on that mesh costs a
-load vector, triangular solves, the refinement and the smoother.
+memoizes the assembled system per (mesh, scheme configuration) with
+``derived``, and :func:`solve` memoizes a matrix's Cholesky factor on the
+matrix, for as long as the matrix lives: every later load on that mesh
+costs a load vector, triangular solves, the refinement and the smoother.
 """
 
 import time
@@ -339,27 +340,36 @@ def ldlt_factor(A: SparseMatrix) -> LdltFactor:
                       time.perf_counter() - t1)
 
 
-def solve(matrix: SparseMatrix, vector: np.ndarray, factor: LdltFactor | None = None):
+@derived
+def _cholesky(matrix: SparseMatrix) -> LdltFactor:
+    """The matrix's Cholesky factor; a NonCoerciveError stores nothing."""
+    return ldlt_factor(matrix)
+
+
+def solve(matrix: SparseMatrix, vector: np.ndarray):
     """Solve the linear system; returns (coefficients, stats dict).
 
     The matrix's verified ``symmetric`` flag selects the route: a
     flagged matrix goes through the sparse multifrontal Cholesky
     ('ldlt') and raises NonCoerciveError when it is not positive
     definite; any other matrix goes through dense LU ('dense-lu'), below
-    DENSE_CAP unknowns.  ``factor`` is an :func:`ldlt_factor` of
-    ``matrix`` built earlier: the 'ldlt' route then solves with it,
-    reports ``factor_reused`` and zero ordering and factorization times,
-    and still refines against ``matrix``.
+    DENSE_CAP unknowns.  The Cholesky factor is memoized on the matrix:
+    a later solve with the same matrix reports ``factor_reused`` and
+    zero ordering and factorization times, and still refines against
+    the matrix.
     """
     b = np.asarray(vector, dtype=np.float64)
     n = matrix.nrows
     if matrix.ncols != n or b.shape != (n,):
         raise ValueError("matrix/vector dimensions do not agree")
-    if n == 0:
-        return np.zeros(0), {"method": "empty", "residual": 0.0, "refine_steps": 0,
-                             "factor_reused": factor is not None, "solve_time": 0.0}
     t0 = time.perf_counter()
-    stats = {"n": n, "nnz": matrix.nnz, "refine_steps": 0, "factor_reused": False}
+    reused = _cholesky.cached(matrix)
+    factor = _cholesky(matrix) if matrix.symmetric else None
+    stats = {"n": n, "nnz": matrix.nnz, "refine_steps": 0, "factor_reused": reused}
+    if n == 0:
+        stats.update(method="empty", residual=0.0, backward_error=0.0, converged=True,
+                     solve_time=time.perf_counter() - t0)
+        return np.zeros(0), stats
     bnorm = np.linalg.norm(b)
     if not matrix.symmetric:
         if n > DENSE_CAP:
@@ -371,9 +381,6 @@ def solve(matrix: SparseMatrix, vector: np.ndarray, factor: LdltFactor | None = 
         stats["method"] = "dense-lu"
         r = _residual_extended(matrix, x, b)
     else:
-        reused = factor is not None
-        if not reused:
-            factor = ldlt_factor(matrix)
         x = factor.solve(b)
         # mixed-precision iterative refinement: the penalty terms scale like
         # h^-4, and residuals of the badly scaled system evaluated in double
@@ -394,7 +401,6 @@ def solve(matrix: SparseMatrix, vector: np.ndarray, factor: LdltFactor | None = 
             x, r, rnorm = x_new, r_new, rnorm_new
             stats["refine_steps"] += 1
         stats["method"] = "ldlt"
-        stats["factor_reused"] = reused
         stats["min_pivot"] = factor.min_pivot
         stats["factor_nnz"] = factor.nnz
         stats["fronts"] = len(factor.fronts)
@@ -446,18 +452,12 @@ def _scheme_system(mesh: Triangulation, config: SchemeConfig):
     return assemble_scheme(mesh, config)
 
 
-@derived
-def _scheme_factor(mesh: Triangulation, config: SchemeConfig) -> LdltFactor:
-    """Cholesky factor of the scheme's matrix; a NonCoerciveError stores nothing."""
-    return ldlt_factor(_scheme_system(mesh, config)[0])
-
-
 def solve_scheme(mesh: Triangulation, config: SchemeConfig, load: LoadSpec) -> Solution:
     """Solve one scheme with the smoothed right-hand side of ``load``.
 
-    The matrix, its DOF map and (for a symmetric matrix) its factor are
-    memoized per (mesh, config), so only the first load on a mesh
-    assembles and factors; the factorization is timed in ``solve_time``.
+    The matrix and its DOF map are memoized per (mesh, config), and
+    :func:`solve` memoizes the matrix's factor on it, so only the first
+    load on a mesh assembles and factors.
     """
     t0 = time.perf_counter()
     build_dof_map(mesh, config.space_tag)   # memoized; assemble_scheme reuses it
@@ -466,18 +466,7 @@ def solve_scheme(mesh: Triangulation, config: SchemeConfig, load: LoadSpec) -> S
     t2 = time.perf_counter()
     b = smoothed_load_vector(mesh, dofmap, load, quad_order=config.quad_order)
     t3 = time.perf_counter()
-    factor = None
-    if A.symmetric:
-        reused = _scheme_factor.cached(mesh, config)
-        factor = _scheme_factor(mesh, config)
-    t4 = time.perf_counter()
-    x, stats = solve(A, b, factor=factor)
-    if factor is not None:
-        stats["solve_time"] += t4 - t3
-        if not reused:
-            # built by this call: its ordering and factorization times are this call's
-            stats.update(factor_reused=False, order_time=factor.order_time,
-                         factor_time=factor.factor_time)
+    x, stats = solve(A, b)
     u_h = DiscreteFunction(dofmap, x)
     u_star = smoother(u_h)
     stats["dofmap_time"] = t1 - t0
@@ -528,7 +517,7 @@ def broken_error_norms(u: ScalarFunction, f_h: DiscreteFunction, quad_order: int
     lag = local_lagrange_coeffs(f_h)
     N = p2_values(bary)
     vh = np.einsum("qa,ta->tq", N, lag)
-    G = p2_gradients(bary, barycentric_gradients(mesh))
+    G = p2_gradients(bary[None], barycentric_gradients(mesh))
     gh = np.einsum("tqai,ta->tqi", G, lag)
     Hh = np.einsum("taij,ta->tij", p2_hessians(mesh), lag)
     area = mesh.tri_area

@@ -10,7 +10,7 @@ mesh (see ``forms``), which sums the same values in the same order and
 hands its rows, columns and transpose index to the matrices it makes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,11 @@ class SparseMatrix:
     the flag is verified (to 1e-12 relative) when set, and it selects
     the solver route: sparse Cholesky if set, dense LU if not.
     Assembled matrices share ``rows``/``cols`` with their block pattern,
-    read-only.
+    read-only.  ``_cache`` holds data derived from the matrix, its
+    Cholesky factor once solved (see ``solve``), for as long as the
+    matrix lives; the arrays must not change after that.  It is not an
+    ``__init__`` argument, so a copy made by ``dataclasses.replace``
+    starts empty instead of sharing the factor of different values.
     """
 
     nrows: int
@@ -32,6 +36,7 @@ class SparseMatrix:
     cols: np.ndarray
     vals: np.ndarray
     symmetric: bool = False
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_triplets(nrows, ncols, rows, cols, vals, symmetric=False):

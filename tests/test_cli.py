@@ -1,12 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from platefem.cli import main
 from platefem.fespace import build_dof_map
 from platefem.forms import SchemeConfig, SchemeTag
 from platefem.harness import CSV_COLUMNS
-from platefem.mesh import unit_square_mesh
+from platefem.mesh import build_triangulation, unit_square_mesh, write_mesh
 
 
 def write_config(tmp_path, **overrides):
@@ -95,6 +96,25 @@ def test_mesh_file_config(tmp_path, capsys):
         scheme={"tag": "wopsip"},
     )
     assert main(["solve", "--config", str(cfg)]) == 0
+
+
+def test_solve_system_without_free_dofs(tmp_path, capsys):
+    # every Morley DOF of a single triangle lies on the clamped boundary
+    mesh_file = tmp_path / "triangle.msh"
+    mesh_file.write_text(write_mesh(build_triangulation(
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))))
+    out_json = tmp_path / "solve.json"
+    cfg = write_config(
+        tmp_path,
+        mesh={"kind": "file", "path": str(mesh_file)},
+        load={"points": [[1.0, 0.2, 0.2]]},
+        output={"json": str(out_json)},
+    )
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert "ndof=0 method=empty" in capsys.readouterr().out
+    stats = json.loads(out_json.read_text())["stats"]
+    assert stats["converged"] is True and stats["backward_error"] == 0.0
+    assert stats["n"] == 0 and stats["nnz"] == 0
 
 
 def test_missing_load_rejected(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from platefem.solve import (
     LEAF_SIZE,
     NonCoerciveError,
     SolverError,
-    _scheme_factor,
+    _scheme_system,
     broken_error_norms,
     compute_errors,
     ldlt_factor,
@@ -163,12 +165,11 @@ def test_second_load_reuses_the_factor_bit_for_bit(scheme):
 
 def test_reused_factor_still_refines_against_the_matrix():
     mesh, config = unit_square_mesh(4), SchemeConfig(scheme=SchemeTag.WOPSIP)
-    A, dofmap = assemble_scheme(mesh, config)
-    factor = ldlt_factor(A)
     for x0, y0 in ((0.3, 0.6), (0.55, 0.25), (0.5, 0.5)):
+        A, dofmap = assemble_scheme(mesh, config)   # a fresh matrix, not yet factored
         b = smoothed_load_vector(mesh, dofmap, point_load(x0, y0))
-        x, stats = solve(A, b, factor=factor)
         want, built = solve(A, b)
+        x, stats = solve(A, b)
         assert stats["factor_reused"] is True and built["factor_reused"] is False
         assert x.tobytes() == want.tobytes()
         for key in ("residual", "backward_error", "converged", "refine_steps"):
@@ -177,10 +178,25 @@ def test_reused_factor_still_refines_against_the_matrix():
         assert stats["residual"] == pytest.approx(np.linalg.norm(r) / np.linalg.norm(b),
                                                   rel=1e-6)
         assert stats["backward_error"] <= 1e-12
-    # the dense route, taken by an unflagged matrix, ignores a factor
+    # the dense route, taken by an unflagged copy, neither builds nor reuses a factor
     unflagged = SparseMatrix(A.nrows, A.ncols, A.rows, A.cols, A.vals)
-    _, dense = solve(unflagged, b, factor=factor)
-    assert dense["method"] == "dense-lu" and dense["factor_reused"] is False
+    for _ in range(2):
+        _, dense = solve(unflagged, b)
+        assert dense["method"] == "dense-lu" and dense["factor_reused"] is False
+
+
+def test_scaled_matrix_does_not_inherit_the_factor():
+    mesh, config = unit_square_mesh(4), SchemeConfig(scheme=SchemeTag.MORLEY)
+    A, dofmap = assemble_scheme(mesh, config)
+    b = smoothed_load_vector(mesh, dofmap, point_load(0.3, 0.6))
+    x, stats = solve(A, b)
+    assert stats["factor_reused"] is False and A._cache
+    for scaled in (A.scale(2.0), dataclasses.replace(A, vals=2.0 * A.vals)):
+        assert not scaled._cache
+        y, scaled_stats = solve(scaled, b)
+        assert scaled_stats["factor_reused"] is False
+        assert scaled_stats["min_pivot"] == pytest.approx(2.0 * stats["min_pivot"], rel=1e-12)
+        assert np.abs(2.0 * y - x).max() <= 1e-12 * np.abs(x).max()
 
 
 def test_configs_differing_in_a_penalty_do_not_share_a_factor():
@@ -201,7 +217,8 @@ def test_non_coercive_factorization_is_not_memoized():
     for _ in range(2):
         with pytest.raises(NonCoerciveError, match="not coercive"):
             solve_scheme(mesh, config, point_load(0.3, 0.6))
-        assert not _scheme_factor.cached(mesh, config)
+        A, _ = _scheme_system(mesh, config)
+        assert A._cache == {}
 
 
 def test_nonsymmetric_repeat_loads_stay_on_dense_lu():
