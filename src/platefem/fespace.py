@@ -355,10 +355,6 @@ class DofMap:
     vertex_dofs: np.ndarray | None = None
     edge_dofs: np.ndarray | None = None
 
-    @property
-    def n_local(self):
-        return self.cell_dofs.shape[1]
-
 
 def _number(flags):
     """Sequential numbering of the True entries; -1 elsewhere."""

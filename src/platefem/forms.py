@@ -95,6 +95,14 @@ class SchemeConfig:
     def symmetric(self):
         return self.scheme in (SchemeTag.MORLEY, SchemeTag.WOPSIP) or self.theta == 1.0
 
+    @property
+    def matrix_config(self):
+        """This config with the fields its matrix does not read at their defaults:
+        quad_order, and for Morley and WOPSIP theta and the penalties."""
+        reads = {SchemeTag.DG: ("theta", "sigma1", "sigma2"),
+                 SchemeTag.C0IP: ("theta", "sigma_ip")}.get(self.scheme, ())
+        return SchemeConfig(self.scheme, **{f: getattr(self, f) for f in reads})
+
 
 # ---------------------------------------------------------------------------
 # edge trace tables

@@ -57,9 +57,6 @@ class LoadSpec:
             return self.density.value
         return self.density
 
-    def is_empty(self):
-        return self.density is None and not self.points
-
 
 @dataclass(frozen=True)
 class ResolvedPointLoad:

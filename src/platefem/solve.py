@@ -1,21 +1,20 @@
 """Linear solves, post-processing and error norms.
 
-The matrix picks its solver route: its verified ``symmetric`` flag
-sends it to a sparse Cholesky factorization in pure numpy, any other
-matrix to a dense LU factorization.  An algebraic nested-dissection
-ordering (George 1973) bisects the matrix graph recursively with
-breadth-first level-set separators; the multifrontal method (Liu 1992)
-then factors one dense front per separator-tree node with LAPACK and
-BLAS, children before parents, and extended-precision iterative
-refinement polishes the solution.  A front whose pivot block is not
-positive definite raises :class:`NonCoerciveError` - for the penalized
-schemes that is the diagnostic that the stabilization parameter is too
-small.  The dense LU of nonsymmetric systems (theta != 1) is limited
-to ``DENSE_CAP`` unknowns.
+Every matrix goes through one sparse factorization in pure numpy.  An
+algebraic nested-dissection ordering (George 1973) bisects the matrix
+graph recursively with breadth-first level-set separators; the
+multifrontal method (Liu 1992) then factors one dense front per
+separator-tree node with LAPACK and BLAS, children before parents, and
+extended-precision iterative refinement polishes the solution.  The
+matrix's verified ``symmetric`` flag picks the pivot-block kernel:
+Cholesky, whose failure raises :class:`NonCoerciveError` - for the
+penalized schemes the diagnostic that the stabilization parameter is
+too small - or, for any other matrix (theta != 1), LU with partial
+pivoting inside the block (Davis & Duff 1997).
 
 The scheme's matrix does not depend on the load, so :func:`solve_scheme`
-memoizes the assembled system per (mesh, scheme configuration) with
-``derived``, and :func:`solve` memoizes a matrix's Cholesky factor on the
+memoizes the assembled system per mesh and matrix configuration with
+``derived``, and :func:`solve` memoizes a matrix's factor on the
 matrix, for as long as the matrix lives: every later load on that mesh
 costs a load vector, triangular solves, the refinement and the smoother.
 """
@@ -47,7 +46,6 @@ from .quadrature import triangle_rule
 from .rhs import LoadSpec, smoothed_load_vector
 from .sparse import SparseMatrix, ragged_positions
 
-DENSE_CAP = 2000
 # parts of the graph up to this size are not bisected further: one dense
 # front of this order costs less than the Python work of splitting it
 LEAF_SIZE = 160
@@ -112,7 +110,7 @@ def _component_labels(n, src, dst):
 
 
 def nested_dissection(A: SparseMatrix):
-    """Nested-dissection ordering of the lower triangle's pattern of ``A``.
+    """Nested-dissection ordering of the pattern the factorization reads.
 
     Returns ``(perm, starts, parent)`` for a separator tree in postorder:
     tree node k owns the permuted positions ``starts[k]:starts[k+1]``,
@@ -124,11 +122,11 @@ def nested_dissection(A: SparseMatrix):
     connected splits into its components instead.
     """
     n = A.nrows
-    # both directions of the strictly lower entries, the ones the
-    # factorization reads, so the graph is symmetric whatever is stored
-    low = A.rows > A.cols
-    edges = np.concatenate([A.rows[low] * n + A.cols[low], A.cols[low] * n + A.rows[low]])
-    edges.sort()
+    # the off-diagonal entries the factorization reads (a flagged matrix's lower
+    # triangle, all of any other) both ways and once each: the graph of A + A^T
+    off = A.rows > A.cols if A.symmetric else A.rows != A.cols
+    edges = _sorted_unique(np.concatenate([A.rows[off] * n + A.cols[off],
+                                           A.cols[off] * n + A.rows[off]]))
     src, dst = edges // n, edges % n
     part = np.zeros(n, dtype=np.int64)
     part_parent = np.full(min(n, 1), -1)   # tree node each part hangs below; none if n == 0
@@ -212,7 +210,7 @@ def nested_dissection(A: SparseMatrix):
 
 
 # ---------------------------------------------------------------------------
-# multifrontal Cholesky
+# multifrontal factorization
 # ---------------------------------------------------------------------------
 
 def _sorted_unique(a):
@@ -237,50 +235,55 @@ def _lower_inverse(L):
 
 
 @dataclass
-class LdltFactor:
-    """Cholesky factor L L^T of the nested-dissection permuted matrix.
+class MultifrontalFactor:
+    """Multifrontal factor of the nested-dissection permuted matrix.
 
     ``fronts`` lists, in elimination order, one tuple
-    ``(start, end, boundary, Linv, L21)`` per separator-tree node: the
-    node's pivots are the permuted positions ``start:end``, ``Linv`` is
-    the inverse of their diagonal Cholesky block and ``L21`` holds the
-    rows of L at the permuted positions ``boundary``.  ``min_pivot`` is
-    the smallest pivot D of the equivalent L D L^T factorization.
+    ``(start, end, boundary, P, L21, Q, U12)`` per separator-tree node:
+    its pivots are the permuted positions ``start:end`` and its update
+    rows the permuted positions ``boundary``.  Cholesky ('ldlt') stores
+    ``P = L11^-1``, the rows ``L21`` of L and the views ``Q = P^T``,
+    ``U12 = L21^T``; ``min_pivot`` is the smallest D of the equivalent
+    L D L^T.  LU ('lu') stores ``P = F11^-1``, ``L21 = F21``, ``Q = None``
+    and ``U12 = F11^-1 F12`` of the front F, and no ``min_pivot``.
     """
 
+    method: str
     perm: np.ndarray
     fronts: list
-    min_pivot: float
-    nnz: int              # strictly lower entries of the unit-diagonal L
+    min_pivot: float | None
+    nnz: int              # off-diagonal entries of L (and U, for LU)
     max_front: int
     order_time: float
     factor_time: float
 
     def solve(self, b):
         x = b[self.perm]
-        for s, e, boundary, Linv, L21 in self.fronts:
-            y = Linv @ x[s:e]
+        for s, e, boundary, P, L21, _, _ in self.fronts:
+            y = P @ x[s:e]
             x[s:e] = y
             if boundary.size:
                 x[boundary] -= L21 @ y
-        for s, e, boundary, Linv, L21 in reversed(self.fronts):
+        for s, e, boundary, _, _, Q, U12 in reversed(self.fronts):
             y = x[s:e]
             if boundary.size:
-                y = y - L21.T @ x[boundary]
-            x[s:e] = Linv.T @ y
+                y = y - U12 @ x[boundary]
+            x[s:e] = y if Q is None else Q @ y
         out = np.empty_like(x)
         out[self.perm] = x
         return out
 
 
-def ldlt_factor(A: SparseMatrix) -> LdltFactor:
-    """Factor a symmetric positive definite matrix (multifrontal Cholesky).
+def multifrontal_factor(A: SparseMatrix) -> MultifrontalFactor:
+    """Factor a square matrix (multifrontal Cholesky or LU).
 
-    Only the lower triangle of ``A`` is read.  Each separator-tree node,
-    children first, gathers a dense front from its own columns of the
-    permuted lower triangle plus its children's update matrices
-    (extend-add), factors the pivot block with LAPACK Cholesky and passes
-    the Schur complement on to its parent.
+    Each separator-tree node, children first, gathers a dense front from
+    the permuted entries whose smaller index is one of its pivots plus
+    its children's update matrices (extend-add), factors the pivot block
+    and passes the Schur complement on to its parent.  A flagged matrix
+    has its lower triangle read and Cholesky raises NonCoerciveError on
+    a block that is not positive definite; any other matrix has every
+    entry read and LU raises SolverError on a singular block.
     """
     n = A.nrows
     t0 = time.perf_counter()
@@ -288,14 +291,16 @@ def ldlt_factor(A: SparseMatrix) -> LdltFactor:
     t1 = time.perf_counter()
     inv = np.empty(n, dtype=np.int64)
     inv[perm] = np.arange(n)
-    lower = A.rows >= A.cols
-    rows, cols, vals = inv[A.rows[lower]], inv[A.cols[lower]], A.vals[lower]
-    rows, cols = np.maximum(rows, cols), np.minimum(rows, cols)
+    rows, cols, vals = inv[A.rows], inv[A.cols], A.vals
+    if A.symmetric:     # the lower triangle, below the permuted diagonal
+        low = A.rows >= A.cols
+        rows, cols, vals = np.maximum(rows, cols)[low], np.minimum(rows, cols)[low], vals[low]
+    first = np.minimum(rows, cols)    # an entry joins the front that eliminates it first
     nnodes = starts.size - 1
     node_of = np.repeat(np.arange(nnodes), np.diff(starts))
-    order = np.argsort(node_of[cols], kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    entry_start = np.searchsorted(cols, starts)
+    order = np.argsort(node_of[first], kind="stable")
+    rows, cols, vals, first = rows[order], cols[order], vals[order], first[order]
+    entry_start = np.searchsorted(first, starts)
     children = [[] for _ in range(nnodes)]
     for k, p in enumerate(parent):
         if p >= 0:
@@ -303,110 +308,105 @@ def ldlt_factor(A: SparseMatrix) -> LdltFactor:
     updates = {}
     local = np.empty(n, dtype=np.int64)
     fronts = []
-    min_pivot = np.inf
-    nnz = max_front = 0
+    min_pivot = np.inf if A.symmetric else None
+    nnz = max_front = 0     # strictly lower entries of L; U has as many for LU
     for k in range(nnodes):
         s, e = int(starts[k]), int(starts[k + 1])
         r, c = rows[entry_start[k]:entry_start[k + 1]], cols[entry_start[k]:entry_start[k + 1]]
+        high = np.maximum(r, c)
         kids = [updates.pop(child) for child in children[k]]
-        boundary = _sorted_unique(np.concatenate([r[r >= e]] + [b[b >= e] for b, _ in kids]))
+        boundary = _sorted_unique(np.concatenate([high[high >= e]] + [b[b >= e] for b, _ in kids]))
         p = e - s
         m = p + boundary.size
         local[s:e] = np.arange(p)
         local[boundary] = np.arange(p, m)
-        # the pivot block gets its lower triangle only: Cholesky reads no more
         front = np.zeros((m, m))
-        front[local[r], c - s] = vals[entry_start[k]:entry_start[k + 1]]
+        front[local[r], local[c]] = vals[entry_start[k]:entry_start[k + 1]]
         for b, update in kids:
             pos = local[b]
             front[pos[:, None], pos] += update
-        try:
-            L11 = np.linalg.cholesky(front[:p, :p])
-        except np.linalg.LinAlgError:
-            raise NonCoerciveError(
-                f"front {k} of {nnodes} (elimination steps {s}..{e - 1}) is not positive "
-                "definite: the system is not coercive with the given penalty parameters "
-                "(increase sigma)"
-            ) from None
-        min_pivot = min(min_pivot, float(np.diag(L11).min()) ** 2)
-        Linv = _lower_inverse(L11)
-        L21 = front[p:, :p] @ Linv.T
+        where = f"front {k} of {nnodes} (elimination steps {s}..{e - 1})"
+        if A.symmetric:
+            try:
+                L11 = np.linalg.cholesky(front[:p, :p])
+            except np.linalg.LinAlgError:
+                raise NonCoerciveError(f"{where} is not positive definite: the system is not "
+                                       "coercive with the given penalty parameters (increase "
+                                       "sigma)") from None
+            min_pivot = min(min_pivot, float(np.diag(L11).min()) ** 2)
+            P = _lower_inverse(L11)
+            L21 = front[p:, :p] @ P.T
+            Q, U12 = P.T, L21.T
+        else:
+            try:
+                P = np.linalg.inv(front[:p, :p])
+            except np.linalg.LinAlgError:
+                raise SolverError(f"{where} is singular") from None
+            L21 = front[p:, :p].copy()    # a view would keep the whole front alive
+            Q, U12 = None, P @ front[:p, p:]
         if boundary.size:
-            updates[k] = (boundary, front[p:, p:] - L21 @ L21.T)
-        fronts.append((s, e, boundary, Linv, L21))
+            updates[k] = (boundary, front[p:, p:] - L21 @ U12)
+        fronts.append((s, e, boundary, P, L21, Q, U12))
         nnz += p * (p - 1) // 2 + boundary.size * p
         max_front = max(max_front, m)
-    return LdltFactor(perm, fronts, min_pivot, nnz, max_front, t1 - t0,
-                      time.perf_counter() - t1)
+    return MultifrontalFactor("ldlt" if A.symmetric else "lu", perm, fronts, min_pivot,
+                              nnz if A.symmetric else 2 * nnz, max_front, t1 - t0,
+                              time.perf_counter() - t1)
 
 
 @derived
-def _cholesky(matrix: SparseMatrix) -> LdltFactor:
-    """The matrix's Cholesky factor; a NonCoerciveError stores nothing."""
-    return ldlt_factor(matrix)
+def _factor(matrix: SparseMatrix) -> MultifrontalFactor:
+    """The matrix's multifrontal factor; a failed factorization stores nothing."""
+    return multifrontal_factor(matrix)
 
 
 def solve(matrix: SparseMatrix, vector: np.ndarray):
     """Solve the linear system; returns (coefficients, stats dict).
 
-    The matrix's verified ``symmetric`` flag selects the route: a
-    flagged matrix goes through the sparse multifrontal Cholesky
-    ('ldlt') and raises NonCoerciveError when it is not positive
-    definite; any other matrix goes through dense LU ('dense-lu'), below
-    DENSE_CAP unknowns.  The Cholesky factor is memoized on the matrix:
-    a later solve with the same matrix reports ``factor_reused`` and
-    zero ordering and factorization times, and still refines against
-    the matrix.
+    The matrix's multifrontal factor, Cholesky ('ldlt') if its
+    ``symmetric`` flag is set and LU ('lu') if not, is memoized on it: a
+    later solve with the same matrix reports ``factor_reused`` and zero
+    ordering and factorization times, and still refines against the
+    matrix.
     """
     b = np.asarray(vector, dtype=np.float64)
     n = matrix.nrows
     if matrix.ncols != n or b.shape != (n,):
         raise ValueError("matrix/vector dimensions do not agree")
     t0 = time.perf_counter()
-    reused = _cholesky.cached(matrix)
-    factor = _cholesky(matrix) if matrix.symmetric else None
+    reused = _factor.cached(matrix)
+    factor = _factor(matrix)
     stats = {"n": n, "nnz": matrix.nnz, "refine_steps": 0, "factor_reused": reused}
     if n == 0:
         stats.update(method="empty", residual=0.0, backward_error=0.0, converged=True,
                      solve_time=time.perf_counter() - t0)
         return np.zeros(0), stats
     bnorm = np.linalg.norm(b)
-    if not matrix.symmetric:
-        if n > DENSE_CAP:
-            raise SolverError(
-                f"dense fallback limited to {DENSE_CAP} unknowns (system has {n}); "
-                "symmetric systems use the sparse multifrontal Cholesky"
-            )
-        x = np.linalg.solve(matrix.to_dense(), b)
-        stats["method"] = "dense-lu"
-        r = _residual_extended(matrix, x, b)
-    else:
-        x = factor.solve(b)
-        # mixed-precision iterative refinement: the penalty terms scale like
-        # h^-4, and residuals of the badly scaled system evaluated in double
-        # precision drown in cancellation noise; r stays the residual of x
-        r = _residual_extended(matrix, x, b)
-        rnorm = np.linalg.norm(r.astype(np.float64))
-        for _ in range(3):
-            if rnorm <= 1e-13 * (bnorm if bnorm > 0 else 1.0):
-                break
-            x_new = x + factor.solve(r.astype(np.float64))
-            r_new = _residual_extended(matrix, x_new, b)
-            rnorm_new = np.linalg.norm(r_new.astype(np.float64))
-            if rnorm_new >= 0.5 * rnorm:
-                if rnorm_new < rnorm:
-                    x, r, rnorm = x_new, r_new, rnorm_new
-                    stats["refine_steps"] += 1
-                break  # stalled at the double-precision representation floor
-            x, r, rnorm = x_new, r_new, rnorm_new
-            stats["refine_steps"] += 1
-        stats["method"] = "ldlt"
+    x = factor.solve(b)
+    # mixed-precision iterative refinement: the penalty terms scale like
+    # h^-4, and residuals of the badly scaled system evaluated in double
+    # precision drown in cancellation noise; r stays the residual of x
+    r = _residual_extended(matrix, x, b)
+    rnorm = np.linalg.norm(r.astype(np.float64))
+    for _ in range(3):
+        if rnorm <= 1e-13 * (bnorm if bnorm > 0 else 1.0):
+            break
+        x_new = x + factor.solve(r.astype(np.float64))
+        r_new = _residual_extended(matrix, x_new, b)
+        rnorm_new = np.linalg.norm(r_new.astype(np.float64))
+        if rnorm_new >= 0.5 * rnorm:
+            if rnorm_new < rnorm:
+                x, r, rnorm = x_new, r_new, rnorm_new
+                stats["refine_steps"] += 1
+            break  # stalled at the double-precision representation floor
+        x, r, rnorm = x_new, r_new, rnorm_new
+        stats["refine_steps"] += 1
+    stats["method"] = factor.method
+    if factor.min_pivot is not None:
         stats["min_pivot"] = factor.min_pivot
-        stats["factor_nnz"] = factor.nnz
-        stats["fronts"] = len(factor.fronts)
-        stats["max_front"] = factor.max_front
-        stats["order_time"] = 0.0 if reused else factor.order_time
-        stats["factor_time"] = 0.0 if reused else factor.factor_time
+    stats.update(factor_nnz=factor.nnz, fronts=len(factor.fronts), max_front=factor.max_front,
+                 order_time=0.0 if reused else factor.order_time,
+                 factor_time=0.0 if reused else factor.factor_time)
     r = r.astype(np.float64)
     residual = np.linalg.norm(r) / (bnorm if bnorm > 0 else 1.0)
     # componentwise backward error: ~machine epsilon means x is as good as a
@@ -448,21 +448,21 @@ class Solution:
 
 @derived
 def _scheme_system(mesh: Triangulation, config: SchemeConfig):
-    """Matrix and DOF map of the scheme; the load does not enter them."""
+    """Matrix and DOF map of a ``SchemeConfig.matrix_config``; the load does not enter them."""
     return assemble_scheme(mesh, config)
 
 
 def solve_scheme(mesh: Triangulation, config: SchemeConfig, load: LoadSpec) -> Solution:
     """Solve one scheme with the smoothed right-hand side of ``load``.
 
-    The matrix and its DOF map are memoized per (mesh, config), and
-    :func:`solve` memoizes the matrix's factor on it, so only the first
-    load on a mesh assembles and factors.
+    The matrix and its DOF map are memoized per mesh and the config
+    fields they read, and :func:`solve` memoizes the matrix's factor on
+    it, so only the first load on a mesh assembles and factors.
     """
     t0 = time.perf_counter()
     build_dof_map(mesh, config.space_tag)   # memoized; assemble_scheme reuses it
     t1 = time.perf_counter()
-    A, dofmap = _scheme_system(mesh, config)
+    A, dofmap = _scheme_system(mesh, config.matrix_config)
     t2 = time.perf_counter()
     b = smoothed_load_vector(mesh, dofmap, load, quad_order=config.quad_order)
     t3 = time.perf_counter()

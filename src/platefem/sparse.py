@@ -21,11 +21,12 @@ class SparseMatrix:
 
     ``symmetric`` marks matrices that are symmetric by construction;
     the flag is verified (to 1e-12 relative) when set, and it selects
-    the solver route: sparse Cholesky if set, dense LU if not.
+    the pivot kernel of the one multifrontal factorization: Cholesky on
+    the lower triangle if set, LU on every entry if not.
     Assembled matrices share ``rows``/``cols`` with their block pattern,
     read-only.  ``_cache`` holds data derived from the matrix, its
-    Cholesky factor once solved (see ``solve``), for as long as the
-    matrix lives; the arrays must not change after that.  It is not an
+    factor once solved (see ``solve``), for as long as the matrix
+    lives; the arrays must not change after that.  It is not an
     ``__init__`` argument, so a copy made by ``dataclasses.replace``
     starts empty instead of sharing the factor of different values.
     """

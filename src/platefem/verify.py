@@ -23,7 +23,8 @@ from .functions import get_manufactured
 from .interp import companion, morley_interp_avg, verify_right_inverse
 from .mesh import unit_square_mesh
 from .quadrature import triangle_rule
-from .solve import broken_error_norms
+from .rhs import LoadSpec, smoothed_load_vector
+from .solve import broken_error_norms, energy_distance_p2_hct, pi0_hessian_deviation, solve
 
 
 def _check(name, ok, detail=""):
@@ -102,8 +103,6 @@ def run_invariant_suite(n: int = 4, seed: int = 11) -> int:
     u1 = get_manufactured("u1")
     v_m = morley_interp_avg(u1, mesh)
     _, _, einterp = broken_error_norms(u1, v_m, 11)
-    from .solve import pi0_hessian_deviation
-
     dev = pi0_hessian_deviation(u1, mesh, 11)
     failures += _check(
         "interpolant Hessian equals cellwise mean Hessian",
@@ -131,10 +130,17 @@ def run_invariant_suite(n: int = 4, seed: int = 11) -> int:
                 psd_ok = False
     failures += _check("penalty forms positive semidefinite", psd_ok)
 
+    A, dofmap = forms.assemble_scheme(mesh, forms.SchemeConfig(forms.SchemeTag.DG, theta=-1.0))
+    b = smoothed_load_vector(mesh, dofmap, LoadSpec(density=u1.biharmonic))
+    x, stats = solve(A, b)
+    oracle = np.linalg.solve(A.to_dense(), b)
+    rel = np.abs(x - oracle).max() / np.abs(oracle).max()
+    failures += _check("nonsymmetric DG (theta = -1) LU solve matches the dense solve",
+                       rel <= 1e-10 and stats["backward_error"] <= 1e-12,
+                       f"rel {rel:.2e}, backward error {stats['backward_error']:.1e}")
+
     # monitored (not asserted): distance to the companion relative to the
     # energy of the input, a proxy for the companion operator norm
-    from .solve import energy_distance_p2_hct
-
     ratios = []
     for _ in range(10):
         vm = DiscreteFunction(morley_map, rng.uniform(-1, 1, morley_map.n_free))

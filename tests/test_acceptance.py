@@ -44,7 +44,7 @@ from platefem.solve import (
     NonCoerciveError,
     broken_error_norms,
     compute_errors,
-    ldlt_factor,
+    multifrontal_factor,
     solve_scheme,
 )
 
@@ -277,7 +277,7 @@ def test_criterion_8_wellposedness():
     pivots = {}
     for tag in (SchemeTag.MORLEY, SchemeTag.WOPSIP):
         A, _ = assemble_scheme(mesh, SchemeConfig(scheme=tag))
-        factor = ldlt_factor(A)  # raises on any nonpositive pivot
+        factor = multifrontal_factor(A)  # raises on any nonpositive pivot
         pivots[tag.value] = factor.min_pivot
     spd_ok = all(p > 0 for p in pivots.values())
 

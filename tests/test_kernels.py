@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from platefem.solve import ldlt_factor
+from platefem.solve import multifrontal_factor
 from platefem.sparse import SparseMatrix, TripletAccumulator
 
 
@@ -28,7 +28,7 @@ def spd_system(n=60, seed=4):
 
 def test_ldlt_matches_dense(rng):
     A, b = spd_system()
-    factor = ldlt_factor(A)
+    factor = multifrontal_factor(A)
     x = factor.solve(b)
     assert np.abs(x - np.linalg.solve(A.to_dense(), b)).max() < 1e-11
     assert factor.min_pivot > 0

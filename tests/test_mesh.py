@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,18 @@ def test_derived_entries_do_not_reach_refined_mesh():
     fine_dg = build_dof_map(fine, SpaceTag.DG_P2)
     assert fine_dg is not dg and fine_dg.mesh is fine
     assert fine_dg.n_free == 4 * dg.n_free
+
+
+def test_replaced_mesh_recomputes_derived_data():
+    mesh = unit_square_mesh(2)
+    grads = barycentric_gradients(mesh)
+    # scaled by 2: the areas grow by 4 and the gradients halve, exactly
+    doubled = dataclasses.replace(mesh, vertices=2.0 * mesh.vertices, tri_area=4.0 * mesh.tri_area)
+    assert not doubled._cache
+    doubled_grads = barycentric_gradients(doubled)
+    assert doubled_grads is not grads
+    assert np.array_equal(doubled_grads, 0.5 * grads)
+    assert barycentric_gradients(mesh) is grads
 
 
 def test_interp_matrix_is_memoized_per_space():

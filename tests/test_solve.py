@@ -16,7 +16,7 @@ from platefem.solve import (
     _scheme_system,
     broken_error_norms,
     compute_errors,
-    ldlt_factor,
+    multifrontal_factor,
     nested_dissection,
     pi0_hessian_deviation,
     solve,
@@ -85,21 +85,27 @@ def test_under_penalized_dg_diagnostic(mesh2):
     assert min(vals) < 0
 
 
-def test_nonsymmetric_dense_path(mesh2):
+def test_nonsymmetric_lu_path(mesh2):
     cfg = SchemeConfig(scheme=SchemeTag.DG, theta=0.0)
-    load = LoadSpec(density=U1.biharmonic)
-    sol = solve_scheme(mesh2, cfg, load)
-    assert sol.stats["method"] == "dense-lu"
+    sol = solve_scheme(mesh2, cfg, point_load(0.3, 0.6))
+    assert sol.stats["method"] == "lu" and "min_pivot" not in sol.stats
     assert sol.stats["residual"] < 1e-10
+    second = solve_scheme(mesh2, cfg, point_load(0.55, 0.25))
+    fresh = solve_scheme(unit_square_mesh(2), cfg, point_load(0.55, 0.25))
+    assert second.stats["factor_reused"] is True and fresh.stats["factor_reused"] is False
+    assert second.u_h.coeffs.tobytes() == fresh.u_h.coeffs.tobytes()
 
 
 def test_symmetric_flag_selects_the_route(mesh2):
-    # the unflagged theta=0 DG matrix takes dense LU, every flagged matrix the Cholesky
+    # the unflagged theta=0 DG matrix takes LU, every flagged matrix the Cholesky
     load = LoadSpec(density=U1.biharmonic)
     A, dm = assemble_scheme(mesh2, SchemeConfig(scheme=SchemeTag.DG, theta=0.0))
     assert not A.symmetric
-    _, stats = solve(A, smoothed_load_vector(mesh2, dm, load))
-    assert stats["method"] == "dense-lu" and stats["residual"] <= 1e-10
+    b = smoothed_load_vector(mesh2, dm, load)
+    x, stats = solve(A, b)
+    assert stats["method"] == "lu" and stats["residual"] <= 1e-10
+    again, again_stats = solve(A, b)
+    assert again_stats["factor_reused"] is True and again.tobytes() == x.tobytes()
     for tag in SchemeTag:
         A, dm = assemble_scheme(mesh2, SchemeConfig(scheme=tag))
         assert A.symmetric
@@ -107,11 +113,12 @@ def test_symmetric_flag_selects_the_route(mesh2):
         assert stats["method"] == "ldlt", tag
 
 
-def test_nonsymmetric_beyond_dense_cap_raises():
-    mesh = unit_square_mesh(19)  # DG dofs = 6*2*361 = 4332 > cap
+def test_nonsymmetric_beyond_2000_unknowns_solves():
+    mesh = unit_square_mesh(19)  # DG dofs = 6*2*361 = 4332
     cfg = SchemeConfig(scheme=SchemeTag.DG, theta=0.5)
-    with pytest.raises(SolverError, match="dense fallback"):
-        solve_scheme(mesh, cfg, LoadSpec(density=U1.biharmonic))
+    sol = solve_scheme(mesh, cfg, LoadSpec(density=U1.biharmonic))
+    assert sol.stats["method"] == "lu" and sol.stats["n"] == 4332
+    assert sol.stats["backward_error"] <= 1e-12
 
 
 def test_residual_and_backward_error_reported(mesh4):
@@ -130,10 +137,9 @@ def test_stage_times_and_refinement_steps_reported(scheme, theta):
     assert sol.stats["assembly_time"] == pytest.approx(sum(stages), rel=1e-9, abs=1e-12)
     steps = sol.stats["refine_steps"]
     assert type(steps) is int
-    if theta == 1.0:
-        assert 1 <= steps <= 3     # the h^-4 penalized system needs refinement
-    else:
-        assert steps == 0          # dense LU is not refined
+    # the h^-4 penalized system needs refinement; the LU route is refined too
+    assert 1 <= steps <= 3
+    assert sol.stats["backward_error"] <= 1e-12
 
 
 # --- one factorization per (mesh, config) ----------------------------------------
@@ -178,11 +184,14 @@ def test_reused_factor_still_refines_against_the_matrix():
         assert stats["residual"] == pytest.approx(np.linalg.norm(r) / np.linalg.norm(b),
                                                   rel=1e-6)
         assert stats["backward_error"] <= 1e-12
-    # the dense route, taken by an unflagged copy, neither builds nor reuses a factor
+    # an unflagged copy takes the LU route and builds its own factor, once
     unflagged = SparseMatrix(A.nrows, A.ncols, A.rows, A.cols, A.vals)
-    for _ in range(2):
-        _, dense = solve(unflagged, b)
-        assert dense["method"] == "dense-lu" and dense["factor_reused"] is False
+    assert not unflagged._cache
+    for reused in (False, True):
+        y, lu = solve(unflagged, b)
+        assert lu["method"] == "lu" and lu["factor_reused"] is reused
+        assert lu["backward_error"] <= 1e-12
+        assert np.abs(y - x).max() <= 1e-10 * np.abs(x).max()
 
 
 def test_scaled_matrix_does_not_inherit_the_factor():
@@ -211,6 +220,22 @@ def test_configs_differing_in_a_penalty_do_not_share_a_factor():
     assert again.u_h.coeffs.tobytes() == strong.u_h.coeffs.tobytes()
 
 
+def test_configs_differing_only_in_quad_order_share_the_matrix_and_factor():
+    mesh = unit_square_mesh(4)
+    load = LoadSpec(density=U1.biharmonic)
+    default = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.DG), load)
+    finer = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.DG, quad_order=9), load)
+    assert default.stats["factor_reused"] is False and finer.stats["factor_reused"] is True
+    assert finer.config.quad_order == 9
+    assert (_scheme_system(mesh, finer.config.matrix_config)
+            is _scheme_system(mesh, default.config.matrix_config))
+    # Morley reads neither theta nor a penalty
+    morley = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.MORLEY), load)
+    other = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.MORLEY, theta=0.0, sigma1=1.0), load)
+    assert morley.stats["factor_reused"] is False and other.stats["factor_reused"] is True
+    assert other.u_h.coeffs.tobytes() == morley.u_h.coeffs.tobytes()
+
+
 def test_non_coercive_factorization_is_not_memoized():
     mesh = unit_square_mesh(2)
     config = SchemeConfig(scheme=SchemeTag.DG, sigma1=1e-6, sigma2=1e-6)
@@ -221,13 +246,17 @@ def test_non_coercive_factorization_is_not_memoized():
         assert A._cache == {}
 
 
-def test_nonsymmetric_repeat_loads_stay_on_dense_lu():
+def test_nonsymmetric_repeat_loads_reuse_the_lu_factor():
     mesh, config = unit_square_mesh(2), SchemeConfig(scheme=SchemeTag.DG, theta=0.0)
-    for x0, y0 in ((0.3, 0.6), (0.55, 0.25)):
+    for reused, (x0, y0) in enumerate(((0.3, 0.6), (0.55, 0.25))):
         sol = solve_scheme(mesh, config, point_load(x0, y0))
-        assert sol.stats["method"] == "dense-lu"
-        assert sol.stats["factor_reused"] is False
+        assert sol.stats["method"] == "lu"
+        assert sol.stats["factor_reused"] is bool(reused)
         assert sol.stats["residual"] < 1e-10
+    fresh = solve_scheme(unit_square_mesh(2), config, point_load(0.55, 0.25))
+    assert fresh.stats["factor_reused"] is False
+    assert sol.u_h.coeffs.tobytes() == fresh.u_h.coeffs.tobytes()
+    assert sol.u_star.coeffs.tobytes() == fresh.u_star.coeffs.tobytes()
     sym = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.MORLEY), point_load(0.3, 0.6))
     A, dofmap = assemble_scheme(mesh, SchemeConfig(scheme=SchemeTag.MORLEY))
     oracle = np.linalg.solve(A.to_dense(), smoothed_load_vector(mesh, dofmap,
@@ -317,15 +346,20 @@ def test_multifrontal_block_diagonal(rng):
 
 
 def test_multifrontal_reads_the_lower_triangle(rng):
-    # a stored lower triangle alone is an unsymmetric pattern; it factors
-    # as the symmetric matrix it stands for
+    # a stored lower (or upper) triangle alone is an unsymmetric pattern;
+    # unflagged, it factors as the triangular matrix it stores, ordered on
+    # the pattern of A + A^T, which is the full Laplacian's
     rows, cols, vals = grid_laplacian(20)
-    low = rows >= cols
-    half = SparseMatrix.from_triplets(400, 400, rows[low], cols[low], vals[low])
     full = SparseMatrix.from_triplets(400, 400, rows, cols, vals, symmetric=True)
     b = rng.standard_normal(400)
-    oracle = np.linalg.solve(full.to_dense(), b)
-    assert np.abs(ldlt_factor(half).solve(b) - oracle).max() < 1e-10 * np.abs(oracle).max()
+    for half_of in (rows >= cols, rows <= cols):
+        half = SparseMatrix.from_triplets(400, 400, rows[half_of], cols[half_of], vals[half_of])
+        for got, want in zip(nested_dissection(half), nested_dissection(full)):
+            assert np.array_equal(got, want)
+        oracle = np.linalg.solve(half.to_dense(), b)
+        factor = multifrontal_factor(half)
+        assert factor.method == "lu" and len(factor.fronts) > 1
+        assert np.abs(factor.solve(b) - oracle).max() < 1e-10 * np.abs(oracle).max()
 
 
 def test_multifrontal_path_graph(rng):
@@ -351,7 +385,7 @@ def test_empty_system_on_one_triangle():
     config = SchemeConfig(scheme=SchemeTag.MORLEY)
     A, dofmap = assemble_scheme(mesh, config)
     assert A.shape == (0, 0) and dofmap.n_free == 0
-    factor = ldlt_factor(A)
+    factor = multifrontal_factor(A)
     assert factor.perm.size == 0 and factor.fronts == [] and factor.nnz == 0
     assert factor.solve(np.zeros(0)).shape == (0,)
     loads = (LoadSpec(points=((1.0, (0.25, 0.25)),)), LoadSpec(density=U1.biharmonic))
@@ -370,12 +404,38 @@ def test_multifrontal_indefinite_raises():
         solve(A, np.ones(400))
 
 
+@pytest.mark.parametrize("theta", [-1.0, 0.0])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_nonsymmetric_dg_matches_dense_oracle(theta, n):
+    mesh = renumbered_mesh(n, 3 + n)
+    A, dofmap = assemble_scheme(mesh, SchemeConfig(scheme=SchemeTag.DG, theta=theta))
+    assert not A.symmetric
+    b = smoothed_load_vector(mesh, dofmap, LoadSpec(density=U1.biharmonic))
+    x, stats = solve(A, b)
+    oracle = np.linalg.solve(A.to_dense(), b)
+    assert stats["method"] == "lu" and stats["backward_error"] <= 1e-12
+    assert stats["factor_nnz"] % 2 == 0 and (stats["fronts"] > 1) == (A.nrows > LEAF_SIZE)
+    assert np.abs(x - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+def test_singular_pivot_block_raises_and_stores_nothing():
+    # rows 0 and 1 are proportional by 2, so partial pivoting meets an exact zero
+    A = SparseMatrix.from_triplets(3, 3, [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 1, 2],
+                                   [2.0, 1.0, 4.0, 2.0, 3.0, 5.0])
+    for _ in range(2):
+        singular = r"front 0 of 1 \(elimination steps 0\.\.2\) is singular"
+        with pytest.raises(SolverError, match=singular) as info:
+            solve(A, np.ones(3))
+        assert not isinstance(info.value, NonCoerciveError)
+        assert A._cache == {}
+
+
 def test_min_pivot_matches_dense_ldlt():
     A, _ = assemble_scheme(unit_square_mesh(8), SchemeConfig(scheme=SchemeTag.C0IP))
     perm, _, _ = nested_dissection(A)
     dense = A.to_dense()[np.ix_(perm, perm)]
     pivots = np.diag(np.linalg.cholesky(dense)) ** 2   # D of the L D L^T in that order
-    min_pivot = ldlt_factor(A).min_pivot
+    min_pivot = multifrontal_factor(A).min_pivot
     assert abs(min_pivot - pivots.min()) <= 1e-10 * pivots.min()
 
 
