@@ -95,14 +95,6 @@ class SchemeConfig:
     def symmetric(self):
         return self.scheme in (SchemeTag.MORLEY, SchemeTag.WOPSIP) or self.theta == 1.0
 
-    @property
-    def matrix_config(self):
-        """This config with the fields its matrix does not read at their defaults:
-        quad_order, and for Morley and WOPSIP theta and the penalties."""
-        reads = {SchemeTag.DG: ("theta", "sigma1", "sigma2"),
-                 SchemeTag.C0IP: ("theta", "sigma_ip")}.get(self.scheme, ())
-        return SchemeConfig(self.scheme, **{f: getattr(self, f) for f in reads})
-
 
 # ---------------------------------------------------------------------------
 # edge trace tables
@@ -359,12 +351,21 @@ def assemble_cp(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
     return _reduce(mesh, dofmap, "edge", block, symmetric=True)
 
 
+def matrix_config(config: SchemeConfig) -> SchemeConfig:
+    """``config`` with the fields its matrix does not read at their defaults."""
+    reads = {SchemeTag.DG: ("theta", "sigma1", "sigma2"),
+             SchemeTag.C0IP: ("theta", "sigma_ip")}.get(config.scheme, ())
+    return SchemeConfig(config.scheme, **{f: getattr(config, f) for f in reads})
+
+
 def assemble_scheme(mesh: Triangulation, config: SchemeConfig):
     """System matrix and DOF map of the configured scheme.
 
     The forms are summed entrywise on the edge pattern, in the order
-    a_pw + (-theta B - B^T) + c_h (a_pw + c_p for WOPSIP).
+    a_pw + (-theta B - B^T) + c_h (a_pw + c_p for WOPSIP).  They read
+    ``matrix_config(config)`` only, so that config keys the matrix.
     """
+    config = matrix_config(config)
     dofmap = build_dof_map(mesh, config.space_tag)
     A = assemble_apw(mesh, dofmap)
     if config.scheme is SchemeTag.MORLEY:

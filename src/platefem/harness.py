@@ -63,13 +63,26 @@ class ConvergenceReport:
     comparison: dict | None = None
     aborted: str | None = None   # solver failure message; levels are partial
 
-    def to_csv(self):
-        lines = [",".join(CSV_COLUMNS)]
+    def csv_rows(self):
+        rows = []
         for k, rec in enumerate(self.levels):
             e = rec.errors
-            eocs = (self.eoc_energy[k - 1], self.eoc_h1[k - 1]) if k else (None, None)
-            row = [rec.level, rec.h_max, rec.n_dof,
-                   *(getattr(e, name) if e else None for name in CSV_COLUMNS[3:11]), *eocs]
+            eoc_e = self.eoc_energy[k - 1] if k > 0 else None
+            eoc_1 = self.eoc_h1[k - 1] if k > 0 else None
+            rows.append([
+                rec.level, rec.h_max, rec.n_dof,
+                e.energy_pw if e else "", e.jump if e else "",
+                e.norm_h if e else "", e.norm_scheme if e else "",
+                e.l2 if e else "", e.h1_pw if e else "",
+                e.h1_star if e else "", e.best_approx if e else "",
+                "" if eoc_e is None else eoc_e,
+                "" if eoc_1 is None else eoc_1,
+            ])
+        return rows
+
+    def to_csv(self):
+        lines = [",".join(CSV_COLUMNS)]
+        for row in self.csv_rows():
             lines.append(",".join(_csv_cell(v) for v in row))
         return "\n".join(lines) + "\n"
 
@@ -96,7 +109,7 @@ class ConvergenceReport:
 
 
 def _csv_cell(v):
-    if v is None:
+    if v == "" or v is None:
         return ""
     if isinstance(v, (int, np.integer)):
         return str(int(v))

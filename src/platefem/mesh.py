@@ -103,7 +103,6 @@ class Triangulation:
     tri_diam: np.ndarray        # (nt,)  h_T
     parent_tri: np.ndarray | None = None   # set by refine_uniform
     io_warnings: int = 0
-    # derived data; not an __init__ field, so a dataclasses.replace copy starts empty
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

@@ -38,7 +38,7 @@ from .fespace import (
     p2_hessians,
     p2_values,
 )
-from .forms import SchemeConfig, assemble_scheme, jump_seminorm, penalty_value
+from .forms import SchemeConfig, assemble_scheme, jump_seminorm, matrix_config, penalty_value
 from .functions import ScalarFunction
 from .interp import smoother
 from .mesh import Triangulation, derived
@@ -110,7 +110,7 @@ def _component_labels(n, src, dst):
 
 
 def nested_dissection(A: SparseMatrix):
-    """Nested-dissection ordering of the pattern the factorization reads.
+    """Nested-dissection ordering of the off-diagonal pattern of A + A^T.
 
     Returns ``(perm, starts, parent)`` for a separator tree in postorder:
     tree node k owns the permuted positions ``starts[k]:starts[k+1]``,
@@ -122,9 +122,7 @@ def nested_dissection(A: SparseMatrix):
     connected splits into its components instead.
     """
     n = A.nrows
-    # the off-diagonal entries the factorization reads (a flagged matrix's lower
-    # triangle, all of any other) both ways and once each: the graph of A + A^T
-    off = A.rows > A.cols if A.symmetric else A.rows != A.cols
+    off = A.rows != A.cols
     edges = _sorted_unique(np.concatenate([A.rows[off] * n + A.cols[off],
                                            A.cols[off] * n + A.rows[off]]))
     src, dst = edges // n, edges % n
@@ -274,16 +272,18 @@ class MultifrontalFactor:
         return out
 
 
+@derived
 def multifrontal_factor(A: SparseMatrix) -> MultifrontalFactor:
-    """Factor a square matrix (multifrontal Cholesky or LU).
+    """Factor a square matrix (multifrontal Cholesky or LU), memoized on it.
 
     Each separator-tree node, children first, gathers a dense front from
     the permuted entries whose smaller index is one of its pivots plus
     its children's update matrices (extend-add), factors the pivot block
-    and passes the Schur complement on to its parent.  A flagged matrix
-    has its lower triangle read and Cholesky raises NonCoerciveError on
-    a block that is not positive definite; any other matrix has every
-    entry read and LU raises SolverError on a singular block.
+    and passes the Schur complement on to its parent.  The ``symmetric``
+    flag picks the pivot kernel: Cholesky, which reads the stored lower
+    triangle and raises NonCoerciveError on a block that is not positive
+    definite, or LU, which reads every entry and raises SolverError on a
+    singular block; a failed factorization stores nothing.
     """
     n = A.nrows
     t0 = time.perf_counter()
@@ -292,7 +292,9 @@ def multifrontal_factor(A: SparseMatrix) -> MultifrontalFactor:
     inv = np.empty(n, dtype=np.int64)
     inv[perm] = np.arange(n)
     rows, cols, vals = inv[A.rows], inv[A.cols], A.vals
-    if A.symmetric:     # the lower triangle, below the permuted diagonal
+    # Cholesky reads one triangle; a flagged matrix is symmetric only to
+    # 1e-12 (Morley's is not exactly), so it reads the stored lower one
+    if A.symmetric:
         low = A.rows >= A.cols
         rows, cols, vals = np.maximum(rows, cols)[low], np.minimum(rows, cols)[low], vals[low]
     first = np.minimum(rows, cols)    # an entry joins the front that eliminates it first
@@ -354,28 +356,22 @@ def multifrontal_factor(A: SparseMatrix) -> MultifrontalFactor:
                               time.perf_counter() - t1)
 
 
-@derived
-def _factor(matrix: SparseMatrix) -> MultifrontalFactor:
-    """The matrix's multifrontal factor; a failed factorization stores nothing."""
-    return multifrontal_factor(matrix)
-
-
 def solve(matrix: SparseMatrix, vector: np.ndarray):
     """Solve the linear system; returns (coefficients, stats dict).
 
-    The matrix's multifrontal factor, Cholesky ('ldlt') if its
-    ``symmetric`` flag is set and LU ('lu') if not, is memoized on it: a
-    later solve with the same matrix reports ``factor_reused`` and zero
-    ordering and factorization times, and still refines against the
-    matrix.
+    The matrix's memoized factor is Cholesky ('ldlt') if its
+    ``symmetric`` flag is set and LU ('lu') if not; a later solve with the
+    same matrix reports ``factor_reused`` and zero ordering and
+    factorization times, and still refines against the matrix.  An LU
+    solve whose backward error stays above 1e-12 raises SolverError.
     """
     b = np.asarray(vector, dtype=np.float64)
     n = matrix.nrows
     if matrix.ncols != n or b.shape != (n,):
         raise ValueError("matrix/vector dimensions do not agree")
     t0 = time.perf_counter()
-    reused = _factor.cached(matrix)
-    factor = _factor(matrix)
+    reused = multifrontal_factor.cached(matrix)
+    factor = multifrontal_factor(matrix)
     stats = {"n": n, "nnz": matrix.nnz, "refine_steps": 0, "factor_reused": reused}
     if n == 0:
         stats.update(method="empty", residual=0.0, backward_error=0.0, converged=True,
@@ -419,6 +415,10 @@ def solve(matrix: SparseMatrix, vector: np.ndarray):
     stats["backward_error"] = float(np.abs(r).max() / denom) if denom > 0 else 0.0
     stats["converged"] = bool(residual <= 1e-10)
     stats["solve_time"] = time.perf_counter() - t0
+    # LU pivots inside each block only, so nothing bounds its element growth
+    if factor.method == "lu" and stats["backward_error"] > 1e-12:
+        raise SolverError(f"LU solve stalled at backward error {stats['backward_error']:.1e}: "
+                          "the system is close to singular (increase sigma)")
     return x, stats
 
 
@@ -448,7 +448,7 @@ class Solution:
 
 @derived
 def _scheme_system(mesh: Triangulation, config: SchemeConfig):
-    """Matrix and DOF map of a ``SchemeConfig.matrix_config``; the load does not enter them."""
+    """Matrix and DOF map of a :func:`matrix_config`; the load does not enter them."""
     return assemble_scheme(mesh, config)
 
 
@@ -462,7 +462,7 @@ def solve_scheme(mesh: Triangulation, config: SchemeConfig, load: LoadSpec) -> S
     t0 = time.perf_counter()
     build_dof_map(mesh, config.space_tag)   # memoized; assemble_scheme reuses it
     t1 = time.perf_counter()
-    A, dofmap = _scheme_system(mesh, config.matrix_config)
+    A, dofmap = _scheme_system(mesh, matrix_config(config))
     t2 = time.perf_counter()
     b = smoothed_load_vector(mesh, dofmap, load, quad_order=config.quad_order)
     t3 = time.perf_counter()

@@ -21,8 +21,7 @@ class SparseMatrix:
 
     ``symmetric`` marks matrices that are symmetric by construction;
     the flag is verified (to 1e-12 relative) when set, and it selects
-    the pivot kernel of the one multifrontal factorization: Cholesky on
-    the lower triangle if set, LU on every entry if not.
+    the multifrontal factorization's pivot kernel: Cholesky or LU.
     Assembled matrices share ``rows``/``cols`` with their block pattern,
     read-only.  ``_cache`` holds data derived from the matrix, its
     factor once solved (see ``solve``), for as long as the matrix

@@ -311,6 +311,23 @@ def test_dg_coercivity_sweep_sigma20(mesh2, rng):
         assert num >= 0.1 * den
 
 
+@pytest.mark.parametrize("theta", [1.0, -0.5])
+def test_scheme_matrix_sums_its_forms_at_any_parameters(mesh2, theta):
+    # non-default values of every field, so assemble_scheme must read each one
+    cfg = SchemeConfig(theta=theta, sigma1=70.0, sigma2=3.0, sigma_ip=41.0, quad_order=9)
+    for scheme in SchemeTag:
+        A, dofmap = assemble_scheme(mesh2, dataclasses.replace(cfg, scheme=scheme))
+        expected = assemble_apw(mesh2, dofmap).to_dense()
+        if scheme is SchemeTag.WOPSIP:
+            expected += assemble_cp(mesh2, dofmap).to_dense()
+        elif scheme is not SchemeTag.MORLEY:
+            B = assemble_jump_form(mesh2, dofmap).to_dense()
+            C = (assemble_cdg(mesh2, dofmap, 70.0, 3.0) if scheme is SchemeTag.DG
+                 else assemble_cip(mesh2, dofmap, 41.0))
+            expected += -theta * B - B.T + C.to_dense()
+        assert np.abs(A.to_dense() - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_ip_restriction_of_dg(mesh2, rng):
     # on continuous quadratics the dG matrix reduces to the C0IP matrix
     # (the value-jump penalty block is inactive), for matching sigma2

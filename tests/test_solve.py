@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from platefem.fespace import DiscreteFunction, SpaceTag, build_dof_map
-from platefem.forms import SchemeConfig, SchemeTag, assemble_scheme
+from platefem.forms import SchemeConfig, SchemeTag, assemble_scheme, matrix_config
 from platefem.functions import ScalarFunction, get_manufactured
 from platefem.interp import morley_interp_avg
 from platefem.mesh import build_triangulation, refine_uniform, unit_square_mesh
@@ -227,8 +227,8 @@ def test_configs_differing_only_in_quad_order_share_the_matrix_and_factor():
     finer = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.DG, quad_order=9), load)
     assert default.stats["factor_reused"] is False and finer.stats["factor_reused"] is True
     assert finer.config.quad_order == 9
-    assert (_scheme_system(mesh, finer.config.matrix_config)
-            is _scheme_system(mesh, default.config.matrix_config))
+    assert (_scheme_system(mesh, matrix_config(finer.config))
+            is _scheme_system(mesh, matrix_config(default.config)))
     # Morley reads neither theta nor a penalty
     morley = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.MORLEY), load)
     other = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.MORLEY, theta=0.0, sigma1=1.0), load)
@@ -428,6 +428,26 @@ def test_singular_pivot_block_raises_and_stores_nothing():
             solve(A, np.ones(3))
         assert not isinstance(info.value, NonCoerciveError)
         assert A._cache == {}
+
+
+@pytest.mark.parametrize("theta", [-1.0, 0.0, 0.5])
+@pytest.mark.parametrize("n", [4, 8])
+def test_under_penalized_lu_solve_is_accurate_or_raises(theta, n):
+    # penalties of 1e-6 leave the system far from coercive (condition ~1e10);
+    # LU pivots inside each block only, so it must either give a backward
+    # stable solution or say that it could not (theta = -1 and 0.5 at n=8)
+    mesh = unit_square_mesh(n)
+    config = SchemeConfig(scheme=SchemeTag.DG, theta=theta, sigma1=1e-6, sigma2=1e-6)
+    A, dofmap = assemble_scheme(mesh, config)
+    b = smoothed_load_vector(mesh, dofmap, LoadSpec(density=U1.biharmonic))
+    oracle = np.linalg.solve(A.to_dense(), b)
+    try:
+        x, stats = solve(A, b)
+    except SolverError as exc:
+        assert "backward error" in str(exc) and not isinstance(exc, NonCoerciveError)
+        return
+    assert stats["method"] == "lu" and stats["backward_error"] <= 1e-12
+    assert np.abs(x - oracle).max() <= 1e-6 * np.abs(oracle).max()
 
 
 def test_min_pivot_matches_dense_ldlt():
