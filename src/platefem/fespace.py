@@ -14,18 +14,20 @@ Four spaces are supported:
   normal derivatives.
 
 All local polynomial work is done in explicit coordinates (barycentric
-for quadratics, a scaled monomial frame for the macro cubics); normal
-derivatives are not affine-covariant, so nothing is pulled back to a
-reference element.
+for quadratics, a scaled monomial frame for the macro cubics).  The
+macro basis is solved once on a reference triangle and pushed to each
+triangle by the affine change of frame and a 12x12 DOF transform, which
+corrects the normal derivatives (they are not affine-covariant).
 """
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .mesh import Triangulation, barycentric, derived
-from .quadrature import triangle_points
+from .quadrature import triangle_points, triangle_rule
 
 
 class ElementError(ValueError):
@@ -134,11 +136,14 @@ def morley_local_basis(mesh: Triangulation):
     function dual to local DOF a; for local Morley DOFs ``u`` the local
     Lagrange coefficients are ``C[t] @ u``.
     """
-    scale = mesh.tri_diam ** 2
-    if np.any(mesh.tri_area < 1e-14 * scale):
-        bad = int(np.argmin(mesh.tri_area / scale))
-        raise ElementError(f"triangle {bad} is numerically degenerate")
+    _check_nondegenerate(mesh)
     return np.linalg.inv(morley_dof_matrix(mesh))
+
+
+def _check_nondegenerate(mesh):
+    ratio = mesh.tri_area / mesh.tri_diam ** 2
+    if np.any(ratio < 1e-14):
+        raise ElementError(f"triangle {int(np.argmin(ratio))} is numerically degenerate")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +151,13 @@ def morley_local_basis(mesh: Triangulation):
 # ---------------------------------------------------------------------------
 
 # Cubic monomials x^a y^b (a + b <= 3), ordered 1, x, y, x^2, xy, y^2,
-# x^3, x^2 y, x y^2, y^3, and their derivatives as direct column products.
+# x^3, x^2 y, x y^2, y^3.  Their derivatives are monomials again:
+# d/dx_c of monomial n is the sum over m of _DIFF[c, m, n] times monomial m.
+_DIFF = np.zeros((2, 10, 10))
+_DIFF[0, [0, 1, 2, 3, 4, 5], [1, 3, 4, 6, 7, 8]] = [1.0, 2.0, 1.0, 3.0, 2.0, 1.0]
+_DIFF[1, [0, 1, 2, 3, 4, 5], [2, 4, 5, 7, 8, 9]] = [1.0, 1.0, 2.0, 1.0, 2.0, 3.0]
+_DIFF2 = np.einsum("imk,jkn->ijmn", _DIFF, _DIFF)   # d/dx_i d/dx_j
+
 
 def monomial_values(xi):
     """Cubic monomials 1, x, y, ..., y^3 at points xi (..., 2) -> (..., 10)."""
@@ -168,39 +179,14 @@ def monomial_values(xi):
 
 def monomial_gradients(xi):
     """Gradients of the cubic monomials, (..., 10, 2) (frame coordinates)."""
-    x, y = xi[..., 0], xi[..., 1]
-    x2, y2 = 2.0 * x, 2.0 * y
-    out = np.zeros(x.shape + (10, 2))
-    out[..., 1, 0] = 1.0
-    out[..., 2, 1] = 1.0
-    out[..., 3, 0] = x2
-    out[..., 4, 0] = y
-    out[..., 4, 1] = x
-    out[..., 5, 1] = y2
-    out[..., 6, 0] = 3.0 * (x * x)
-    out[..., 7, 0] = x2 * y
-    out[..., 7, 1] = x * x
-    out[..., 8, 0] = y * y
-    out[..., 8, 1] = x2 * y
-    out[..., 9, 1] = 3.0 * (y * y)
-    return out
+    g = monomial_values(xi) @ _DIFF.transpose(1, 0, 2).reshape(10, 20)
+    return np.swapaxes(g.reshape(g.shape[:-1] + (2, 10)), -1, -2)
 
 
 def monomial_hessians(xi):
     """Second derivatives of the cubic monomials, (..., 10, 2, 2)."""
-    x, y = xi[..., 0], xi[..., 1]
-    x2, y2 = 2.0 * x, 2.0 * y
-    out = np.zeros(x.shape + (10, 2, 2))
-    out[..., 3, 0, 0] = 2.0
-    out[..., 4, 0, 1] = out[..., 4, 1, 0] = 1.0
-    out[..., 5, 1, 1] = 2.0
-    out[..., 6, 0, 0] = 6.0 * x
-    out[..., 7, 0, 0] = y2
-    out[..., 7, 0, 1] = out[..., 7, 1, 0] = x2
-    out[..., 8, 0, 1] = out[..., 8, 1, 0] = y2
-    out[..., 8, 1, 1] = x2
-    out[..., 9, 1, 1] = 6.0 * y
-    return out
+    H = monomial_values(xi) @ _DIFF2.transpose(2, 0, 1, 3).reshape(10, 40)
+    return np.moveaxis(H.reshape(H.shape[:-1] + (2, 2, 10)), -1, -3)
 
 
 @dataclass(frozen=True)
@@ -217,6 +203,8 @@ class HctBasis:
     scale: np.ndarray      # (nt,)
     sub_coords: np.ndarray  # (nt, 3, 3, 2) vertices of the sub-triangles
     coeffs: np.ndarray     # (nt, 3, 10, 12)
+    transform: np.ndarray  # (nt, 12, 12) E_T: the basis is psi_hat o F_T^-1 times E_T
+    duality_residual: float  # max |DOF functionals of the basis - identity|
 
     def to_frame(self, t, points):
         return (points - self.center[t]) / self.scale[t][..., None]
@@ -232,106 +220,146 @@ class HctBasis:
         return pts, xi
 
 
+def _sub_triangles(p):
+    """Sub-triangle s = (P_s+1, P_s+2, centroid) of triangles p (..., 3, 2)."""
+    c = np.broadcast_to(p.mean(axis=-2, keepdims=True), p.shape)
+    return np.stack([p[..., [1, 2, 0], :], p[..., [2, 0, 1], :], c], axis=-2)
+
+
+# the reference triangle; edge i runs from P_i+1 to P_i+2
+_REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_REF_EDGE = _REF_VERTICES[[2, 0, 1]] - _REF_VERTICES[[1, 2, 0]]
+_REF_LENGTH = np.linalg.norm(_REF_EDGE, axis=1)
+_REF_TANGENT, _REF_SCALE = _REF_EDGE / _REF_LENGTH[:, None], _REF_LENGTH.max()
+_REF_NORMAL = _REF_TANGENT @ np.array([[0.0, -1.0], [1.0, 0.0]])   # outward
+
+
+@lru_cache(maxsize=None)
+def _reference_coeffs():
+    """Monomial coefficients (3, 10, 12) of the reference macro basis: the
+    12 DOF conditions, value and gradient ties at the vertices and the
+    centroid and normal-derivative ties at the internal sub-edge midpoints
+    (these imply C^1 across the sub-edges, checked by the test suite)."""
+    xi = (_REF_VERTICES - _REF_VERTICES.mean(axis=0)) / _REF_SCALE
+    A = np.zeros((30, 30))
+
+    def put(row, rows, s1, s2=None):   # rows on sub-triangle s1, negated on s2
+        A[row:row + len(rows), 10 * s1:10 * s1 + 10] = rows
+        if s2 is not None:
+            A[row:row + len(rows), 10 * s2:10 * s2 + 10] = -rows
+
+    def value_and_gradient(x):
+        return np.vstack([monomial_values(x), monomial_gradients(x).T / _REF_SCALE])
+
+    for j in range(3):
+        put(3 * j, value_and_gradient(xi[j]), (j + 1) % 3)          # DOF rows 0..8
+        mid = 0.5 * (xi[(j + 1) % 3] + xi[(j + 2) % 3])           # DOF rows 9..11
+        put(9 + j, (monomial_gradients(mid) @ _REF_NORMAL[j] / _REF_SCALE)[None], j)
+        put(12 + 3 * j, value_and_gradient(xi[j]), (j + 1) % 3, (j + 2) % 3)
+        n = np.array([xi[j, 1], -xi[j, 0]]) / np.linalg.norm(xi[j])  # sub-edge centroid-P_j
+        put(27 + j, (monomial_gradients(0.5 * xi[j]) @ n / _REF_SCALE)[None], (j + 1) % 3,
+            (j + 2) % 3)
+    put(21, value_and_gradient(np.zeros(2)), 0, 1)                  # centroid ties
+    put(24, value_and_gradient(np.zeros(2)), 1, 2)
+    return np.linalg.solve(A, np.eye(30, 12)).reshape(3, 10, 12)
+
+
+@lru_cache(maxsize=None)
+def hct_reference_values(quad_order):
+    """Reference shape values (3 nq, 12) at the ``triangle_rule(quad_order)``
+    points of sub-triangle 0, 1, then 2 (the order of ``sub_points``)."""
+    bary, _ = triangle_rule(quad_order)
+    xi = triangle_points(bary, _sub_triangles(_REF_VERTICES)) - _REF_VERTICES.mean(axis=0)
+    table = (monomial_values(xi / _REF_SCALE) @ _reference_coeffs()).reshape(-1, 12)
+    table.flags.writeable = False
+    return table
+
+
+def _monomial_substitution(A):
+    """(nt * 10, 10): row (t, n), column m is the coefficient of xi^n in (A_t xi)^m,
+    block diagonal by degree: with x, y the components of A_t xi, x^(d-k) y^k
+    is x^(d-1-k) y^k times x, and y^d is y^(d-1) times y."""
+    nt = A.shape[0]
+    S = np.zeros((nt, 10, 10))
+    S[:, 0, 0] = 1.0
+    prev = S[:, :1, :1]
+    for d in (1, 2, 3):
+        lo = d * (d + 1) // 2
+        block = S[:, lo:lo + d + 1, lo:lo + d + 1]
+        block[:, :d, :d] = A[:, 0, 0, None, None] * prev
+        block[:, 1:, :d] += A[:, 0, 1, None, None] * prev
+        block[:, :d, d] = A[:, 1, 0, None] * prev[:, :, d - 1]
+        block[:, 1:, d] += A[:, 1, 1, None] * prev[:, :, d - 1]
+        prev = block
+    return S.reshape(nt * 10, 10)
+
+
+def _hct_dof_transform(B, Binv, normals):
+    """DOF transform E_T (nt, 12, 12) of x = c_T + B_T (x_hat - c_hat).
+
+    The DOFs of psi_hat o F_T^-1 are M_T times the reference ones and
+    E_T = M_T^-1 (Kirby, SMAI J. Comput. Math. 2018): values pass, gradients
+    go through B_T^T.  With B_T^-1 nu_i = alpha_i n_i + beta_i t_i, the
+    normal derivative at the midpoint of edge i is alpha_i times the
+    reference one plus beta_i times the tangential derivative of the cubic
+    Hermite trace, 1.5 (u(P_k) - u(P_j)) / |e_i| - 0.25 t_i . (grad u(P_j)
+    + grad u(P_k)); row 9+i inverts that."""
+    nx, ny = normals[..., 0], normals[..., 1]      # B^-1 nu_i = (px, py)[:, i]
+    px = Binv[:, 0, 0, None] * nx + Binv[:, 0, 1, None] * ny
+    py = Binv[:, 1, 0, None] * nx + Binv[:, 1, 1, None] * ny
+    alpha = px * _REF_NORMAL[:, 0] + py * _REF_NORMAL[:, 1]
+    ratio = (px * _REF_TANGENT[:, 0] + py * _REF_TANGENT[:, 1]) / alpha
+    tangent = B[:, None, :, 0] * _REF_TANGENT[:, :1] + B[:, None, :, 1] * _REF_TANGENT[:, 1:]
+    ends = 3 * np.array([[1, 2], [2, 0], [0, 1]])   # value DOFs of the ends of edge i
+    grad, edge = np.array([[1, 2], [4, 5], [7, 8]]), np.arange(9, 12)[:, None]
+    E = np.zeros((B.shape[0], 12, 12))
+    E[:, [0, 3, 6], [0, 3, 6]] = 1.0
+    E[:, grad[:, :, None], grad[:, None, :]] = B.transpose(0, 2, 1)[:, None]
+    E[:, edge[:, 0], edge[:, 0]] = 1.0 / alpha
+    E[:, edge, ends] = (1.5 / _REF_LENGTH * ratio)[..., None] * [1.0, -1.0]
+    E[:, edge, (ends[..., None] + [1, 2]).reshape(3, 4)] = np.tile(
+        0.25 * ratio[..., None] * tangent, 2)
+    return E
+
+
 @derived
 def hct_local_basis(mesh: Triangulation) -> HctBasis:
     """Build the 12 macro shape functions on every triangle.
 
-    Solves one 30x30 system per triangle (3 sub-triangles x 10 cubic
-    coefficients) with the 12 DOF conditions plus interior continuity:
-    value and gradient ties at the vertices and the centroid and the
-    normal-derivative match at the midpoint of each internal sub-edge
-    (those 18 conditions imply full C^1 across the internal edges, which
-    is verified for random data in the test suite).
+    The centroid split is affine-invariant, so the macro space of T is the
+    reference one composed with F_T^-1.  Both frames are centred at the
+    centroid, so xi_hat = (h_T / h_hat) B_T^-1 xi is linear and carries the
+    reference coefficients to T in one gemm per sub-triangle; E_T makes
+    them dual to T's DOFs.  A duality residual above 1e-8 raises ElementError.
     """
+    _check_nondegenerate(mesh)
     nt = mesh.num_triangles
     p = mesh.tri_coords()
     center = p.mean(axis=1)
     scale = mesh.tri_diam
-    xi_v = (p - center[:, None, :]) / scale[:, None, None]  # vertices in frame
-    h = scale[:, None, None]   # frame gradients to physical ones
-
-    A = np.zeros((nt, 30, 30))
-    rhs = np.zeros((30, 12))
-
-    def cols(s):
-        return slice(10 * s, 10 * (s + 1))
-
-    row = 0
-    # 12 DOF rows
-    for j in range(3):
-        s = (j + 1) % 3  # K_s = conv{P_{j+2}, P_j, centroid} contains P_j
-        A[:, row, cols(s)] = monomial_values(xi_v[:, j])
-        rhs[row, 3 * j] = 1.0
-        grad = monomial_gradients(xi_v[:, j]) / h
-        A[:, row + 1, cols(s)] = grad[..., 0]
-        A[:, row + 2, cols(s)] = grad[..., 1]
-        rhs[row + 1, 3 * j + 1] = 1.0
-        rhs[row + 2, 3 * j + 2] = 1.0
-        row += 3
+    B = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    Binv = barycentric_gradients(mesh)[:, 1:]   # x_hat = (lambda_1, lambda_2)
     normals = mesh.edge_normal[mesh.tri_edges]  # (nt, 3, 2) global normals
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        xi_mid = 0.5 * (xi_v[:, j] + xi_v[:, k])
-        grad = monomial_gradients(xi_mid) / h
-        A[:, row, cols(i)] = np.einsum("tmi,ti->tm", grad, normals[:, i])
-        rhs[row, 9 + i] = 1.0
-        row += 1
-    # vertex ties: the second sub-triangle containing P_j matches value+gradient
-    for j in range(3):
-        s1, s2 = (j + 1) % 3, (j + 2) % 3
-        val = monomial_values(xi_v[:, j])
-        grad = monomial_gradients(xi_v[:, j]) / h
-        A[:, row, cols(s1)] = val
-        A[:, row, cols(s2)] = -val
-        A[:, row + 1, cols(s1)] = grad[..., 0]
-        A[:, row + 1, cols(s2)] = -grad[..., 0]
-        A[:, row + 2, cols(s1)] = grad[..., 1]
-        A[:, row + 2, cols(s2)] = -grad[..., 1]
-        row += 3
-    # centroid ties (frame origin)
-    xi_c = np.zeros((nt, 2))
-    val_c = monomial_values(xi_c)
-    grad_c = monomial_gradients(xi_c) / h
-    for s1, s2 in ((0, 1), (1, 2)):
-        A[:, row, cols(s1)] = val_c
-        A[:, row, cols(s2)] = -val_c
-        A[:, row + 1, cols(s1)] = grad_c[..., 0]
-        A[:, row + 1, cols(s2)] = -grad_c[..., 0]
-        A[:, row + 2, cols(s1)] = grad_c[..., 1]
-        A[:, row + 2, cols(s2)] = -grad_c[..., 1]
-        row += 3
-    # internal sub-edge centroid-P_j: normal-derivative match at its midpoint
-    for j in range(3):
-        s1, s2 = (j + 1) % 3, (j + 2) % 3
-        direction = xi_v[:, j]  # from the origin towards P_j in frame coords
-        n = np.column_stack([direction[:, 1], -direction[:, 0]])
-        n /= np.linalg.norm(n, axis=1)[:, None]
-        grad = monomial_gradients(0.5 * xi_v[:, j]) / h
-        rows_n = np.einsum("tmi,ti->tm", grad, n)
-        A[:, row, cols(s1)] = rows_n
-        A[:, row, cols(s2)] = -rows_n
-        row += 1
-    assert row == 30
+    E = _hct_dof_transform(B, Binv, normals)
+    St = _monomial_substitution((scale / _REF_SCALE)[:, None, None] * Binv)
+    coeffs = np.empty((nt, 3, 10, 12))
+    for s in range(3):
+        np.matmul((St @ _reference_coeffs()[s]).reshape(nt, 10, 12), E, out=coeffs[:, s])
 
-    try:
-        sol = np.linalg.solve(A, np.broadcast_to(rhs, (nt, 30, 12)))
-    except np.linalg.LinAlgError as exc:
-        raise ElementError("singular HCT local system (degenerate geometry)") from exc
-
-    coeffs = sol.reshape(nt, 3, 10, 12)
-    # duality check: DOF functionals applied to the basis give the identity
-    dofs = A[:, :12] @ sol
-    resid = np.abs(dofs - rhs[:12]).max()
+    # sub-triangle s holds vertex s+2 and edge s: the value, gradient and
+    # normal-derivative rows there, applied to the basis, are rows of I
+    xi_v = (p - center[:, None, :]) / scale[:, None, None]
+    vert = xi_v[:, [2, 0, 1]]
+    pts = np.stack([vert, 0.5 * (xi_v[:, [1, 2, 0]] + vert)], axis=2)
+    g = np.swapaxes(monomial_gradients(pts), 3, 4) / scale[:, None, None, None, None]
+    dn = g[:, :, 1, 0] * normals[..., :1] + g[:, :, 1, 1] * normals[..., 1:]
+    dofs = np.concatenate([monomial_values(vert)[:, :, None], g[:, :, 0], dn[:, :, None]],
+                          axis=2) @ coeffs
+    dofs -= np.eye(12)[[[6, 7, 8, 9], [0, 1, 2, 10], [3, 4, 5, 11]]]
+    resid = float(np.abs(dofs, out=dofs).max())
     if not np.isfinite(resid) or resid > 1e-8:
         raise ElementError(f"HCT construction failed duality check ({resid:.3e})")
-
-    sub = np.empty((nt, 3, 3, 2))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        sub[:, i, 0] = p[:, j]
-        sub[:, i, 1] = p[:, k]
-        sub[:, i, 2] = center
-    return HctBasis(center=center, scale=scale, sub_coords=sub, coeffs=coeffs)
+    return HctBasis(center, scale, _sub_triangles(p), coeffs, E, resid)
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,8 @@ def _jump_rows(traces, kind, normals=None):
     if kind == "value":
         return np.concatenate([traces["N0"], -traces["N1"]], axis=2)
     if kind == "dnormal":
-        gn0 = np.einsum("eqai,ei->eqa", traces["G0"], normals)
-        gn1 = np.einsum("eqai,ei->eqa", traces["G1"], normals)
+        gn0 = np.einsum("eqai,ei->eqa", traces["G0"], normals, optimize=True)
+        gn1 = np.einsum("eqai,ei->eqa", traces["G1"], normals, optimize=True)
         return np.concatenate([gn0, -gn1], axis=2)
     raise ValueError(kind)
 
@@ -163,10 +163,10 @@ def _hess_avg_rows(mesh, traces):
 def _space_local_hessian_matrix(mesh, dofmap):
     """Local stiffness |T| (D^2 psi_a : D^2 psi_b) in the space basis."""
     H = p2_hessians(mesh)
-    K = np.einsum("taij,tbij->tab", H, H) * mesh.tri_area[:, None, None]
+    K = np.einsum("taij,tbij->tab", H, H, optimize=True) * mesh.tri_area[:, None, None]
     if dofmap.tag is SpaceTag.MORLEY:
         C = morley_local_basis(mesh)
-        K = np.einsum("tap,tab,tbq->tpq", C, K, C)
+        K = C.transpose(0, 2, 1) @ K @ C
     return K
 
 
@@ -299,7 +299,7 @@ def assemble_jump_form(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
     traces = edge_traces(mesh, s)
     Jg = np.concatenate([traces["G0"], -traces["G1"]], axis=2)  # (ne, nq, 12, 2)
     Hn = _hess_avg_rows(mesh, traces)
-    block = np.einsum("q,eqji,eai->eaj", w, Jg, Hn) * mesh.edge_length[:, None, None]
+    block = (Hn @ np.einsum("q,eqji->eij", w, Jg)) * mesh.edge_length[:, None, None]
     return _reduce(mesh, dofmap, "edge", block)
 
 
@@ -314,8 +314,8 @@ def assemble_cdg(mesh: Triangulation, dofmap: DofMap,
     Jv = _jump_rows(traces, "value")
     Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)
     h = mesh.edge_length
-    block = sigma1 * (h ** -2)[:, None, None] * np.einsum("q,eqa,eqb->eab", w, Jv, Jv)
-    block += sigma2 * np.einsum("q,eqa,eqb->eab", w, Jn, Jn)
+    block = sigma1 * (h ** -2)[:, None, None] * (Jv.transpose(0, 2, 1) * w) @ Jv
+    block += sigma2 * (Jn.transpose(0, 2, 1) * w) @ Jn
     return _reduce(mesh, dofmap, "edge", block, symmetric=True)
 
 
@@ -329,7 +329,7 @@ def assemble_cip(mesh: Triangulation, dofmap: DofMap, sigma_ip: float) -> Sparse
     s, w = edge_rule(EDGE_GAUSS)
     traces = edge_traces(mesh, s)
     Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)
-    block = sigma_ip * np.einsum("q,eqa,eqb->eab", w, Jn, Jn)
+    block = sigma_ip * (Jn.transpose(0, 2, 1) * w) @ Jn
     return _reduce(mesh, dofmap, "edge", block, symmetric=True)
 
 
@@ -346,8 +346,8 @@ def assemble_cp(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
     Jv = _jump_rows(traces, "value")[:, :2]          # endpoint value jumps
     Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)[:, 2]  # midpoint = mean
     h = mesh.edge_length
-    block = (h ** -4)[:, None, None] * np.einsum("eqa,eqb->eab", Jv, Jv)
-    block += (h ** -2)[:, None, None] * np.einsum("ea,eb->eab", Jn, Jn)
+    block = (h ** -4)[:, None, None] * Jv.transpose(0, 2, 1) @ Jv
+    block += (h ** -2)[:, None, None] * (Jn[:, :, None] * Jn[:, None, :])
     return _reduce(mesh, dofmap, "edge", block, symmetric=True)
 
 

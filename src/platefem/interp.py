@@ -71,7 +71,7 @@ def _morley_vertex_grad_rows(mesh):
     g = barycentric_gradients(mesh)
     grads = p2_gradients(np.eye(3)[None], g)  # (nt, 3, 6, 2) Lagrange gradients
     C = morley_local_basis(mesh)
-    return np.einsum("tvbi,tba->tvai", grads, C)
+    return C.transpose(0, 2, 1)[:, None] @ grads
 
 
 def _vertex_patches(mesh, vids):

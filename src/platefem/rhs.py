@@ -16,6 +16,7 @@ from .fespace import (
     SpaceTag,
     build_dof_map,
     hct_local_basis,
+    hct_reference_values,
     locate_subtriangle,
     monomial_values,
     morley_local_basis,
@@ -24,7 +25,7 @@ from .fespace import (
 from .functions import ScalarFunction
 from .interp import companion_matrix, interp_matrix
 from .mesh import Triangulation, barycentric
-from .quadrature import triangle_rule
+from .quadrature import triangle_points, triangle_rule
 
 VERTEX_SNAP_TOL = 1e-12
 
@@ -111,17 +112,13 @@ def _hct_functional(mesh, load: LoadSpec, quad_order):
         if quad_order < 3:
             raise LoadError("quadrature order below 3 cannot integrate the cubic basis")
         bary, w = triangle_rule(quad_order)
-        pts, xi = basis.sub_points(bary)
+        pts = triangle_points(bary, basis.sub_coords)
         nt, nq = mesh.num_triangles, w.size
         f = fn(pts[..., 0].reshape(3 * nt, nq), pts[..., 1].reshape(3 * nt, nq))
-        wf = (w * np.reshape(f, (nt, 3, nq)))[..., None, :]
-        # quadrature first: moments of w f against the monomials, then the
-        # shape-function coefficients; one sub-triangle at a time bounds the
-        # monomial table
-        moments = np.empty((nt, 3, 1, 10))
-        for s in range(3):
-            moments[:, s] = wf[:, s] @ monomial_values(xi[:, s])
-        local = (moments @ basis.coeffs).sum(axis=(1, 2))
+        wf = (w * np.reshape(f, (nt, 3, nq))).reshape(nt, 3 * nq)
+        # the rule points are F_T of fixed reference points, where the shape
+        # functions are the tabulated reference ones times E_T
+        local = ((wf @ hct_reference_values(quad_order))[:, None, :] @ basis.transform)[:, 0]
         contrib = mesh.tri_area[:, None] / 3.0 * local
         cd = hct_map.cell_dofs
         keep = cd >= 0

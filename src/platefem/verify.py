@@ -15,13 +15,15 @@ from .fespace import (
     SpaceTag,
     build_dof_map,
     hct_local_basis,
+    monomial_gradients,
+    monomial_values,
     morley_dof_matrix,
     morley_local_basis,
     to_dgp2,
 )
 from .functions import get_manufactured
 from .interp import companion, morley_interp_avg, verify_right_inverse
-from .mesh import unit_square_mesh
+from .mesh import build_triangulation, unit_square_mesh
 from .quadrature import triangle_rule
 from .rhs import LoadSpec, smoothed_load_vector
 from .solve import broken_error_norms, energy_distance_p2_hct, pi0_hessian_deviation, solve
@@ -31,6 +33,16 @@ def _check(name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] {name}" + (f"  ({detail})" if detail else ""))
     return 0 if ok else 1
+
+
+def _sub_edge_jumps(basis):
+    """Largest value and gradient jumps of the shape functions at three points
+    of each sub-edge, centroid to P_j, between sub-triangles j+1 and j+2."""
+    p_j = basis.sub_coords[:, [1, 2, 0], 1] - basis.center[:, None]   # P_j in sub-triangle j+1
+    xi = np.array([0.2, 0.5, 0.8])[:, None] * (p_j / basis.scale[:, None, None])[:, :, None]
+    diff = basis.coeffs[:, [1, 2, 0]] - basis.coeffs[:, [2, 0, 1]]
+    grad = np.swapaxes(monomial_gradients(xi), 3, 4) @ diff[:, :, None]
+    return np.abs(monomial_values(xi) @ diff).max(), np.abs(grad).max() / basis.scale.min()
 
 
 def run_invariant_suite(n: int = 4, seed: int = 11) -> int:
@@ -65,8 +77,13 @@ def run_invariant_suite(n: int = 4, seed: int = 11) -> int:
     C = morley_local_basis(mesh)
     dual = np.abs(np.einsum("tab,tbc->tac", Mdof, C) - np.eye(6)).max()
     failures += _check("local quadratic basis duality", dual < 1e-12, f"{dual:.2e}")
-    hct_local_basis(mesh)  # raises on rank/duality failure
-    failures += _check("macro element construction (duality verified)", True)
+    jitter = np.random.default_rng(seed).uniform(-0.1, 0.1, (nv, 2)) * mesh.h_max
+    jitter *= ~mesh.vertex_is_boundary[:, None]
+    basis = hct_local_basis(build_triangulation(mesh.vertices + jitter, mesh.triangles))
+    dual, (vjump, gjump) = basis.duality_residual, _sub_edge_jumps(basis)
+    failures += _check("macro element on a jittered mesh: duality, C^1 across sub-edges",
+                       max(dual, vjump, gjump) <= 1e-10,
+                       f"duality {dual:.1e}, value jump {vjump:.1e}, gradient jump {gjump:.1e}")
 
     for deg in (2, 3, 5, 7):
         bary, w = triangle_rule(deg)

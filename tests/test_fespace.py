@@ -3,10 +3,12 @@ import pytest
 
 from platefem.fespace import (
     DiscreteFunction,
+    ElementError,
     SpaceTag,
     build_dof_map,
     evaluate,
     hct_local_basis,
+    hct_reference_values,
     interpolate_nodal,
     monomial_gradients,
     monomial_hessians,
@@ -18,7 +20,7 @@ from platefem.fespace import (
     to_dgp2,
     zeros,
 )
-from platefem.mesh import build_triangulation, refine_uniform
+from platefem.mesh import build_triangulation, refine_uniform, unit_square_mesh
 from platefem.quadrature import edge_rule, triangle_rule
 
 
@@ -27,6 +29,102 @@ def single_triangle(coords):
 
 
 REF = single_triangle([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def hct_coeffs_oracle(mesh):
+    """Macro shape functions as ``hct_local_basis`` built them before the
+    reference element: one 30x30 system per triangle (3 sub-triangles x 10
+    cubic coefficients) of the 12 DOF conditions plus interior continuity,
+    value and gradient ties at the vertices and the centroid and the
+    normal-derivative match at the midpoint of each internal sub-edge.
+    Returns the monomial coefficients, (nt, 3, 10, 12).
+    """
+    nt = mesh.num_triangles
+    p = mesh.tri_coords()
+    center = p.mean(axis=1)
+    scale = mesh.tri_diam
+    xi_v = (p - center[:, None, :]) / scale[:, None, None]  # vertices in frame
+    h = scale[:, None, None]   # frame gradients to physical ones
+
+    A = np.zeros((nt, 30, 30))
+    rhs = np.zeros((30, 12))
+
+    def cols(s):
+        return slice(10 * s, 10 * (s + 1))
+
+    row = 0
+    # 12 DOF rows
+    for j in range(3):
+        s = (j + 1) % 3  # K_s = conv{P_{j+2}, P_j, centroid} contains P_j
+        A[:, row, cols(s)] = monomial_values(xi_v[:, j])
+        rhs[row, 3 * j] = 1.0
+        grad = monomial_gradients(xi_v[:, j]) / h
+        A[:, row + 1, cols(s)] = grad[..., 0]
+        A[:, row + 2, cols(s)] = grad[..., 1]
+        rhs[row + 1, 3 * j + 1] = 1.0
+        rhs[row + 2, 3 * j + 2] = 1.0
+        row += 3
+    normals = mesh.edge_normal[mesh.tri_edges]  # (nt, 3, 2) global normals
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        xi_mid = 0.5 * (xi_v[:, j] + xi_v[:, k])
+        grad = monomial_gradients(xi_mid) / h
+        A[:, row, cols(i)] = np.einsum("tmi,ti->tm", grad, normals[:, i])
+        rhs[row, 9 + i] = 1.0
+        row += 1
+    # vertex ties: the second sub-triangle containing P_j matches value+gradient
+    for j in range(3):
+        s1, s2 = (j + 1) % 3, (j + 2) % 3
+        val = monomial_values(xi_v[:, j])
+        grad = monomial_gradients(xi_v[:, j]) / h
+        A[:, row, cols(s1)] = val
+        A[:, row, cols(s2)] = -val
+        A[:, row + 1, cols(s1)] = grad[..., 0]
+        A[:, row + 1, cols(s2)] = -grad[..., 0]
+        A[:, row + 2, cols(s1)] = grad[..., 1]
+        A[:, row + 2, cols(s2)] = -grad[..., 1]
+        row += 3
+    # centroid ties (frame origin)
+    xi_c = np.zeros((nt, 2))
+    val_c = monomial_values(xi_c)
+    grad_c = monomial_gradients(xi_c) / h
+    for s1, s2 in ((0, 1), (1, 2)):
+        A[:, row, cols(s1)] = val_c
+        A[:, row, cols(s2)] = -val_c
+        A[:, row + 1, cols(s1)] = grad_c[..., 0]
+        A[:, row + 1, cols(s2)] = -grad_c[..., 0]
+        A[:, row + 2, cols(s1)] = grad_c[..., 1]
+        A[:, row + 2, cols(s2)] = -grad_c[..., 1]
+        row += 3
+    # internal sub-edge centroid-P_j: normal-derivative match at its midpoint
+    for j in range(3):
+        s1, s2 = (j + 1) % 3, (j + 2) % 3
+        direction = xi_v[:, j]  # from the origin towards P_j in frame coords
+        n = np.column_stack([direction[:, 1], -direction[:, 0]])
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        grad = monomial_gradients(0.5 * xi_v[:, j]) / h
+        rows_n = np.einsum("tmi,ti->tm", grad, n)
+        A[:, row, cols(s1)] = rows_n
+        A[:, row, cols(s2)] = -rows_n
+        row += 1
+    assert row == 30
+
+    sol = np.linalg.solve(A, np.broadcast_to(rhs, (nt, 30, 12)))
+
+    return sol.reshape(nt, 3, 10, 12)
+
+
+def _relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _jittered(n, seed, amount=0.15):
+    """unit_square_mesh(n) with its interior vertices moved by <= amount * h."""
+    base = unit_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    move = rng.uniform(-1.0, 1.0, base.vertices.shape) * amount * base.h_max / np.sqrt(2.0)
+    move[base.vertex_is_boundary] = 0.0
+    return build_triangulation(base.vertices + move, base.triangles)
 
 
 # --- DOF maps ----------------------------------------------------------------
@@ -319,6 +417,52 @@ def test_hct_interpolation_matches_least_squares_oracle():
     for vm, vo in zip(vals_main, vals_oracle):
         assert abs(vm - vo) < 1e-11
         assert abs(vm - exact) < 1e-11  # cubics are reproduced exactly
+
+
+def test_hct_coeffs_match_per_cell_oracle_at_n64():
+    # the reference-element pushforward against the per-cell 30x30 solves;
+    # the largest gap is recorded in CHANGES.md
+    mesh = unit_square_mesh(64)
+    assert _relative_gap(hct_local_basis(mesh).coeffs, hct_coeffs_oracle(mesh)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (8, 1)])
+def test_hct_coeffs_match_per_cell_oracle_on_jittered_meshes(n, seed):
+    mesh = _jittered(n, seed)
+    basis = hct_local_basis(mesh)
+    assert _relative_gap(basis.coeffs, hct_coeffs_oracle(mesh)) <= 1e-12
+    assert basis.duality_residual <= 1e-12
+
+
+def test_hct_thin_triangle_raises_element_error():
+    # counterclockwise, so the mesh layer accepts it, but area < 1e-14 h^2
+    mesh = single_triangle([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-15]])
+    assert 0.0 < mesh.tri_area[0] < 1e-14 * mesh.tri_diam[0] ** 2
+    with pytest.raises(ElementError, match="degenerate"):
+        hct_local_basis(mesh)
+
+
+@pytest.mark.parametrize("quad_order", [3, 7])
+def test_hct_reference_table_times_transform_gives_shape_values(quad_order):
+    # rule points on a sub-triangle are F_T of the reference rule points, so
+    # the tabulated reference values times E_T are the shape values there
+    mesh = _jittered(4, 2)
+    basis = hct_local_basis(mesh)
+    bary, _ = triangle_rule(quad_order)
+    _, xi = basis.sub_points(bary)
+    nt, nq = mesh.num_triangles, bary.shape[0]
+    want = (monomial_values(xi) @ basis.coeffs).reshape(nt, 3 * nq, 12)
+    got = hct_reference_values(quad_order) @ basis.transform
+    assert _relative_gap(got, want) <= 1e-13
+    assert not hct_reference_values(quad_order).flags.writeable
+
+
+def test_hct_transform_is_identity_on_the_reference_triangle():
+    basis = hct_local_basis(REF)
+    normals = REF.edge_normal[REF.tri_edges[0]]
+    outward = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    signs = np.sign(np.sum(normals * outward, axis=1))   # global normals may point inward
+    assert np.allclose(basis.transform[0], np.diag(np.r_[np.ones(9), signs]), atol=1e-15)
 
 
 def test_hct_shape_functions_vanish_on_far_edges(mesh2, rng):

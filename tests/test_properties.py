@@ -17,7 +17,10 @@ oracle that sorts and sums every form's triplets and combines the forms
 by sort-merges, as the assembly did before it reduced onto memoized
 block patterns.  The macro-space load, which contracts the quadrature
 first, must match to round-off an oracle that evaluates every shape
-function at every quadrature point of one sub-triangle at a time.
+function at every quadrature point of one sub-triangle at a time.  The
+macro basis, pushed forward from one reference element, must match the
+per-cell 30x30 solves it replaced, and every form block contracted by
+BLAS the plain ``np.einsum`` it replaced, both to round-off.
 
 Examples are derandomized and no example database is written, so the
 suite is deterministic.
@@ -33,21 +36,26 @@ from hypothesis.extra.numpy import arrays
 
 from platefem import forms
 from platefem.fespace import (
+    barycentric_gradients,
     DiscreteFunction,
     SpaceTag,
     build_dof_map,
     evaluate,
     hct_local_basis,
     monomial_values,
+    morley_local_basis,
+    p2_gradients,
+    p2_hessians,
 )
-from platefem.forms import SchemeConfig, SchemeTag, assemble_scheme
+from platefem.forms import SchemeConfig, SchemeTag, assemble_scheme, edge_traces
 from platefem.functions import get_manufactured
-from platefem.interp import verify_right_inverse
+from platefem.interp import _morley_vertex_grad_rows, verify_right_inverse
 from platefem.mesh import build_triangulation, unit_square_mesh
-from platefem.quadrature import triangle_rule
+from platefem.quadrature import edge_rule, triangle_rule
 from platefem.rhs import LoadSpec, _hct_functional, locate_point, smoothed_load_vector
 from platefem.solve import compute_errors, solve, solve_scheme
 from platefem.sparse import SparseMatrix, TripletAccumulator
+from test_fespace import hct_coeffs_oracle
 
 PROPERTY_SETTINGS = settings(database=None, derandomize=True, deadline=None,
                              max_examples=10)
@@ -273,3 +281,74 @@ def test_density_and_point_loads_match_oracle(pair, points):
     load = LoadSpec(density=lambda x, y: 1.0 + x * y ** 2, points=tuple(points))
     got = _hct_functional(renumbered, load, 7)
     assert _relative_gap(got, _hct_functional_oracle(renumbered, load, 7)) <= 1e-13
+
+
+# --- the macro basis against its per-cell oracle ----------------------------------
+
+@PROPERTY_SETTINGS
+@given(perturbed_pairs())
+def test_hct_coeffs_match_per_cell_oracle(pair):
+    for mesh in pair:
+        basis = hct_local_basis(mesh)
+        assert _relative_gap(basis.coeffs, hct_coeffs_oracle(mesh)) <= 1e-12
+        assert basis.duality_residual <= 1e-12
+
+
+# --- form blocks against the plain einsums ----------------------------------------
+
+def _plain_einsum_matrix(mesh, config):
+    """The dense scheme matrix with every block contracted by a plain einsum,
+    as the forms contracted them before they went through BLAS."""
+    dofmap = build_dof_map(mesh, config.space_tag)
+
+    def dense(kind, blocks):
+        return forms._reduce(mesh, dofmap, kind, blocks).to_dense()
+
+    def dnormal(traces):
+        nu = mesh.edge_normal
+        return np.concatenate([np.einsum("eqai,ei->eqa", traces["G0"], nu),
+                               -np.einsum("eqai,ei->eqa", traces["G1"], nu)], axis=2)
+
+    H = p2_hessians(mesh)
+    K = np.einsum("taij,tbij->tab", H, H) * mesh.tri_area[:, None, None]
+    if config.scheme is SchemeTag.MORLEY:
+        C = morley_local_basis(mesh)
+        return dense("cell", np.einsum("tap,tab,tbq->tpq", C, K, C))
+    A = dense("cell", K)
+    h = mesh.edge_length[:, None, None]
+    if config.scheme is SchemeTag.WOPSIP:
+        traces = edge_traces(mesh, np.array([0.0, 1.0, 0.5]))
+        Jv = np.concatenate([traces["N0"], -traces["N1"]], axis=2)[:, :2]
+        Jn = dnormal(traces)[:, 2]
+        return A + dense("edge", np.einsum("eqa,eqb->eab", Jv, Jv) / h ** 4
+                         + np.einsum("ea,eb->eab", Jn, Jn) / h ** 2)
+    s, w = edge_rule(forms.EDGE_GAUSS)
+    traces = edge_traces(mesh, s)
+    Jg = np.concatenate([traces["G0"], -traces["G1"]], axis=2)
+    B = dense("edge", np.einsum("q,eqji,eai->eaj", w, Jg, forms._hess_avg_rows(mesh, traces)) * h)
+    Jn = dnormal(traces)
+    if config.scheme is SchemeTag.DG:
+        Jv = np.concatenate([traces["N0"], -traces["N1"]], axis=2)
+        pen = (config.sigma1 * np.einsum("q,eqa,eqb->eab", w, Jv, Jv) / h ** 2
+               + config.sigma2 * np.einsum("q,eqa,eqb->eab", w, Jn, Jn))
+    else:
+        pen = config.sigma_ip * np.einsum("q,eqa,eqb->eab", w, Jn, Jn)
+    return A - config.theta * B - B.T + dense("edge", pen)
+
+
+EINSUM_CONFIGS = [SchemeConfig(scheme=SchemeTag.DG, theta=theta) for theta in (1.0, 0.0, -1.0)] + [
+    SchemeConfig(scheme=tag) for tag in (SchemeTag.C0IP, SchemeTag.WOPSIP, SchemeTag.MORLEY)
+]
+
+
+@PROPERTY_SETTINGS
+@given(perturbed_pairs())
+def test_form_blocks_match_plain_einsum(pair):
+    _, renumbered = pair
+    for config in EINSUM_CONFIGS:
+        A, _ = assemble_scheme(renumbered, config)
+        want = _plain_einsum_matrix(renumbered, config)
+        assert _relative_gap(A.to_dense(), want) <= 1e-13, (config.scheme.value, config.theta)
+    grads = p2_gradients(np.eye(3)[None], barycentric_gradients(renumbered))
+    want = np.einsum("tvbi,tba->tvai", grads, morley_local_basis(renumbered))
+    assert _relative_gap(_morley_vertex_grad_rows(renumbered), want) <= 1e-13

@@ -130,7 +130,10 @@ def test_residual_and_backward_error_reported(mesh4):
 
 @pytest.mark.parametrize("scheme, theta", [(SchemeTag.WOPSIP, 1.0), (SchemeTag.DG, 0.0)])
 def test_stage_times_and_refinement_steps_reported(scheme, theta):
-    sol = solve_scheme(unit_square_mesh(4), SchemeConfig(scheme=scheme, theta=theta),
+    # the LU solve of DG theta=0 on n=4 meets the residual bound with no
+    # refinement at round-off (7.6e-14 against 1e-13); n=8 takes 2 steps
+    n = 4 if scheme is SchemeTag.WOPSIP else 8
+    sol = solve_scheme(unit_square_mesh(n), SchemeConfig(scheme=scheme, theta=theta),
                        LoadSpec(density=U1.biharmonic))
     stages = [sol.stats[key] for key in ("dofmap_time", "forms_time", "load_time")]
     assert all(type(t) is float and t >= 0.0 for t in stages)
