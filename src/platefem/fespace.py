@@ -203,8 +203,15 @@ class HctBasis:
     scale: np.ndarray      # (nt,)
     sub_coords: np.ndarray  # (nt, 3, 3, 2) vertices of the sub-triangles
     coeffs: np.ndarray     # (nt, 3, 10, 12)
-    transform: np.ndarray  # (nt, 12, 12) E_T: the basis is psi_hat o F_T^-1 times E_T
+    jacobian: np.ndarray   # (nt, 2, 2) B_T of x = c_T + B_T (x_hat - c_hat)
+    normals: np.ndarray    # (nt, 3, 2) the normals of the edge DOFs
     duality_residual: float  # max |DOF functionals of the basis - identity|
+
+    @property
+    def transform(self):
+        """E_T (nt, 12, 12): the basis is psi_hat o F_T^-1 times E_T.  Rebuilt
+        on each call; kept, it would hold 9.4 MB per mesh of 8192 triangles."""
+        return _hct_dof_transform(self.jacobian, self.normals)
 
     def to_frame(self, t, points):
         return (points - self.center[t]) / self.scale[t][..., None]
@@ -294,7 +301,7 @@ def _monomial_substitution(A):
     return S.reshape(nt * 10, 10)
 
 
-def _hct_dof_transform(B, Binv, normals):
+def _hct_dof_transform(B, normals):
     """DOF transform E_T (nt, 12, 12) of x = c_T + B_T (x_hat - c_hat).
 
     The DOFs of psi_hat o F_T^-1 are M_T times the reference ones and
@@ -304,9 +311,10 @@ def _hct_dof_transform(B, Binv, normals):
     reference one plus beta_i times the tangential derivative of the cubic
     Hermite trace, 1.5 (u(P_k) - u(P_j)) / |e_i| - 0.25 t_i . (grad u(P_j)
     + grad u(P_k)); row 9+i inverts that."""
-    nx, ny = normals[..., 0], normals[..., 1]      # B^-1 nu_i = (px, py)[:, i]
-    px = Binv[:, 0, 0, None] * nx + Binv[:, 0, 1, None] * ny
-    py = Binv[:, 1, 0, None] * nx + Binv[:, 1, 1, None] * ny
+    det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+    nx, ny = normals[..., 0] / det[:, None], normals[..., 1] / det[:, None]
+    px = B[:, 1, 1, None] * nx - B[:, 0, 1, None] * ny    # B^-1 nu_i = (px, py)[:, i]
+    py = B[:, 0, 0, None] * ny - B[:, 1, 0, None] * nx
     alpha = px * _REF_NORMAL[:, 0] + py * _REF_NORMAL[:, 1]
     ratio = (px * _REF_TANGENT[:, 0] + py * _REF_TANGENT[:, 1]) / alpha
     tangent = B[:, None, :, 0] * _REF_TANGENT[:, :1] + B[:, None, :, 1] * _REF_TANGENT[:, 1:]
@@ -340,7 +348,7 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
     B = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
     Binv = barycentric_gradients(mesh)[:, 1:]   # x_hat = (lambda_1, lambda_2)
     normals = mesh.edge_normal[mesh.tri_edges]  # (nt, 3, 2) global normals
-    E = _hct_dof_transform(B, Binv, normals)
+    E = _hct_dof_transform(B, normals)
     St = _monomial_substitution((scale / _REF_SCALE)[:, None, None] * Binv)
     coeffs = np.empty((nt, 3, 10, 12))
     for s in range(3):
@@ -348,7 +356,8 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
 
     # sub-triangle s holds vertex s+2 and edge s: the value, gradient and
     # normal-derivative rows there, applied to the basis, are rows of I
-    xi_v = (p - center[:, None, :]) / scale[:, None, None]
+    d = p - p[:, :1]   # the differences B_T is built from, not p - center
+    xi_v = (d - d.mean(axis=1, keepdims=True)) / scale[:, None, None]
     vert = xi_v[:, [2, 0, 1]]
     pts = np.stack([vert, 0.5 * (xi_v[:, [1, 2, 0]] + vert)], axis=2)
     g = np.swapaxes(monomial_gradients(pts), 3, 4) / scale[:, None, None, None, None]
@@ -359,7 +368,7 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
     resid = float(np.abs(dofs, out=dofs).max())
     if not np.isfinite(resid) or resid > 1e-8:
         raise ElementError(f"HCT construction failed duality check ({resid:.3e})")
-    return HctBasis(center, scale, _sub_triangles(p), coeffs, E, resid)
+    return HctBasis(center, scale, _sub_triangles(p), coeffs, B, normals, resid)
 
 
 # ---------------------------------------------------------------------------

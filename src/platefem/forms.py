@@ -236,6 +236,7 @@ def _block_pattern(mesh: Triangulation, tag: SpaceTag, kind) -> BlockPattern:
     cols = np.tile(dofs, (1, m)).ravel()        # slot (k, a, b) -> dofs[k, b]
     gather = np.flatnonzero((rows >= 0) & (cols >= 0))
     keys = rows[gather] * n + cols[gather]      # int64: n^2 passes 2^31 for DG at n=64
+    del rows, cols                              # 2 x 8 bytes per slot, freed before the sort
     order = np.argsort(keys, kind="stable")     # the order of lexsort((cols, rows))
     gather, keys = gather[order], keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -299,7 +300,7 @@ def assemble_jump_form(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
     traces = edge_traces(mesh, s)
     Jg = np.concatenate([traces["G0"], -traces["G1"]], axis=2)  # (ne, nq, 12, 2)
     Hn = _hess_avg_rows(mesh, traces)
-    block = (Hn @ np.einsum("q,eqji->eij", w, Jg)) * mesh.edge_length[:, None, None]
+    block = (Hn * mesh.edge_length[:, None, None]) @ np.einsum("q,eqji->eij", w, Jg)
     return _reduce(mesh, dofmap, "edge", block)
 
 
@@ -314,8 +315,8 @@ def assemble_cdg(mesh: Triangulation, dofmap: DofMap,
     Jv = _jump_rows(traces, "value")
     Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)
     h = mesh.edge_length
-    block = sigma1 * (h ** -2)[:, None, None] * (Jv.transpose(0, 2, 1) * w) @ Jv
-    block += sigma2 * (Jn.transpose(0, 2, 1) * w) @ Jn
+    block = (Jv.transpose(0, 2, 1) * (sigma1 * w / h[:, None, None] ** 2)) @ Jv
+    block += (Jn.transpose(0, 2, 1) * (sigma2 * w)) @ Jn
     return _reduce(mesh, dofmap, "edge", block, symmetric=True)
 
 
@@ -329,7 +330,7 @@ def assemble_cip(mesh: Triangulation, dofmap: DofMap, sigma_ip: float) -> Sparse
     s, w = edge_rule(EDGE_GAUSS)
     traces = edge_traces(mesh, s)
     Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)
-    block = sigma_ip * (Jn.transpose(0, 2, 1) * w) @ Jn
+    block = (Jn.transpose(0, 2, 1) * (sigma_ip * w)) @ Jn
     return _reduce(mesh, dofmap, "edge", block, symmetric=True)
 
 
@@ -346,8 +347,8 @@ def assemble_cp(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
     Jv = _jump_rows(traces, "value")[:, :2]          # endpoint value jumps
     Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)[:, 2]  # midpoint = mean
     h = mesh.edge_length
-    block = (h ** -4)[:, None, None] * Jv.transpose(0, 2, 1) @ Jv
-    block += (h ** -2)[:, None, None] * (Jn[:, :, None] * Jn[:, None, :])
+    block = (Jv.transpose(0, 2, 1) / h[:, None, None] ** 4) @ Jv
+    block += (Jn / h[:, None] ** 2)[:, :, None] * Jn[:, None, :]
     return _reduce(mesh, dofmap, "edge", block, symmetric=True)
 
 

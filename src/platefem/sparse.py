@@ -49,11 +49,10 @@ class SparseMatrix:
             # one stable sort of the row-major key: lexsort's permutation, faster
             key = rows * ncols + cols
             order = np.argsort(key, kind="stable")
-            key, rows, cols, vals = key[order], rows[order], cols[order], vals[order]
-            first = np.concatenate(([True], key[1:] != key[:-1]))
-            idx = np.flatnonzero(first)
-            vals = np.add.reduceat(vals, idx)
-            rows, cols = rows[idx], cols[idx]
+            key = key[order]
+            idx = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            vals = np.add.reduceat(vals[order], idx)
+            rows, cols = np.divmod(key[idx], ncols)     # no permuted copies of rows, cols
         mat = SparseMatrix(nrows, ncols, rows, cols, vals, symmetric)
         if symmetric:
             mat._check_symmetry()
@@ -72,9 +71,11 @@ class SparseMatrix:
             return
         if tperm is None:
             tperm = transpose_index(self.nrows, self.rows, self.cols)
-        mirrored = np.where(tperm >= 0, self.vals[tperm], 0.0)
-        asym = np.abs(self.vals - mirrored).max()
-        if asym > 1e-12 * max(np.abs(self.vals).max(), 1.0):
+        mirrored = self.vals[tperm]     # the one temporary, reused in place
+        mirrored[tperm < 0] = 0.0
+        mirrored -= self.vals
+        asym = np.abs(mirrored, out=mirrored).max()
+        if asym > 1e-12 * max(self.vals.max(), -self.vals.min(), 1.0):
             raise ValueError(f"matrix flagged symmetric but asymmetry {asym:.3e}")
 
     @property

@@ -434,6 +434,14 @@ def test_hct_coeffs_match_per_cell_oracle_on_jittered_meshes(n, seed):
     assert basis.duality_residual <= 1e-12
 
 
+def test_hct_duality_residual_does_not_grow_with_translation():
+    # the check evaluates the DOFs on the coordinate differences the basis is
+    # built from, so coordinates far from the origin cost no accuracy there
+    base = _jittered(8, 3)
+    near = hct_local_basis(base).duality_residual
+    far = hct_local_basis(build_triangulation(base.vertices + 1e5, base.triangles))
+    assert near <= 1e-12 and far.duality_residual <= 1e-12
+
 def test_hct_thin_triangle_raises_element_error():
     # counterclockwise, so the mesh layer accepts it, but area < 1e-14 h^2
     mesh = single_triangle([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-15]])
