@@ -345,7 +345,8 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
     p = mesh.tri_coords()
     center = p.mean(axis=1)
     scale = mesh.tri_diam
-    B = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    d = p - p[:, :1]   # B_T and the duality check below both read these differences
+    B = np.stack([d[:, 1], d[:, 2]], axis=2)
     Binv = barycentric_gradients(mesh)[:, 1:]   # x_hat = (lambda_1, lambda_2)
     normals = mesh.edge_normal[mesh.tri_edges]  # (nt, 3, 2) global normals
     E = _hct_dof_transform(B, normals)
@@ -356,7 +357,6 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
 
     # sub-triangle s holds vertex s+2 and edge s: the value, gradient and
     # normal-derivative rows there, applied to the basis, are rows of I
-    d = p - p[:, :1]   # the differences B_T is built from, not p - center
     xi_v = (d - d.mean(axis=1, keepdims=True)) / scale[:, None, None]
     vert = xi_v[:, [2, 0, 1]]
     pts = np.stack([vert, 0.5 * (xi_v[:, [1, 2, 0]] + vert)], axis=2)

@@ -315,8 +315,8 @@ def assemble_cdg(mesh: Triangulation, dofmap: DofMap,
     Jv = _jump_rows(traces, "value")
     Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)
     h = mesh.edge_length
-    block = (Jv.transpose(0, 2, 1) * (sigma1 * w / h[:, None, None] ** 2)) @ Jv
-    block += (Jn.transpose(0, 2, 1) * (sigma2 * w)) @ Jn
+    block = sigma1 * (Jv.transpose(0, 2, 1) * (w / h[:, None, None] ** 2)) @ Jv
+    block += sigma2 * (Jn.transpose(0, 2, 1) * w) @ Jn
     return _reduce(mesh, dofmap, "edge", block, symmetric=True)
 
 

@@ -110,7 +110,6 @@ def hct_coeffs_oracle(mesh):
     assert row == 30
 
     sol = np.linalg.solve(A, np.broadcast_to(rhs, (nt, 30, 12)))
-
     return sol.reshape(nt, 3, 10, 12)
 
 
@@ -420,8 +419,7 @@ def test_hct_interpolation_matches_least_squares_oracle():
 
 
 def test_hct_coeffs_match_per_cell_oracle_at_n64():
-    # the reference-element pushforward against the per-cell 30x30 solves;
-    # the largest gap is recorded in CHANGES.md
+    # the reference-element pushforward against the per-cell 30x30 solves
     mesh = unit_square_mesh(64)
     assert _relative_gap(hct_local_basis(mesh).coeffs, hct_coeffs_oracle(mesh)) <= 1e-12
 
