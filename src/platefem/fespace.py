@@ -13,11 +13,15 @@ Four spaces are supported:
   continuity; DOFs are vertex values + gradients and edge-midpoint
   normal derivatives.
 
-All local polynomial work is done in explicit coordinates (barycentric
-for quadratics, a scaled monomial frame for the macro cubics).  The
-macro basis is solved once on a reference triangle and pushed to each
-triangle by the affine change of frame and a 12x12 DOF transform, which
-corrects the normal derivatives (they are not affine-covariant).
+All local polynomial work is done in explicit coordinates: barycentric
+for the quadratics, and for the macro cubics the reference coordinates
+x_hat = (lambda_1, lambda_2).  The macro basis is solved once on the
+reference triangle, in a scaled monomial frame.  On each triangle T its
+shape functions are the reference ones composed with the inverse affine
+map, times a 12x12 DOF transform E_T, which corrects the normal
+derivatives (they are not affine-covariant).  ``hct_local_basis`` keeps
+E_T and nothing else per triangle; ``hct_shapes`` evaluates the macro
+shape functions, or a macro-space function, at barycentric points.
 """
 
 from dataclasses import dataclass
@@ -193,61 +197,37 @@ def monomial_hessians(xi):
 class HctBasis:
     """Macro shape functions of the HCT element for every triangle.
 
-    ``coeffs[t, s, :, a]`` are the 10 monomial coefficients on
-    sub-triangle s of shape function a (12 DOFs: value, d/dx, d/dy at the
-    three vertices, then normal derivative at the three edge midpoints).
-    The monomial frame is centered at the centroid and scaled by h_T.
+    On triangle T they are psi_hat o F_T^-1 times ``transform[T]`` (E_T):
+    psi_hat are the 12 reference shape functions (``hct_reference_shapes``)
+    and F_T maps the reference coordinates x_hat = (lambda_1, lambda_2) to x.
+    The 12 DOFs are value, d/dx, d/dy at the three vertices, then the normal
+    derivative at the three edge midpoints.  ``hct_shapes`` evaluates them.
     """
 
-    center: np.ndarray     # (nt, 2)
-    scale: np.ndarray      # (nt,)
-    sub_coords: np.ndarray  # (nt, 3, 3, 2) vertices of the sub-triangles
-    coeffs: np.ndarray     # (nt, 3, 10, 12)
-    jacobian: np.ndarray   # (nt, 2, 2) B_T of x = c_T + B_T (x_hat - c_hat)
-    normals: np.ndarray    # (nt, 3, 2) the normals of the edge DOFs
+    transform: np.ndarray    # E_T (nt, 12, 12)
     duality_residual: float  # max |DOF functionals of the basis - identity|
-
-    @property
-    def transform(self):
-        """E_T (nt, 12, 12): the basis is psi_hat o F_T^-1 times E_T.  Rebuilt
-        on each call; kept, it would hold 9.4 MB per mesh of 8192 triangles."""
-        return _hct_dof_transform(self.jacobian, self.normals)
-
-    def to_frame(self, t, points):
-        return (points - self.center[t]) / self.scale[t][..., None]
-
-    def sub_points(self, bary):
-        """Rule points ``bary`` (nq, 3) on every sub-triangle.
-
-        Returns the physical points and their frame coordinates, both of
-        shape (nt, 3, nq, 2).
-        """
-        pts = triangle_points(bary, self.sub_coords)
-        xi = (pts - self.center[:, None, None, :]) / self.scale[:, None, None, None]
-        return pts, xi
-
-
-def _sub_triangles(p):
-    """Sub-triangle s = (P_s+1, P_s+2, centroid) of triangles p (..., 3, 2)."""
-    c = np.broadcast_to(p.mean(axis=-2, keepdims=True), p.shape)
-    return np.stack([p[..., [1, 2, 0], :], p[..., [2, 0, 1], :], c], axis=-2)
 
 
 # the reference triangle; edge i runs from P_i+1 to P_i+2
 _REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_REF_CENTER = _REF_VERTICES.mean(axis=0)
 _REF_EDGE = _REF_VERTICES[[2, 0, 1]] - _REF_VERTICES[[1, 2, 0]]
 _REF_LENGTH = np.linalg.norm(_REF_EDGE, axis=1)
 _REF_TANGENT, _REF_SCALE = _REF_EDGE / _REF_LENGTH[:, None], _REF_LENGTH.max()
 _REF_NORMAL = _REF_TANGENT @ np.array([[0.0, -1.0], [1.0, 0.0]])   # outward
+# barycentric vertices of sub-triangle s = (P_s+1, P_s+2, centroid), (3, 3, 3)
+_SUB_BARY = np.stack([np.eye(3)[[1, 2, 0]], np.eye(3)[[2, 0, 1]], np.full((3, 3), 1.0 / 3.0)],
+                     axis=1)
 
 
 @lru_cache(maxsize=None)
 def _reference_coeffs():
-    """Monomial coefficients (3, 10, 12) of the reference macro basis: the
-    12 DOF conditions, value and gradient ties at the vertices and the
-    centroid and normal-derivative ties at the internal sub-edge midpoints
-    (these imply C^1 across the sub-edges, checked by the test suite)."""
-    xi = (_REF_VERTICES - _REF_VERTICES.mean(axis=0)) / _REF_SCALE
+    """Monomial coefficients (3, 10, 12) of the reference macro basis in the
+    frame (x_hat - centroid) / h_hat: the 12 DOF conditions, value and
+    gradient ties at the vertices and the centroid and normal-derivative
+    ties at the internal sub-edge midpoints (these imply C^1 across the
+    sub-edges, checked by the test suite)."""
+    xi = (_REF_VERTICES - _REF_CENTER) / _REF_SCALE
     A = np.zeros((30, 30))
 
     def put(row, rows, s1, s2=None):   # rows on sub-triangle s1, negated on s2
@@ -271,34 +251,43 @@ def _reference_coeffs():
     return np.linalg.solve(A, np.eye(30, 12)).reshape(3, 10, 12)
 
 
+def hct_reference_shapes(bary, order=0, sub=None):
+    """The 12 reference shape functions at barycentric points ``bary`` (P, 3).
+
+    The reference coordinates are x_hat = (lambda_1, lambda_2).  Returns the
+    values (P, 12), for ``order`` 1 the x_hat gradients (P, 2, 12) and for 2
+    the x_hat Hessians (P, 2, 2, 12) of the cubic on the sub-triangle opposite
+    each point's smallest coordinate (the first one on a tie), or on
+    sub-triangle ``sub`` (one index, or one per point).  Values and gradients
+    agree across the sub-edges; a Hessian on a sub-edge is the chosen side's.
+    """
+    lam = np.reshape(np.asarray(bary, dtype=np.float64), (-1, 3))
+    sub = lam.argmin(axis=1) if sub is None else np.broadcast_to(sub, lam.shape[:1])
+    kernel = (monomial_values, monomial_gradients, monomial_hessians)[order]
+    mono = kernel((lam[:, 1:] - _REF_CENTER) / _REF_SCALE) / _REF_SCALE ** order
+    coeffs = _reference_coeffs()[sub].reshape((-1,) + (1,) * order + (10, 12))
+    return (np.moveaxis(mono, 1, -1)[..., None, :] @ coeffs)[..., 0, :]
+
+
 @lru_cache(maxsize=None)
-def hct_reference_values(quad_order):
-    """Reference shape values (3 nq, 12) at the ``triangle_rule(quad_order)``
-    points of sub-triangle 0, 1, then 2 (the order of ``sub_points``)."""
+def hct_rule_points(quad_order):
+    """Barycentric points (3 nq, 3) of ``triangle_rule(quad_order)`` on
+    sub-triangle 0, 1, then 2; each sub-triangle has a third of the area
+    and the rule's weights.  Read-only."""
     bary, _ = triangle_rule(quad_order)
-    xi = triangle_points(bary, _sub_triangles(_REF_VERTICES)) - _REF_VERTICES.mean(axis=0)
-    table = (monomial_values(xi / _REF_SCALE) @ _reference_coeffs()).reshape(-1, 12)
+    pts = triangle_points(bary, _SUB_BARY).reshape(-1, 3)
+    pts.flags.writeable = False
+    return pts
+
+
+@lru_cache(maxsize=None)
+def hct_reference_values(quad_order, order=0):
+    """``hct_reference_shapes`` of derivative ``order`` at the points
+    ``hct_rule_points(quad_order)``, each on its own sub-triangle.  Read-only."""
+    bary = hct_rule_points(quad_order)
+    table = hct_reference_shapes(bary, order, np.arange(3).repeat(len(bary) // 3))
     table.flags.writeable = False
     return table
-
-
-def _monomial_substitution(A):
-    """(nt * 10, 10): row (t, n), column m is the coefficient of xi^n in (A_t xi)^m,
-    block diagonal by degree: with x, y the components of A_t xi, x^(d-k) y^k
-    is x^(d-1-k) y^k times x, and y^d is y^(d-1) times y."""
-    nt = A.shape[0]
-    S = np.zeros((nt, 10, 10))
-    S[:, 0, 0] = 1.0
-    prev = S[:, :1, :1]
-    for d in (1, 2, 3):
-        lo = d * (d + 1) // 2
-        block = S[:, lo:lo + d + 1, lo:lo + d + 1]
-        block[:, :d, :d] = A[:, 0, 0, None, None] * prev
-        block[:, 1:, :d] += A[:, 0, 1, None, None] * prev
-        block[:, :d, d] = A[:, 1, 0, None] * prev[:, :, d - 1]
-        block[:, 1:, d] += A[:, 1, 1, None] * prev[:, :, d - 1]
-        prev = block
-    return S.reshape(nt * 10, 10)
 
 
 def _hct_dof_transform(B, normals):
@@ -332,43 +321,55 @@ def _hct_dof_transform(B, normals):
 
 @derived
 def hct_local_basis(mesh: Triangulation) -> HctBasis:
-    """Build the 12 macro shape functions on every triangle.
+    """Build the DOF transforms E_T of the macro shape functions.
 
     The centroid split is affine-invariant, so the macro space of T is the
-    reference one composed with F_T^-1.  Both frames are centred at the
-    centroid, so xi_hat = (h_T / h_hat) B_T^-1 xi is linear and carries the
-    reference coefficients to T in one gemm per sub-triangle; E_T makes
-    them dual to T's DOFs.  A duality residual above 1e-8 raises ElementError.
+    reference one composed with F_T^-1; E_T makes it dual to T's DOFs.  The
+    check applies T's DOF functionals to psi_hat o F_T^-1, from the reference
+    values and gradients at the vertices and edge midpoints, as M_T: a
+    residual |M_T E_T - I| above 1e-8 raises ElementError.
     """
     _check_nondegenerate(mesh)
-    nt = mesh.num_triangles
     p = mesh.tri_coords()
-    center = p.mean(axis=1)
-    scale = mesh.tri_diam
-    d = p - p[:, :1]   # B_T and the duality check below both read these differences
-    B = np.stack([d[:, 1], d[:, 2]], axis=2)
-    Binv = barycentric_gradients(mesh)[:, 1:]   # x_hat = (lambda_1, lambda_2)
     normals = mesh.edge_normal[mesh.tri_edges]  # (nt, 3, 2) global normals
-    E = _hct_dof_transform(B, normals)
-    St = _monomial_substitution((scale / _REF_SCALE)[:, None, None] * Binv)
-    coeffs = np.empty((nt, 3, 10, 12))
-    for s in range(3):
-        np.matmul((St @ _reference_coeffs()[s]).reshape(nt, 10, 12), E, out=coeffs[:, s])
+    E = _hct_dof_transform(np.swapaxes(p[:, 1:] - p[:, :1], 1, 2), normals)   # B_T
 
-    # sub-triangle s holds vertex s+2 and edge s: the value, gradient and
-    # normal-derivative rows there, applied to the basis, are rows of I
-    xi_v = (d - d.mean(axis=1, keepdims=True)) / scale[:, None, None]
-    vert = xi_v[:, [2, 0, 1]]
-    pts = np.stack([vert, 0.5 * (xi_v[:, [1, 2, 0]] + vert)], axis=2)
-    g = np.swapaxes(monomial_gradients(pts), 3, 4) / scale[:, None, None, None, None]
-    dn = g[:, :, 1, 0] * normals[..., :1] + g[:, :, 1, 1] * normals[..., 1:]
-    dofs = np.concatenate([monomial_values(vert)[:, :, None], g[:, :, 0], dn[:, :, None]],
-                          axis=2) @ coeffs
-    dofs -= np.eye(12)[[[6, 7, 8, 9], [0, 1, 2, 10], [3, 4, 5, 11]]]
-    resid = float(np.abs(dofs, out=dofs).max())
+    # sub-triangle j+1 holds vertex j, sub-triangle i holds edge i
+    G = barycentric_gradients(mesh)[:, 1:]   # d x_hat / dx
+    M = np.empty_like(E)
+    M[:, [0, 3, 6]] = hct_reference_shapes(np.eye(3), 0, [1, 2, 0])
+    M[:, [[1, 2], [4, 5], [7, 8]]] = np.einsum(
+        "tki,jka->tjia", G, hct_reference_shapes(np.eye(3), 1, [1, 2, 0]))
+    M[:, 9:] = np.einsum("tkl,til,ika->tia", G, normals,
+                         hct_reference_shapes(_EDGE_MID_BARY, 1, [0, 1, 2]))
+    M = M @ E
+    M -= np.eye(12)
+    resid = float(np.abs(M, out=M).max())
     if not np.isfinite(resid) or resid > 1e-8:
         raise ElementError(f"HCT construction failed duality check ({resid:.3e})")
-    return HctBasis(center, scale, _sub_triangles(p), coeffs, B, normals, resid)
+    return HctBasis(E, resid)
+
+
+def hct_shapes(mesh: Triangulation, ref, cells=slice(None), dofs=None):
+    """The macro shape functions of triangles ``cells`` from reference rows.
+
+    ``ref`` comes from ``hct_reference_shapes`` or ``hct_reference_values``.
+    Its derivative axes are pushed through d x_hat / dx and its shape axis
+    is multiplied by E_T, giving (c, P, [2, [2,]] 12).  Given the local DOF
+    values ``dofs`` (c, 12), returns that function instead, (c, P[, 2[, 2]]).
+    """
+    E = hct_local_basis(mesh).transform[cells]
+    flat = ref.reshape(-1, 12)
+    if dofs is None:
+        out = (flat @ E).reshape(E.shape[:1] + ref.shape)
+    else:
+        out = (np.einsum("tab,tb->ta", E, dofs) @ flat.T).reshape(E.shape[:1] + ref.shape[:-1])
+    G = barycentric_gradients(mesh)[cells, 1:]   # d x_hat / dx
+    for axis in range(2, ref.ndim):   # the chain rule, one derivative axis at a time
+        shape = (len(G),) + (1,) * (axis - 1) + (2,) + (1,) * (out.ndim - axis - 1)
+        d0, d1 = np.split(out, 2, axis)
+        out = G[:, 0].reshape(shape) * d0 + G[:, 1].reshape(shape) * d1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -481,21 +482,13 @@ def to_dgp2(f: DiscreteFunction, dg_map: DofMap | None = None) -> DiscreteFuncti
     return DiscreteFunction(dg_map, local_lagrange_coeffs(f).ravel())
 
 
-def locate_subtriangle(basis: HctBasis, t, points):
-    """Sub-triangle index of each point (n, 2) inside triangle t.
-
-    The sub-triangle whose smallest barycentric coordinate is largest,
-    the first one on a tie.
-    """
-    lam = barycentric(np.atleast_2d(points)[:, None, :], basis.sub_coords[t])
-    return lam.min(axis=-1).argmax(axis=-1)
-
-
 def evaluate(f: DiscreteFunction, tri: int, bary, order: int = 0):
     """Evaluate value (order 0), gradient (1) or Hessian (2) at one point.
 
     ``bary`` are barycentric coordinates with respect to triangle ``tri``;
-    the point must lie inside it (coordinates >= -1e-12).
+    the point must lie inside it (coordinates >= -1e-12).  Only the DOFs of
+    ``tri`` are read.  A macro-space function is evaluated on the
+    sub-triangle opposite the smallest coordinate, the first one on a tie.
     """
     lam = np.asarray(bary, dtype=np.float64)
     if lam.shape != (3,):
@@ -505,28 +498,20 @@ def evaluate(f: DiscreteFunction, tri: int, bary, order: int = 0):
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     mesh = f.mesh
+    cd = f.space.cell_dofs[tri]
+    loc = np.where(cd >= 0, f.coeffs[np.maximum(cd, 0)], 0.0)
     if f.tag is SpaceTag.HCT:
-        basis = hct_local_basis(mesh)
-        x = lam @ mesh.tri_coords()[tri]
-        s = int(locate_subtriangle(basis, tri, x[None])[0])
-        xi = basis.to_frame(tri, x)
-        loc = local_dof_values(f)[tri]
-        poly = basis.coeffs[tri, s] @ loc  # 10 monomial coefficients
-        if order == 0:
-            return float(monomial_values(xi) @ poly)
-        if order == 1:
-            return (monomial_gradients(xi).T @ poly) / basis.scale[tri]
-        return np.einsum("mij,m->ij", monomial_hessians(xi), poly) / basis.scale[tri] ** 2
-
-    coeffs = local_lagrange_coeffs(f)[tri]
+        out = hct_shapes(mesh, hct_reference_shapes(lam, order), [tri], loc[None])[0, 0]
+        return float(out) if order == 0 else out
+    if f.tag is SpaceTag.MORLEY:
+        loc = morley_local_basis(mesh)[tri] @ loc
+    elif f.tag not in (SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
+        raise ValueError(f"{f.tag} is not a quadratic space")
     if order == 0:
-        return float(p2_values(lam) @ coeffs)
-    g = barycentric_gradients(mesh)[tri : tri + 1]
+        return float(p2_values(lam) @ loc)
     if order == 1:
-        grads = p2_gradients(lam[None], g)[0]
-        return grads.T @ coeffs
-    H = p2_hessians(mesh)[tri]
-    return np.einsum("aij,a->ij", H, coeffs)
+        return p2_gradients(lam[None], barycentric_gradients(mesh)[tri : tri + 1])[0].T @ loc
+    return np.einsum("aij,a->ij", p2_hessians(mesh)[tri], loc)
 
 
 def interpolate_nodal(dofmap: DofMap, fn, grad=None) -> DiscreteFunction:

@@ -32,9 +32,6 @@ def _u1():
     def s2(t):
         return 2 * np.pi ** 2 * np.cos(2 * np.pi * t)
 
-    def s4(t):
-        return -8 * np.pi ** 4 * np.cos(2 * np.pi * t)
-
     def value(x, y):
         return s(x) * s(y)
 
@@ -49,7 +46,8 @@ def _u1():
         return H
 
     def biharmonic(x, y):
-        return s4(x) * s(y) + 2 * s2(x) * s2(y) + s(x) * s4(y)
+        cx, cy = np.cos(2 * np.pi * x), np.cos(2 * np.pi * y)
+        return 4 * np.pi ** 4 * (4 * cx * cy - cx - cy)
 
     return ScalarFunction("u1", value, grad, hess, biharmonic)
 

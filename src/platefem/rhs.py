@@ -16,9 +16,10 @@ from .fespace import (
     SpaceTag,
     build_dof_map,
     hct_local_basis,
+    hct_reference_shapes,
     hct_reference_values,
-    locate_subtriangle,
-    monomial_values,
+    hct_rule_points,
+    hct_shapes,
     morley_local_basis,
     p2_values,
 )
@@ -103,7 +104,6 @@ def resolve_point_loads(mesh: Triangulation, load: LoadSpec):
 def _hct_functional(mesh, load: LoadSpec, quad_order):
     """The load functional applied to every free DOF of the macro space."""
     hct_map = build_dof_map(mesh, SpaceTag.HCT)
-    basis = hct_local_basis(mesh)
     b = np.zeros(hct_map.n_free)
     fn = load.density_fn()
     if fn is not None:
@@ -111,14 +111,15 @@ def _hct_functional(mesh, load: LoadSpec, quad_order):
             quad_order = 3 + load.density_degree if load.density_degree is not None else 7
         if quad_order < 3:
             raise LoadError("quadrature order below 3 cannot integrate the cubic basis")
-        bary, w = triangle_rule(quad_order)
-        pts = triangle_points(bary, basis.sub_coords)
+        _, w = triangle_rule(quad_order)
+        pts = triangle_points(hct_rule_points(quad_order), mesh.tri_coords())
         nt, nq = mesh.num_triangles, w.size
         f = fn(pts[..., 0].reshape(3 * nt, nq), pts[..., 1].reshape(3 * nt, nq))
         wf = (w * np.reshape(f, (nt, 3, nq))).reshape(nt, 3 * nq)
         # the rule points are F_T of fixed reference points, where the shape
         # functions are the tabulated reference ones times E_T
-        local = ((wf @ hct_reference_values(quad_order))[:, None, :] @ basis.transform)[:, 0]
+        local = ((wf @ hct_reference_values(quad_order))[:, None, :]
+                 @ hct_local_basis(mesh).transform)[:, 0]
         contrib = mesh.tri_area[:, None] / 3.0 * local
         cd = hct_map.cell_dofs
         keep = cd >= 0
@@ -130,9 +131,7 @@ def _hct_functional(mesh, load: LoadSpec, quad_order):
                 b[dof] += pl.weight
             continue
         t = pl.triangle
-        x = pl.bary @ mesh.tri_coords()[t]
-        sub = locate_subtriangle(basis, t, x[None])[0]
-        vals = monomial_values(basis.to_frame(t, x)) @ basis.coeffs[t, sub]
+        vals = hct_shapes(mesh, hct_reference_shapes(pl.bary), [t])[0, 0]
         cd = hct_map.cell_dofs[t]
         keep = cd >= 0
         b[cd[keep]] += pl.weight * vals[keep]

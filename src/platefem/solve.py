@@ -28,12 +28,11 @@ from .fespace import (
     DiscreteFunction,
     barycentric_gradients,
     build_dof_map,
-    hct_local_basis,
+    hct_reference_values,
+    hct_rule_points,
+    hct_shapes,
     local_dof_values,
     local_lagrange_coeffs,
-    monomial_gradients,
-    monomial_hessians,
-    monomial_values,
     p2_gradients,
     p2_hessians,
     p2_values,
@@ -42,7 +41,7 @@ from .forms import SchemeConfig, assemble_scheme, jump_seminorm, matrix_config, 
 from .functions import ScalarFunction
 from .interp import smoother
 from .mesh import Triangulation, derived
-from .quadrature import triangle_rule
+from .quadrature import triangle_points, triangle_rule
 from .rhs import LoadSpec, smoothed_load_vector
 from .sparse import SparseMatrix, ragged_positions
 
@@ -528,27 +527,18 @@ def broken_error_norms(u: ScalarFunction, f_h: DiscreteFunction, quad_order: int
     return np.sqrt(l2), np.sqrt(h1), np.sqrt(h2)
 
 
-def _hct_sub_polynomials(basis, s: DiscreteFunction):
-    """Monomial coefficients of ``s`` on every sub-triangle, (nt, 3, 10)."""
-    return (basis.coeffs @ local_dof_values(s)[:, None, :, None])[..., 0]
-
-
 def hct_error_norms(u: ScalarFunction, f_star: DiscreteFunction, quad_order: int):
     """(L2, H1 seminorm) of u - f_star, for f_star in the macro space."""
     mesh = f_star.mesh
-    basis = hct_local_basis(mesh)
-    loc = _hct_sub_polynomials(basis, f_star)
-    bary, w = triangle_rule(quad_order)
-    pts, xi = basis.sub_points(bary)
+    loc = local_dof_values(f_star)
+    pts = triangle_points(hct_rule_points(quad_order), mesh.tri_coords())
+    x, y = pts[..., 0], pts[..., 1]
+    vh = hct_shapes(mesh, hct_reference_values(quad_order), dofs=loc)
+    gh = hct_shapes(mesh, hct_reference_values(quad_order, 1), dofs=loc)
+    w = np.tile(triangle_rule(quad_order)[1], 3)
     third = mesh.tri_area / 3.0
-    h = basis.scale[:, None, None]
-    l2 = h1 = 0.0
-    for s in range(3):   # one sub-triangle at a time bounds the gradient table
-        x, y = pts[:, s, ..., 0], pts[:, s, ..., 1]
-        vh = (monomial_values(xi[:, s]) @ loc[:, s, :, None])[..., 0]
-        gh = (loc[:, s, None, None, :] @ monomial_gradients(xi[:, s]))[..., 0, :] / h
-        l2 += np.einsum("t,q,tq->", third, w, (u.value(x, y) - vh) ** 2)
-        h1 += np.einsum("t,q,tqi->", third, w, (u.grad(x, y) - gh) ** 2)
+    l2 = np.einsum("t,q,tq->", third, w, (u.value(x, y) - vh) ** 2)
+    h1 = np.einsum("t,q,tqi->", third, w, (u.grad(x, y) - gh) ** 2)
     return np.sqrt(l2), np.sqrt(h1)
 
 
@@ -560,20 +550,11 @@ def energy_distance_p2_hct(f: DiscreteFunction, s: DiscreteFunction) -> float:
     the squared difference exactly.
     """
     mesh = f.mesh
-    basis = hct_local_basis(mesh)
-    lag = local_lagrange_coeffs(f)
-    Hf = np.einsum("taij,ta->tij", p2_hessians(mesh), lag)
-    loc = _hct_sub_polynomials(basis, s)
-    bary, w = triangle_rule(4)
-    _, xi = basis.sub_points(bary)
-    third = mesh.tri_area / 3.0
-    h2 = (basis.scale ** 2)[:, None, None]
-    total = 0.0
-    for sub in range(3):
-        Hs = loc[:, sub, None, None, :] @ monomial_hessians(xi[:, sub]).reshape(-1, w.size, 10, 4)
-        diff = Hs[..., 0, :] / h2 - Hf.reshape(-1, 1, 4)
-        total += np.einsum("t,q,tqk->", third, w, diff ** 2)
-    return float(np.sqrt(total))
+    Hf = np.einsum("taij,ta->tij", p2_hessians(mesh), local_lagrange_coeffs(f))
+    Hs = hct_shapes(mesh, hct_reference_values(4, 2), dofs=local_dof_values(s))
+    w = np.tile(triangle_rule(4)[1], 3)
+    diff = Hs - Hf[:, None]
+    return float(np.sqrt(np.einsum("t,q,tqij->", mesh.tri_area / 3.0, w, diff ** 2)))
 
 
 def pi0_hessian_deviation(u: ScalarFunction, mesh: Triangulation,

@@ -15,9 +15,9 @@ from platefem.fespace import (
     DiscreteFunction,
     SpaceTag,
     build_dof_map,
-    hct_local_basis,
+    hct_reference_shapes,
+    hct_shapes,
     local_dof_values,
-    monomial_hessians,
 )
 from platefem.forms import SchemeConfig, SchemeTag
 from platefem.functions import get_manufactured
@@ -30,40 +30,38 @@ from platefem.sparse import TripletAccumulator
 U1 = get_manufactured("u1")
 
 
-def macro_hessians(basis, s, bary):
+def macro_hessians(mesh, s, bary):
     """Rule points on sub-triangle s, (nt, nq, 2), and the physical
     Hessians of the 12 macro shape functions there, (nt, nq, 12, 2, 2)."""
-    pts = np.einsum("qi,tij->tqj", bary, basis.sub_coords[:, s])
-    xi = (pts - basis.center[:, None, :]) / basis.scale[:, None, None]
-    H = np.einsum("tqmij,tma->tqaij", monomial_hessians(xi), basis.coeffs[:, s])
-    H /= basis.scale[:, None, None, None, None] ** 2
-    return pts, H
+    sub_bary = bary @ np.array([np.eye(3)[(s + 1) % 3], np.eye(3)[(s + 2) % 3],
+                                np.full(3, 1.0 / 3.0)])
+    pts = np.einsum("qi,tij->tqj", sub_bary, mesh.tri_coords())
+    H = hct_shapes(mesh, hct_reference_shapes(sub_bary, 2, s))
+    return pts, np.moveaxis(H, -1, 2)
 
 
 def hct_energy_error(u, f, quad_order):
     """Broken H^2 seminorm of u - f over the sub-triangles, f in the macro space."""
     mesh = f.mesh
-    basis = hct_local_basis(mesh)
     loc = local_dof_values(f)
     bary, w = triangle_rule(quad_order)
     third = mesh.tri_area / 3.0
     total = 0.0
     for s in range(3):
-        pts, H = macro_hessians(basis, s, bary)
+        pts, H = macro_hessians(mesh, s, bary)
         diff = u.hess(pts[..., 0], pts[..., 1]) - np.einsum("tqaij,ta->tqij", H, loc)
         total += np.einsum("t,q,tqij->", third, w, diff ** 2)
     return float(np.sqrt(total))
 
 
 def assemble_conforming_stiffness(mesh):
-    basis = hct_local_basis(mesh)
     dofmap = build_dof_map(mesh, SpaceTag.HCT)
     bary, w = triangle_rule(2)  # Hessians of cubics: quadratic integrand
     acc = TripletAccumulator(dofmap.n_free, dofmap.n_free)
     third = mesh.tri_area / 3.0
     cd = dofmap.cell_dofs
     for s in range(3):
-        _, H = macro_hessians(basis, s, bary)
+        _, H = macro_hessians(mesh, s, bary)
         local = np.einsum("t,q,tqaij,tqbij->tab", third, w, H, H)
         acc.add(cd[:, :, None], cd[:, None, :], local)
     return acc.build(symmetric=True), dofmap

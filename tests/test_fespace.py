@@ -8,7 +8,10 @@ from platefem.fespace import (
     build_dof_map,
     evaluate,
     hct_local_basis,
+    hct_reference_shapes,
     hct_reference_values,
+    hct_rule_points,
+    hct_shapes,
     interpolate_nodal,
     monomial_gradients,
     monomial_hessians,
@@ -21,7 +24,7 @@ from platefem.fespace import (
     zeros,
 )
 from platefem.mesh import build_triangulation, refine_uniform, unit_square_mesh
-from platefem.quadrature import edge_rule, triangle_rule
+from platefem.quadrature import edge_rule, triangle_points, triangle_rule
 
 
 def single_triangle(coords):
@@ -31,13 +34,41 @@ def single_triangle(coords):
 REF = single_triangle([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+# the cubic monomial kernels as a table of powers gathered by exponent; the
+# direct column products must reproduce it bit for bit
+_EXP = np.array(
+    [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
+)
+
+
+def _powers(x):
+    out = np.ones(x.shape + (4,))
+    for k in range(1, 4):
+        out[..., k] = out[..., k - 1] * x
+    return out
+
+
+def _power_table_kernels(xi):
+    px, py = _powers(xi[..., 0]), _powers(xi[..., 1])
+    a, b = _EXP[:, 0], _EXP[:, 1]
+    a1, b1, a2, b2 = (np.maximum(e, 0) for e in (a - 1, b - 1, a - 2, b - 2))
+    values = px[..., a] * py[..., b]
+    grads = np.stack([a * px[..., a1] * py[..., b], b * px[..., a] * py[..., b1]], axis=-1)
+    hxx = a * (a - 1) * px[..., a2] * py[..., b]
+    hyy = b * (b - 1) * px[..., a] * py[..., b2]
+    hxy = a * b * px[..., a1] * py[..., b1]
+    hess = np.stack([np.stack([hxx, hxy], -1), np.stack([hxy, hyy], -1)], -2)
+    return values, grads, hess
+
+
 def hct_coeffs_oracle(mesh):
     """Macro shape functions as ``hct_local_basis`` built them before the
     reference element: one 30x30 system per triangle (3 sub-triangles x 10
     cubic coefficients) of the 12 DOF conditions plus interior continuity,
     value and gradient ties at the vertices and the centroid and the
     normal-derivative match at the midpoint of each internal sub-edge.
-    Returns the monomial coefficients, (nt, 3, 10, 12).
+    Returns the monomial coefficients, (nt, 3, 10, 12), in the frame
+    (x - centroid) / h_T, evaluated here by the power-table kernels.
     """
     nt = mesh.num_triangles
     p = mesh.tri_coords()
@@ -56,9 +87,9 @@ def hct_coeffs_oracle(mesh):
     # 12 DOF rows
     for j in range(3):
         s = (j + 1) % 3  # K_s = conv{P_{j+2}, P_j, centroid} contains P_j
-        A[:, row, cols(s)] = monomial_values(xi_v[:, j])
+        A[:, row, cols(s)] = _mono_values(xi_v[:, j])
         rhs[row, 3 * j] = 1.0
-        grad = monomial_gradients(xi_v[:, j]) / h
+        grad = _mono_gradients(xi_v[:, j]) / h
         A[:, row + 1, cols(s)] = grad[..., 0]
         A[:, row + 2, cols(s)] = grad[..., 1]
         rhs[row + 1, 3 * j + 1] = 1.0
@@ -68,15 +99,15 @@ def hct_coeffs_oracle(mesh):
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         xi_mid = 0.5 * (xi_v[:, j] + xi_v[:, k])
-        grad = monomial_gradients(xi_mid) / h
+        grad = _mono_gradients(xi_mid) / h
         A[:, row, cols(i)] = np.einsum("tmi,ti->tm", grad, normals[:, i])
         rhs[row, 9 + i] = 1.0
         row += 1
     # vertex ties: the second sub-triangle containing P_j matches value+gradient
     for j in range(3):
         s1, s2 = (j + 1) % 3, (j + 2) % 3
-        val = monomial_values(xi_v[:, j])
-        grad = monomial_gradients(xi_v[:, j]) / h
+        val = _mono_values(xi_v[:, j])
+        grad = _mono_gradients(xi_v[:, j]) / h
         A[:, row, cols(s1)] = val
         A[:, row, cols(s2)] = -val
         A[:, row + 1, cols(s1)] = grad[..., 0]
@@ -86,8 +117,8 @@ def hct_coeffs_oracle(mesh):
         row += 3
     # centroid ties (frame origin)
     xi_c = np.zeros((nt, 2))
-    val_c = monomial_values(xi_c)
-    grad_c = monomial_gradients(xi_c) / h
+    val_c = _mono_values(xi_c)
+    grad_c = _mono_gradients(xi_c) / h
     for s1, s2 in ((0, 1), (1, 2)):
         A[:, row, cols(s1)] = val_c
         A[:, row, cols(s2)] = -val_c
@@ -102,7 +133,7 @@ def hct_coeffs_oracle(mesh):
         direction = xi_v[:, j]  # from the origin towards P_j in frame coords
         n = np.column_stack([direction[:, 1], -direction[:, 0]])
         n /= np.linalg.norm(n, axis=1)[:, None]
-        grad = monomial_gradients(0.5 * xi_v[:, j]) / h
+        grad = _mono_gradients(0.5 * xi_v[:, j]) / h
         rows_n = np.einsum("tmi,ti->tm", grad, n)
         A[:, row, cols(s1)] = rows_n
         A[:, row, cols(s2)] = -rows_n
@@ -111,6 +142,45 @@ def hct_coeffs_oracle(mesh):
 
     sol = np.linalg.solve(A, np.broadcast_to(rhs, (nt, 30, 12)))
     return sol.reshape(nt, 3, 10, 12)
+
+
+def _mono_values(xi):
+    return _power_table_kernels(xi)[0]
+
+
+def _mono_gradients(xi):
+    return _power_table_kernels(xi)[1]
+
+
+def _sub_bary(s):
+    """Barycentric vertices of sub-triangle s = (P_s+1, P_s+2, centroid), (3, 3)."""
+    return np.array([np.eye(3)[(s + 1) % 3], np.eye(3)[(s + 2) % 3], np.full(3, 1.0 / 3.0)])
+
+
+def hct_oracle_shapes(mesh, coeffs, quad_order, order):
+    """Values (order 0), gradients (1) or Hessians (2) of the oracle's shape
+    functions ``coeffs`` at ``hct_rule_points(quad_order)``, each point on its
+    own sub-triangle, laid out as ``hct_shapes`` returns them."""
+    p = mesh.tri_coords()
+    h = mesh.tri_diam[:, None, None]
+    pts = triangle_points(hct_rule_points(quad_order), p)
+    xi = (pts - p.mean(axis=1)[:, None]) / h
+    mono = np.moveaxis(_power_table_kernels(xi)[order], 2, -1)   # (nt, 3 nq, [2, [2,]] 10)
+    mono /= h.reshape(h.shape[:1] + (1,) * (mono.ndim - 1)) ** order
+    nq = pts.shape[1] // 3
+    return np.concatenate([
+        mono[:, s * nq:(s + 1) * nq, ..., None, :]
+        @ coeffs[:, s].reshape((-1,) + (1,) * (order + 1) + (10, 12))
+        for s in range(3)], axis=1)[..., 0, :]
+
+
+def hct_oracle_gaps(mesh, quad_order=3):
+    """Relative gaps of the values, gradients and Hessians of ``hct_shapes``
+    to those of the per-cell oracle at the rule points."""
+    coeffs = hct_coeffs_oracle(mesh)
+    return [_relative_gap(hct_shapes(mesh, hct_reference_values(quad_order, order)),
+                          hct_oracle_shapes(mesh, coeffs, quad_order, order))
+            for order in (0, 1, 2)]
 
 
 def _relative_gap(got, want):
@@ -310,7 +380,6 @@ def test_p2_reproduction_elementwise(mesh2, rng):
 
 def test_hct_reproduces_affine():
     mesh = single_triangle([[0.1, -0.2], [1.3, 0.4], [0.2, 1.1]])
-    basis = hct_local_basis(mesh)
     normals = mesh.edge_normal[mesh.tri_edges[0]]
     p = mesh.tri_coords()[0]
     loc = np.zeros(12)
@@ -320,30 +389,39 @@ def test_hct_reproduces_affine():
     loc[9:] = normals[:, 0]
     rng = np.random.default_rng(3)
     for s in range(3):
-        poly = basis.coeffs[0, s] @ loc
-        lam = rng.dirichlet([1, 1, 1], size=6)
-        pts = lam @ basis.sub_coords[0, s]
-        xi = basis.to_frame(0, pts)
-        assert np.abs(monomial_values(xi) @ poly - pts[:, 0]).max() < 1e-12
+        bary = rng.dirichlet([1, 1, 1], size=6) @ _sub_bary(s)
+        vals = hct_shapes(mesh, hct_reference_shapes(bary, 0, s), [0], loc[None])[0]
+        assert np.abs(vals - bary @ p[:, 0]).max() < 1e-12
 
 
 def test_hct_c1_across_internal_edges(mesh2, rng):
-    basis = hct_local_basis(mesh2)
+    tau = np.array([0.1, 0.35, 0.65, 0.9])[:, None]
     for t in range(0, mesh2.num_triangles, 3):
-        loc = rng.standard_normal(12)
-        p = mesh2.tri_coords()[t]
-        c = basis.center[t]
-        scale = basis.scale[t]
+        loc = rng.standard_normal((1, 12))
         for j in range(3):
-            s1, s2 = (j + 1) % 3, (j + 2) % 3
-            p1 = basis.coeffs[t, s1] @ loc
-            p2 = basis.coeffs[t, s2] @ loc
-            for tau in (0.1, 0.35, 0.65, 0.9):
-                xi = (c + tau * (p[j] - c) - c) / scale
-                dv = monomial_values(xi) @ (p1 - p2)
-                dg = monomial_gradients(xi).T @ (p1 - p2) / scale
-                assert abs(dv) < 1e-10
-                assert np.abs(dg).max() < 1e-10
+            bary = (1.0 - tau) / 3.0 + tau * np.eye(3)[j]   # centroid to P_j
+            for order in (0, 1):
+                v1, v2 = (hct_shapes(mesh2, hct_reference_shapes(bary, order, (j + k) % 3),
+                                     [t], loc) for k in (1, 2))
+                assert np.abs(v1 - v2).max() < 1e-10
+
+
+def test_hct_sub_edge_sides_agree_and_a_tie_takes_the_first():
+    # on sub-edge centroid-P_j, lambda_j+1 = lambda_j+2 is the smallest
+    # coordinate: both sides give one value and gradient, and without an
+    # explicit sub-triangle the lower index of the two is read
+    mesh = _jittered(4, 7)
+    tau = np.array([0.0, 0.25, 0.5, 0.75, 1.0])[:, None]
+    for j in range(3):
+        bary = (1.0 - tau) / 3.0 + tau * np.eye(3)[j]
+        first = min((j + 1) % 3, (j + 2) % 3)
+        for order in (0, 1):
+            v1, v2 = (hct_shapes(mesh, hct_reference_shapes(bary, order, (j + k) % 3))
+                      for k in (1, 2))
+            assert _relative_gap(v1, v2) <= 1e-12
+        for order in (0, 1, 2):
+            tie = hct_reference_shapes(bary[1:-1], order)
+            assert np.array_equal(tie, hct_reference_shapes(bary[1:-1], order, first))
 
 
 def test_hct_interpolation_matches_least_squares_oracle():
@@ -351,7 +429,6 @@ def test_hct_interpolation_matches_least_squares_oracle():
     # independent least-squares construction over a redundant constraint set
     # must agree at the centroid to machine precision
     mesh = REF
-    basis = hct_local_basis(mesh)
     p = mesh.tri_coords()[0]
     normals = mesh.edge_normal[mesh.tri_edges[0]]
 
@@ -372,20 +449,21 @@ def test_hct_interpolation_matches_least_squares_oracle():
 
     # main path value at the centroid
     centroid = p.mean(axis=0)
-    xi_c = basis.to_frame(0, centroid)
-    vals_main = [monomial_values(xi_c) @ (basis.coeffs[0, s] @ loc) for s in range(3)]
+    vals_main = [hct_shapes(mesh, hct_reference_shapes(np.full(3, 1.0 / 3.0), 0, s), [0],
+                            loc[None])[0, 0] for s in range(3)]
 
     # oracle: overdetermined consistent system solved by least squares
-    scale = basis.scale[0]
-    c = basis.center[0]
+    scale = mesh.tri_diam[0]
+    c = centroid
+    xi_c = np.zeros(2)
     rows, rhs = [], []
 
     def mono_row(s, xi, kind, direction=None):
         row = np.zeros(30)
         if kind == "val":
-            row[10 * s : 10 * (s + 1)] = monomial_values(xi)
+            row[10 * s : 10 * (s + 1)] = _mono_values(xi)
         else:
-            g = monomial_gradients(xi) / scale
+            g = _mono_gradients(xi) / scale
             row[10 * s : 10 * (s + 1)] = g @ direction
         return row
 
@@ -410,7 +488,7 @@ def test_hct_interpolation_matches_least_squares_oracle():
             xi = (c + tau * d - c) / scale
             rows.append(mono_row(s1, xi, "grad", n) - mono_row(s2, xi, "grad", n)); rhs.append(0.0)
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-    vals_oracle = [monomial_values(xi_c) @ sol[10 * s : 10 * (s + 1)] for s in range(3)]
+    vals_oracle = [_mono_values(xi_c) @ sol[10 * s : 10 * (s + 1)] for s in range(3)]
 
     exact = u(*centroid)
     for vm, vo in zip(vals_main, vals_oracle):
@@ -419,17 +497,16 @@ def test_hct_interpolation_matches_least_squares_oracle():
 
 
 def test_hct_coeffs_match_per_cell_oracle_at_n64():
-    # the reference-element pushforward against the per-cell 30x30 solves
-    mesh = unit_square_mesh(64)
-    assert _relative_gap(hct_local_basis(mesh).coeffs, hct_coeffs_oracle(mesh)) <= 1e-12
+    # the reference element, pushed forward and times E_T, against the
+    # per-cell 30x30 solves: values, gradients and Hessians at rule points
+    assert max(hct_oracle_gaps(unit_square_mesh(64))) <= 1e-12
 
 
 @pytest.mark.parametrize("n, seed", [(3, 0), (8, 1)])
 def test_hct_coeffs_match_per_cell_oracle_on_jittered_meshes(n, seed):
     mesh = _jittered(n, seed)
-    basis = hct_local_basis(mesh)
-    assert _relative_gap(basis.coeffs, hct_coeffs_oracle(mesh)) <= 1e-12
-    assert basis.duality_residual <= 1e-12
+    assert max(hct_oracle_gaps(mesh)) <= 1e-12
+    assert hct_local_basis(mesh).duality_residual <= 1e-12
 
 
 def test_hct_duality_residual_does_not_grow_with_translation():
@@ -453,14 +530,12 @@ def test_hct_reference_table_times_transform_gives_shape_values(quad_order):
     # rule points on a sub-triangle are F_T of the reference rule points, so
     # the tabulated reference values times E_T are the shape values there
     mesh = _jittered(4, 2)
-    basis = hct_local_basis(mesh)
-    bary, _ = triangle_rule(quad_order)
-    _, xi = basis.sub_points(bary)
-    nt, nq = mesh.num_triangles, bary.shape[0]
-    want = (monomial_values(xi) @ basis.coeffs).reshape(nt, 3 * nq, 12)
-    got = hct_reference_values(quad_order) @ basis.transform
+    want = hct_oracle_shapes(mesh, hct_coeffs_oracle(mesh), quad_order, 0)
+    got = hct_reference_values(quad_order) @ hct_local_basis(mesh).transform
     assert _relative_gap(got, want) <= 1e-13
-    assert not hct_reference_values(quad_order).flags.writeable
+    for order in (0, 1, 2):
+        assert not hct_reference_values(quad_order, order).flags.writeable
+    assert not hct_rule_points(quad_order).flags.writeable
 
 
 def test_hct_transform_is_identity_on_the_reference_triangle():
@@ -473,21 +548,14 @@ def test_hct_transform_is_identity_on_the_reference_triangle():
 
 def test_hct_shape_functions_vanish_on_far_edges(mesh2, rng):
     # DOFs of vertex j do not influence the trace on the opposite edge
-    basis = hct_local_basis(mesh2)
     t = 2
-    p = mesh2.tri_coords()[t]
+    tau = np.array([0.2, 0.5, 0.8])[:, None]
     for j in range(3):
-        for comp in range(3):
-            loc = np.zeros(12)
-            loc[3 * j + comp] = 1.0
-            a, b = p[(j + 1) % 3], p[(j + 2) % 3]
-            for tau in (0.2, 0.5, 0.8):
-                x = a + tau * (b - a)
-                xi = basis.to_frame(t, x)
-                poly = basis.coeffs[t, j] @ loc  # sub-triangle j carries edge (j+1, j+2)
-                assert abs(monomial_values(xi) @ poly) < 1e-10
-                g = monomial_gradients(xi).T @ poly / basis.scale[t]
-                assert np.abs(g).max() < 1e-10
+        bary = (1.0 - tau) * np.eye(3)[(j + 1) % 3] + tau * np.eye(3)[(j + 2) % 3]
+        for order in (0, 1):
+            # sub-triangle j carries edge (j+1, j+2)
+            shapes = hct_shapes(mesh2, hct_reference_shapes(bary, order, j), [t])[0]
+            assert np.abs(shapes[..., 3 * j:3 * j + 3]).max() < 1e-10
 
 
 # --- embeddings / prolongation --------------------------------------------------
@@ -513,33 +581,6 @@ def test_prolongation_is_exact(mesh2, rng):
         parent = int(fine.parent_tri[ft])
         lam_c = _bary(mesh2.tri_coords()[parent], x)
         assert abs(evaluate(g, ft, lam, 0) - evaluate(f, parent, lam_c, 0)) < 1e-11
-
-
-# the cubic monomial kernels as a table of powers gathered by exponent; the
-# direct column products must reproduce it bit for bit
-_EXP = np.array(
-    [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
-)
-
-
-def _powers(x):
-    out = np.ones(x.shape + (4,))
-    for k in range(1, 4):
-        out[..., k] = out[..., k - 1] * x
-    return out
-
-
-def _power_table_kernels(xi):
-    px, py = _powers(xi[..., 0]), _powers(xi[..., 1])
-    a, b = _EXP[:, 0], _EXP[:, 1]
-    a1, b1, a2, b2 = (np.maximum(e, 0) for e in (a - 1, b - 1, a - 2, b - 2))
-    values = px[..., a] * py[..., b]
-    grads = np.stack([a * px[..., a1] * py[..., b], b * px[..., a] * py[..., b1]], axis=-1)
-    hxx = a * (a - 1) * px[..., a2] * py[..., b]
-    hyy = b * (b - 1) * px[..., a] * py[..., b2]
-    hxy = a * b * px[..., a1] * py[..., b1]
-    hess = np.stack([np.stack([hxx, hxy], -1), np.stack([hxy, hyy], -1)], -2)
-    return values, grads, hess
 
 
 @pytest.mark.parametrize("shape", [(1,), (17,), (4, 9), (3, 2, 5)])

@@ -19,8 +19,9 @@ block patterns.  The macro-space load, which contracts the quadrature
 first, must match to round-off an oracle that evaluates every shape
 function at every quadrature point of one sub-triangle at a time.  The
 macro basis, pushed forward from one reference element, must match the
-per-cell 30x30 solves it replaced, and every form block contracted by
-BLAS the plain ``np.einsum`` it replaced, both to round-off.
+per-cell 30x30 solves it replaced, the macro-space error norms the
+per-sub-triangle monomial evaluation they replaced, and every form block
+contracted by BLAS the plain ``np.einsum`` it replaced, all to round-off.
 
 Examples are derandomized and no example database is written, so the
 suite is deterministic.
@@ -36,26 +37,41 @@ from hypothesis.extra.numpy import arrays
 
 from platefem import forms
 from platefem.fespace import (
+    _reference_coeffs,
     barycentric_gradients,
     DiscreteFunction,
     SpaceTag,
     build_dof_map,
     evaluate,
     hct_local_basis,
-    monomial_values,
+    hct_reference_shapes,
+    hct_shapes,
+    local_dof_values,
+    local_lagrange_coeffs,
     morley_local_basis,
     p2_gradients,
     p2_hessians,
 )
 from platefem.forms import SchemeConfig, SchemeTag, assemble_scheme, edge_traces
 from platefem.functions import get_manufactured
-from platefem.interp import _morley_vertex_grad_rows, verify_right_inverse
+from platefem.interp import (
+    _morley_vertex_grad_rows,
+    companion,
+    morley_interp_avg,
+    verify_right_inverse,
+)
 from platefem.mesh import build_triangulation, unit_square_mesh
 from platefem.quadrature import edge_rule, triangle_rule
 from platefem.rhs import LoadSpec, _hct_functional, locate_point, smoothed_load_vector
-from platefem.solve import compute_errors, solve, solve_scheme
+from platefem.solve import (
+    compute_errors,
+    energy_distance_p2_hct,
+    hct_error_norms,
+    solve,
+    solve_scheme,
+)
 from platefem.sparse import SparseMatrix, TripletAccumulator
-from test_fespace import hct_coeffs_oracle
+from test_fespace import _EXP, _power_table_kernels, _sub_bary, hct_oracle_gaps
 
 PROPERTY_SETTINGS = settings(database=None, derandomize=True, deadline=None,
                              max_examples=10)
@@ -237,15 +253,15 @@ def _hct_functional_oracle(mesh, load, quad_order):
     of every free shape function, taken from ``evaluate``.
     """
     hct_map = build_dof_map(mesh, SpaceTag.HCT)
-    basis = hct_local_basis(mesh)
     cd = hct_map.cell_dofs
     b = np.zeros(hct_map.n_free)
     if load.density is not None:
         bary, w = triangle_rule(quad_order)
+        p = mesh.tri_coords()
         for s in range(3):
-            pts = np.einsum("qi,tij->tqj", bary, basis.sub_coords[:, s])
-            xi = (pts - basis.center[:, None, :]) / basis.scale[:, None, None]
-            vals = np.einsum("tqm,tma->tqa", monomial_values(xi), basis.coeffs[:, s])
+            corners = np.stack([p[:, (s + 1) % 3], p[:, (s + 2) % 3], p.mean(axis=1)], axis=1)
+            pts = np.einsum("qi,tij->tqj", bary, corners)
+            vals = hct_shapes(mesh, hct_reference_shapes(bary @ _sub_bary(s), 0, s))
             f = load.density(pts[..., 0], pts[..., 1])
             contrib = mesh.tri_area[:, None] / 3.0 * np.einsum("q,tq,tqa->ta", w, f, vals)
             np.add.at(b, np.maximum(cd, 0), np.where(cd >= 0, contrib, 0.0))
@@ -289,9 +305,119 @@ def test_density_and_point_loads_match_oracle(pair, points):
 @given(perturbed_pairs())
 def test_hct_coeffs_match_per_cell_oracle(pair):
     for mesh in pair:
-        basis = hct_local_basis(mesh)
-        assert _relative_gap(basis.coeffs, hct_coeffs_oracle(mesh)) <= 1e-12
-        assert basis.duality_residual <= 1e-12
+        assert max(hct_oracle_gaps(mesh)) <= 1e-12
+        assert hct_local_basis(mesh).duality_residual <= 1e-12
+
+
+# --- macro-space norms against their per-sub-triangle oracles -----------------------
+
+def _oracle_frame(mesh, bary):
+    """Rule points ``bary`` on every sub-triangle and their coordinates in the
+    frame (x - centroid) / h_T of ``hct_coeffs_oracle``, both (nt, 3, nq, 2)."""
+    p = mesh.tri_coords()
+    c = p.mean(axis=1)
+    corners = np.stack([p[:, [1, 2, 0]], p[:, [2, 0, 1]], np.broadcast_to(c[:, None], p.shape)],
+                       axis=2)
+    pts = bary @ corners
+    return pts, (pts - c[:, None, None]) / mesh.tri_diam[:, None, None, None]
+
+
+def _polymul(P, Q):
+    """Product of polynomials held as coefficients (nt, 4, 4) of x^i y^j,
+    truncated to degree 3."""
+    R = np.zeros_like(P)
+    for i, j in _EXP:
+        for k, m in _EXP:
+            if i + j + k + m <= 3:
+                R[:, i + k, j + m] += P[:, i, j] * Q[:, k, m]
+    return R
+
+
+def _pushforward_coeffs(mesh):
+    """Monomial coefficients (nt, 3, 10, 12) of the macro shape functions in
+    the frame (x - centroid) / h_T, as ``hct_local_basis`` kept them before E_T
+    became the only per-cell data: the reference cubics in x_hat - c_hat =
+    (h_T / h_hat) B_T^-1 xi, times E_T."""
+    nt = mesh.num_triangles
+    A = (mesh.tri_diam / np.sqrt(2.0))[:, None, None] * barycentric_gradients(mesh)[:, 1:]
+    lin = np.zeros((2, nt, 4, 4))
+    lin[:, :, 1, 0], lin[:, :, 0, 1] = A[:, :, 0].T, A[:, :, 1].T
+    one = np.zeros((nt, 4, 4))
+    one[:, 0, 0] = 1.0
+    S = np.empty((nt, 10, 10))   # column m: (A xi)^m in the monomials of xi
+    for m, (a, b) in enumerate(_EXP):
+        poly = one
+        for factor in [lin[0]] * a + [lin[1]] * b:
+            poly = _polymul(poly, factor)
+        S[:, :, m] = poly[:, _EXP[:, 0], _EXP[:, 1]]
+    return (S[:, None] @ _reference_coeffs()) @ hct_local_basis(mesh).transform[:, None]
+
+
+def _oracle_polynomials(f):
+    """Monomial coefficients of a macro-space function per sub-triangle, (nt, 3, 10)."""
+    return (_pushforward_coeffs(f.mesh) @ local_dof_values(f)[:, None, :, None])[..., 0]
+
+
+def hct_error_norms_oracle(u, f_star, quad_order):
+    """``solve.hct_error_norms`` as it read per-cell monomial coefficients,
+    one sub-triangle at a time."""
+    mesh = f_star.mesh
+    loc = _oracle_polynomials(f_star)
+    bary, w = triangle_rule(quad_order)
+    pts, xi = _oracle_frame(mesh, bary)
+    third = mesh.tri_area / 3.0
+    h = mesh.tri_diam[:, None, None]
+    l2 = h1 = 0.0
+    for s in range(3):
+        x, y = pts[:, s, ..., 0], pts[:, s, ..., 1]
+        values, grads, _ = _power_table_kernels(xi[:, s])
+        vh = (values @ loc[:, s, :, None])[..., 0]
+        gh = (loc[:, s, None, None, :] @ grads)[..., 0, :] / h
+        l2 += np.einsum("t,q,tq->", third, w, (u.value(x, y) - vh) ** 2)
+        h1 += np.einsum("t,q,tqi->", third, w, (u.grad(x, y) - gh) ** 2)
+    return np.sqrt(l2), np.sqrt(h1)
+
+
+def energy_distance_oracle(f, s):
+    """``solve.energy_distance_p2_hct`` as it read per-cell monomial
+    coefficients, one sub-triangle at a time."""
+    mesh = f.mesh
+    Hf = np.einsum("taij,ta->tij", p2_hessians(mesh), local_lagrange_coeffs(f))
+    loc = _oracle_polynomials(s)
+    bary, w = triangle_rule(4)
+    _, xi = _oracle_frame(mesh, bary)
+    third = mesh.tri_area / 3.0
+    h2 = (mesh.tri_diam ** 2)[:, None, None]
+    total = 0.0
+    for sub in range(3):
+        hess = _power_table_kernels(xi[:, sub])[2].reshape(-1, w.size, 10, 4)
+        diff = (loc[:, sub, None, None, :] @ hess)[..., 0, :] / h2 - Hf.reshape(-1, 1, 4)
+        total += np.einsum("t,q,tqk->", third, w, diff ** 2)
+    return float(np.sqrt(total))
+
+
+def _macro_norm_gap(v, v_star):
+    """Largest relative gap of the L2 and H1 errors of ``v_star`` against u1
+    and of the energy distance between ``v`` and ``v_star``, to the oracles."""
+    u = get_manufactured("u1")
+    got = (*hct_error_norms(u, v_star, 7), energy_distance_p2_hct(v, v_star))
+    want = (*hct_error_norms_oracle(u, v_star, 7), energy_distance_oracle(v, v_star))
+    return max(abs(g - w) / w for g, w in zip(got, want))
+
+
+@PROPERTY_SETTINGS
+@given(perturbed_pairs())
+def test_macro_norms_match_per_subtriangle_oracles(pair):
+    load = LoadSpec(density=get_manufactured("u1").biharmonic)
+    for mesh in pair:
+        for tag in (SchemeTag.MORLEY, SchemeTag.DG):
+            sol = solve_scheme(mesh, SchemeConfig(scheme=tag), load)
+            assert _macro_norm_gap(sol.u_h, sol.u_star) <= 1e-12, tag
+
+
+def test_macro_norms_match_per_subtriangle_oracles_at_n64():
+    v = morley_interp_avg(get_manufactured("u1"), unit_square_mesh(64))
+    assert _macro_norm_gap(v, companion(v)) <= 1e-12
 
 
 # --- form blocks against the plain einsums ----------------------------------------
