@@ -13,15 +13,20 @@ Four spaces are supported:
   continuity; DOFs are vertex values + gradients and edge-midpoint
   normal derivatives.
 
-All local polynomial work is done in explicit coordinates: barycentric
-for the quadratics, and for the macro cubics the reference coordinates
-x_hat = (lambda_1, lambda_2).  The macro basis is solved once on the
-reference triangle, in a scaled monomial frame.  On each triangle T its
-shape functions are the reference ones composed with the inverse affine
-map, times a 12x12 DOF transform E_T, which corrects the normal
-derivatives (they are not affine-covariant).  ``hct_local_basis`` keeps
-E_T and nothing else per triangle; ``hct_shapes`` evaluates the macro
-shape functions, or a macro-space function, at barycentric points.
+Every discrete function and shape function is evaluated one way:
+reference table x d x_hat/dx pushforward x per-cell transform.  The
+reference coordinates are x_hat = (lambda_1, lambda_2).
+``reference_shapes`` tabulates the reference functions of a space (the
+six P2 Lagrange functions, or the twelve macro functions, which are
+solved once on the reference triangle in a scaled monomial frame);
+``rule`` and ``reference_values`` give the quadrature points of a space
+and its cached tables there.  ``shapes`` pushes derivative axes through
+d x_hat / dx and multiplies by the space's transform: C_T
+(``morley_local_basis``) for Morley, the 12x12 DOF transform E_T for
+HCT, which corrects the normal derivatives (they are not
+affine-covariant), and none for the Lagrange spaces.
+``hct_local_basis`` keeps E_T and nothing else per triangle.  The forms
+and transfer operators read the closed-form P2 kernels directly.
 """
 
 from dataclasses import dataclass
@@ -198,10 +203,10 @@ class HctBasis:
     """Macro shape functions of the HCT element for every triangle.
 
     On triangle T they are psi_hat o F_T^-1 times ``transform[T]`` (E_T):
-    psi_hat are the 12 reference shape functions (``hct_reference_shapes``)
+    psi_hat are the 12 reference shape functions (``reference_shapes``)
     and F_T maps the reference coordinates x_hat = (lambda_1, lambda_2) to x.
     The 12 DOFs are value, d/dx, d/dy at the three vertices, then the normal
-    derivative at the three edge midpoints.  ``hct_shapes`` evaluates them.
+    derivative at the three edge midpoints.  ``shapes`` evaluates them.
     """
 
     transform: np.ndarray    # E_T (nt, 12, 12)
@@ -251,45 +256,6 @@ def _reference_coeffs():
     return np.linalg.solve(A, np.eye(30, 12)).reshape(3, 10, 12)
 
 
-def hct_reference_shapes(bary, order=0, sub=None):
-    """The 12 reference shape functions at barycentric points ``bary`` (P, 3).
-
-    The reference coordinates are x_hat = (lambda_1, lambda_2).  Returns the
-    values (P, 12), for ``order`` 1 the x_hat gradients (P, 2, 12) and for 2
-    the x_hat Hessians (P, 2, 2, 12) of the cubic on the sub-triangle opposite
-    each point's smallest coordinate (the first one on a tie), or on
-    sub-triangle ``sub`` (one index, or one per point).  Values and gradients
-    agree across the sub-edges; a Hessian on a sub-edge is the chosen side's.
-    """
-    lam = np.reshape(np.asarray(bary, dtype=np.float64), (-1, 3))
-    sub = lam.argmin(axis=1) if sub is None else np.broadcast_to(sub, lam.shape[:1])
-    kernel = (monomial_values, monomial_gradients, monomial_hessians)[order]
-    mono = kernel((lam[:, 1:] - _REF_CENTER) / _REF_SCALE) / _REF_SCALE ** order
-    coeffs = _reference_coeffs()[sub].reshape((-1,) + (1,) * order + (10, 12))
-    return (np.moveaxis(mono, 1, -1)[..., None, :] @ coeffs)[..., 0, :]
-
-
-@lru_cache(maxsize=None)
-def hct_rule_points(quad_order):
-    """Barycentric points (3 nq, 3) of ``triangle_rule(quad_order)`` on
-    sub-triangle 0, 1, then 2; each sub-triangle has a third of the area
-    and the rule's weights.  Read-only."""
-    bary, _ = triangle_rule(quad_order)
-    pts = triangle_points(bary, _SUB_BARY).reshape(-1, 3)
-    pts.flags.writeable = False
-    return pts
-
-
-@lru_cache(maxsize=None)
-def hct_reference_values(quad_order, order=0):
-    """``hct_reference_shapes`` of derivative ``order`` at the points
-    ``hct_rule_points(quad_order)``, each on its own sub-triangle.  Read-only."""
-    bary = hct_rule_points(quad_order)
-    table = hct_reference_shapes(bary, order, np.arange(3).repeat(len(bary) // 3))
-    table.flags.writeable = False
-    return table
-
-
 def _hct_dof_transform(B, normals):
     """DOF transform E_T (nt, 12, 12) of x = c_T + B_T (x_hat - c_hat).
 
@@ -337,11 +303,11 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
     # sub-triangle j+1 holds vertex j, sub-triangle i holds edge i
     G = barycentric_gradients(mesh)[:, 1:]   # d x_hat / dx
     M = np.empty_like(E)
-    M[:, [0, 3, 6]] = hct_reference_shapes(np.eye(3), 0, [1, 2, 0])
+    M[:, [0, 3, 6]] = reference_shapes(SpaceTag.HCT, np.eye(3), 0, [1, 2, 0])
     M[:, [[1, 2], [4, 5], [7, 8]]] = np.einsum(
-        "tki,jka->tjia", G, hct_reference_shapes(np.eye(3), 1, [1, 2, 0]))
+        "tki,jka->tjia", G, reference_shapes(SpaceTag.HCT, np.eye(3), 1, [1, 2, 0]))
     M[:, 9:] = np.einsum("tkl,til,ika->tia", G, normals,
-                         hct_reference_shapes(_EDGE_MID_BARY, 1, [0, 1, 2]))
+                         reference_shapes(SpaceTag.HCT, _EDGE_MID_BARY, 1, [0, 1, 2]))
     M = M @ E
     M -= np.eye(12)
     resid = float(np.abs(M, out=M).max())
@@ -350,21 +316,89 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
     return HctBasis(E, resid)
 
 
-def hct_shapes(mesh: Triangulation, ref, cells=slice(None), dofs=None):
-    """The macro shape functions of triangles ``cells`` from reference rows.
+# ---------------------------------------------------------------------------
+# one evaluator for every space: reference table x d x_hat/dx x transform
+# ---------------------------------------------------------------------------
 
-    ``ref`` comes from ``hct_reference_shapes`` or ``hct_reference_values``.
-    Its derivative axes are pushed through d x_hat / dx and its shape axis
-    is multiplied by E_T, giving (c, P, [2, [2,]] 12).  Given the local DOF
-    values ``dofs`` (c, 12), returns that function instead, (c, P[, 2[, 2]]).
+_REF_DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])   # d lambda / d x_hat
+
+
+def reference_shapes(tag: SpaceTag, bary, order=0, sub=None):
+    """The reference shape functions of ``tag`` at barycentric points (P, 3).
+
+    The reference coordinates are x_hat = (lambda_1, lambda_2).  Returns the
+    values (P, n), for ``order`` 1 the x_hat gradients (P, 2, n) and for 2
+    the x_hat Hessians (P, 2, 2, n): the six P2 Lagrange functions for the
+    quadratic spaces, the twelve macro functions for HCT.  A macro function
+    is the cubic on the sub-triangle opposite each point's smallest
+    coordinate (the first one on a tie), or on sub-triangle ``sub`` (one
+    index, or one per point).  Values and gradients agree across the
+    sub-edges; a Hessian on a sub-edge is the chosen side's.
     """
-    E = hct_local_basis(mesh).transform[cells]
-    flat = ref.reshape(-1, 12)
-    if dofs is None:
-        out = (flat @ E).reshape(E.shape[:1] + ref.shape)
+    lam = np.reshape(np.asarray(bary, dtype=np.float64), (-1, 3))
+    if tag is SpaceTag.HCT:
+        sub = lam.argmin(axis=1) if sub is None else np.broadcast_to(sub, lam.shape[:1])
+        kernel = (monomial_values, monomial_gradients, monomial_hessians)[order]
+        mono = kernel((lam[:, 1:] - _REF_CENTER) / _REF_SCALE) / _REF_SCALE ** order
+        coeffs = _reference_coeffs()[sub].reshape((-1,) + (1,) * order + (10, 12))
+        return (np.moveaxis(mono, 1, -1)[..., None, :] @ coeffs)[..., 0, :]
+    if order == 0:
+        return p2_values(lam)
+    if order == 1:
+        return np.swapaxes(p2_gradients(lam[None], _REF_DLAM[None])[0], 1, 2)
+    # the gradients are affine in x_hat: their differences between the
+    # reference vertices (0, 0), (1, 0) and (0, 1) are the constant Hessians
+    g = p2_gradients(np.eye(3)[None], _REF_DLAM[None])[0]
+    return np.repeat((g[1:] - g[0]).transpose(2, 0, 1)[None], len(lam), axis=0)
+
+
+@lru_cache(maxsize=None)
+def rule(tag: SpaceTag, q):
+    """Barycentric points and weights, summing to one per triangle, of the
+    rule that integrates ``tag``'s functions: ``triangle_rule(q)`` on the
+    cell for the quadratic spaces, and on sub-triangle 0, 1, then 2 (each a
+    third of the area) for HCT.  Read-only."""
+    bary, w = triangle_rule(q)
+    if tag is SpaceTag.HCT:
+        bary, w = triangle_points(bary, _SUB_BARY).reshape(-1, 3), np.tile(w, 3) / 3.0
     else:
-        out = (np.einsum("tab,tb->ta", E, dofs) @ flat.T).reshape(E.shape[:1] + ref.shape[:-1])
+        bary, w = bary.copy(), w.copy()
+    bary.flags.writeable = w.flags.writeable = False
+    return bary, w
+
+
+@lru_cache(maxsize=None)
+def reference_values(tag: SpaceTag, q, order=0):
+    """``reference_shapes`` of derivative ``order`` at the points of
+    ``rule(tag, q)``, a macro point on its own sub-triangle.  Read-only."""
+    bary = rule(tag, q)[0]
+    sub = np.arange(3).repeat(len(bary) // 3) if tag is SpaceTag.HCT else None
+    table = reference_shapes(tag, bary, order, sub)
+    table.flags.writeable = False
+    return table
+
+
+def shapes(mesh: Triangulation, tag: SpaceTag, ref, cells=slice(None), dofs=None):
+    """The shape functions of ``tag`` on triangles ``cells`` from reference rows.
+
+    ``ref`` comes from ``reference_shapes`` or ``reference_values``.  Its
+    shape axis is multiplied by the per-cell transform (E_T for HCT,
+    C_T = ``morley_local_basis`` for Morley, none for DG_P2 and LAGRANGE_P2)
+    and its derivative axes are pushed through d x_hat / dx, giving
+    (c, P, [2, [2,]] n).  Given the local DOF values ``dofs`` (c, n),
+    returns that function instead, (c, P[, 2[, 2]]).
+    """
+    E = (hct_local_basis(mesh).transform if tag is SpaceTag.HCT
+         else morley_local_basis(mesh) if tag is SpaceTag.MORLEY else None)
     G = barycentric_gradients(mesh)[cells, 1:]   # d x_hat / dx
+    flat = ref.reshape(-1, ref.shape[-1])
+    if dofs is not None:
+        coeffs = dofs if E is None else np.einsum("tab,tb->ta", E[cells], dofs)
+        out = (coeffs @ flat.T).reshape(G.shape[:1] + ref.shape[:-1])
+    elif E is None:
+        out = np.repeat(ref[None], len(G), axis=0)
+    else:
+        out = (flat @ E[cells]).reshape(G.shape[:1] + ref.shape)
     for axis in range(2, ref.ndim):   # the chain rule, one derivative axis at a time
         shape = (len(G),) + (1,) * (axis - 1) + (2,) + (1,) * (out.ndim - axis - 1)
         d0, d1 = np.split(out, 2, axis)
@@ -487,8 +521,9 @@ def evaluate(f: DiscreteFunction, tri: int, bary, order: int = 0):
 
     ``bary`` are barycentric coordinates with respect to triangle ``tri``;
     the point must lie inside it (coordinates >= -1e-12).  Only the DOFs of
-    ``tri`` are read.  A macro-space function is evaluated on the
-    sub-triangle opposite the smallest coordinate, the first one on a tie.
+    ``tri`` are read, through ``shapes``.  A macro-space function is
+    evaluated on the sub-triangle opposite the smallest coordinate, the
+    first one on a tie.
     """
     lam = np.asarray(bary, dtype=np.float64)
     if lam.shape != (3,):
@@ -497,21 +532,10 @@ def evaluate(f: DiscreteFunction, tri: int, bary, order: int = 0):
         raise ValueError("point lies outside the triangle")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    mesh = f.mesh
     cd = f.space.cell_dofs[tri]
     loc = np.where(cd >= 0, f.coeffs[np.maximum(cd, 0)], 0.0)
-    if f.tag is SpaceTag.HCT:
-        out = hct_shapes(mesh, hct_reference_shapes(lam, order), [tri], loc[None])[0, 0]
-        return float(out) if order == 0 else out
-    if f.tag is SpaceTag.MORLEY:
-        loc = morley_local_basis(mesh)[tri] @ loc
-    elif f.tag not in (SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
-        raise ValueError(f"{f.tag} is not a quadratic space")
-    if order == 0:
-        return float(p2_values(lam) @ loc)
-    if order == 1:
-        return p2_gradients(lam[None], barycentric_gradients(mesh)[tri : tri + 1])[0].T @ loc
-    return np.einsum("aij,a->ij", p2_hessians(mesh)[tri], loc)
+    out = shapes(f.mesh, f.tag, reference_shapes(f.tag, lam, order), [tri], loc[None])[0, 0]
+    return float(out) if order == 0 else out
 
 
 def interpolate_nodal(dofmap: DofMap, fn, grad=None) -> DiscreteFunction:

@@ -17,23 +17,18 @@ from .fespace import (
     DiscreteFunction,
     SpaceTag,
     build_dof_map,
-    local_lagrange_coeffs,
-    p2_hessians,
+    local_dof_values,
     prolongate_to_refined,
+    reference_shapes,
+    shapes,
     to_dgp2,
 )
-from .forms import SchemeConfig, SchemeTag, assemble_apw, jump_seminorm, penalty_value
+from .forms import SchemeConfig, SchemeTag, jump_seminorm, penalty_value
 from .functions import ScalarFunction, get_manufactured
 from .interp import morley_interp_avg
-from .mesh import Triangulation, derived, refine_uniform, unit_square_mesh
+from .mesh import Triangulation, refine_uniform, unit_square_mesh
 from .rhs import LoadSpec
-from .solve import (
-    ErrorReport,
-    SolverError,
-    broken_error_norms,
-    compute_errors,
-    solve_scheme,
-)
+from .solve import ErrorReport, SolverError, compute_errors, solve_scheme
 
 CSV_COLUMNS = [
     "level", "hmax", "ndof", "energy_pw", "jump", "norm_h", "norm_scheme",
@@ -159,16 +154,15 @@ class StudyConfig:
         return LoadSpec(density=self.exact().biharmonic)
 
 
-def _interp_energy(u: ScalarFunction, mesh: Triangulation, quad_order: int,
-                   weight_h=False):
-    """Broken energy seminorm of u - I_M u (optionally of h_T-weighted I_M u)."""
-    v_m = morley_interp_avg(u, mesh)
-    if not weight_h:
-        _, _, energy = broken_error_norms(u, v_m, quad_order)
-        return float(energy)
-    # ||| h_T I_M u |||_pw with the cellwise constant Hessian of I_M u
-    lag = local_lagrange_coeffs(v_m)
-    H = np.einsum("taij,ta->tij", p2_hessians(mesh), lag)
+def _cell_hessians(f: DiscreteFunction):
+    """Cellwise constant Hessians (nt, 2, 2) of a quadratic-space function."""
+    ref = reference_shapes(f.tag, np.full(3, 1.0 / 3.0), 2)
+    return shapes(f.mesh, f.tag, ref, dofs=local_dof_values(f))[:, 0]
+
+
+def _interp_energy(u: ScalarFunction, mesh: Triangulation):
+    """Broken energy seminorm of h_T I_M u, with I_M u's cellwise Hessian."""
+    H = _cell_hessians(morley_interp_avg(u, mesh))
     return float(np.sqrt(np.sum(
         mesh.tri_area * mesh.tri_diam ** 2 * np.einsum("tij,tij->t", H, H)
     )))
@@ -199,8 +193,7 @@ def run_convergence(config: StudyConfig) -> ConvergenceReport:
         if wopsip:
             extra["penalty_energy"] = penalty_value(sol.u_h, config.scheme)
             if u is not None:
-                extra["weighted_interp_energy"] = _interp_energy(
-                    u, mesh, config.quad_order, weight_h=True)
+                extra["weighted_interp_energy"] = _interp_energy(u, mesh)
         records.append(LevelRecord(
             level=k, h_max=mesh.h_max, n_dof=sol.u_h.space.n_free,
             errors=errors,
@@ -329,14 +322,9 @@ def reference_error_norm_h(u_h: DiscreteFunction, chain, u_ref: DiscreteFunction
     fine_dg = build_dof_map(fine, SpaceTag.DG_P2)
     ref = to_dgp2(u_ref, fine_dg)
     diff = DiscreteFunction(fine_dg, ref.coeffs - f.coeffs)
-    energy2 = float(diff.coeffs @ _dg_energy_matrix(fine).matvec(diff.coeffs))
+    H = _cell_hessians(diff)
+    energy2 = float(np.sum(fine.tri_area * np.einsum("tij,tij->t", H, H)))
     return float(np.sqrt(energy2 + jump_seminorm(diff) ** 2))
-
-
-@derived
-def _dg_energy_matrix(mesh: Triangulation):
-    """Broken Hessian energy form on the discontinuous quadratics."""
-    return assemble_apw(mesh, build_dof_map(mesh, SpaceTag.DG_P2))
 
 
 def environment():

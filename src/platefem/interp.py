@@ -33,11 +33,11 @@ from .fespace import (
     SpaceTag,
     barycentric_gradients,
     build_dof_map,
-    local_dof_values,
     local_lagrange_coeffs,
     morley_dof_matrix,
     morley_local_basis,
     p2_gradients,
+    to_dgp2,
 )
 from .mesh import Triangulation, derived
 from .quadrature import edge_rule
@@ -252,24 +252,11 @@ def morley_interp_local(v, mesh: Triangulation | None = None) -> DiscreteFunctio
     mean of the input Hessian.
     """
     if isinstance(v, DiscreteFunction):
+        if v.tag is SpaceTag.HCT:   # C^1 input: one-sided and averaged DOFs coincide
+            return to_dgp2(morley_interp_avg(v))
         mesh = v.mesh
-        if v.tag is SpaceTag.HCT:
-            loc = local_dof_values(v)  # (nt, 12)
-            vertex_vals = loc[:, 0::3][:, :3]
-            grads = loc[:, [1, 2, 4, 5, 7, 8]].reshape(-1, 3, 2)
-            normals = mesh.edge_normal[mesh.tri_edges]
-            qmid = loc[:, 9:]
-            dofs = np.empty((mesh.num_triangles, 6))
-            dofs[:, :3] = vertex_vals
-            for i in range(3):
-                j, k = (i + 1) % 3, (i + 2) % 3
-                qa = np.einsum("ti,ti->t", grads[:, j], normals[:, i])
-                qb = np.einsum("ti,ti->t", grads[:, k], normals[:, i])
-                dofs[:, 3 + i] = (qa + 4.0 * qmid[:, i] + qb) / 6.0
-        else:
-            lag = local_lagrange_coeffs(v)
-            Mdof = morley_dof_matrix(mesh)
-            dofs = np.einsum("tab,tb->ta", Mdof, lag)
+        lag = local_lagrange_coeffs(v)
+        dofs = np.einsum("tab,tb->ta", morley_dof_matrix(mesh), lag)
     else:
         if mesh is None:
             raise ValueError("mesh is required for analytic input")

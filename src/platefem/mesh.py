@@ -11,8 +11,8 @@ transfer operators) is computed once per mesh and memoized on it by
 :func:`derived`; no other module touches the store.  A refined mesh
 starts with an empty store.  Two concurrent first calls may compute the
 same entry twice; both results are equal and one of them is kept.  The
-same decorator memoizes a matrix's Cholesky factor on the matrix (see
-``solve``), so the factor lives exactly as long as its matrix.
+same decorator memoizes a matrix's factor (Cholesky or LU) on the matrix
+(see ``solve``), so the factor lives exactly as long as its matrix.
 """
 
 import functools
@@ -193,21 +193,25 @@ def build_triangulation(vertices, triangles, parent_tri=None, io_warnings=0):
         [triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]], axis=1
     ).reshape(-1, 2)
     keys = np.sort(pairs, axis=1)
-    edge_vertices, inverse, counts = np.unique(
-        keys, axis=0, return_inverse=True, return_counts=True
-    )
-    if counts.max() > 2:
+    # edges are numbered in lexicographic order of their sorted vertex
+    # pairs: one stable sort of the pair codes, cut where the code changes
+    code = keys[:, 0] * nv + keys[:, 1]
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = code[1:] != code[:-1]
+    sorted_edges = np.cumsum(first) - 1
+    if np.bincount(sorted_edges).max() > 2:
         raise MeshError("an edge is shared by more than two triangles")
-    tri_edges = inverse.reshape(nt, 3)
+    first_idx = np.flatnonzero(first)
+    edge_vertices = keys[order[first_idx]]
     ne = edge_vertices.shape[0]
+    inverse = np.empty_like(sorted_edges)
+    inverse[order] = sorted_edges
+    tri_edges = inverse.reshape(nt, 3)
 
     edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-    tri_of_pair = np.repeat(np.arange(nt), 3)
-    order = np.argsort(inverse, kind="stable")
-    sorted_edges = inverse[order]
-    sorted_tris = tri_of_pair[order]
-    first = np.concatenate(([True], sorted_edges[1:] != sorted_edges[:-1]))
-    first_idx = np.flatnonzero(first)
+    sorted_tris = order // 3   # the triangle of each sorted pair
     edge_tris[sorted_edges[first_idx], 0] = sorted_tris[first_idx]
     second_idx = np.flatnonzero(~first)
     edge_tris[sorted_edges[second_idx], 1] = sorted_tris[second_idx]

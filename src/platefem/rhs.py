@@ -16,12 +16,10 @@ from .fespace import (
     SpaceTag,
     build_dof_map,
     hct_local_basis,
-    hct_reference_shapes,
-    hct_reference_values,
-    hct_rule_points,
-    hct_shapes,
-    morley_local_basis,
-    p2_values,
+    reference_shapes,
+    reference_values,
+    rule,
+    shapes,
 )
 from .functions import ScalarFunction
 from .interp import companion_matrix, interp_matrix
@@ -112,13 +110,13 @@ def _hct_functional(mesh, load: LoadSpec, quad_order):
         if quad_order < 3:
             raise LoadError("quadrature order below 3 cannot integrate the cubic basis")
         _, w = triangle_rule(quad_order)
-        pts = triangle_points(hct_rule_points(quad_order), mesh.tri_coords())
+        pts = triangle_points(rule(SpaceTag.HCT, quad_order)[0], mesh.tri_coords())
         nt, nq = mesh.num_triangles, w.size
         f = fn(pts[..., 0].reshape(3 * nt, nq), pts[..., 1].reshape(3 * nt, nq))
         wf = (w * np.reshape(f, (nt, 3, nq))).reshape(nt, 3 * nq)
         # the rule points are F_T of fixed reference points, where the shape
         # functions are the tabulated reference ones times E_T
-        local = ((wf @ hct_reference_values(quad_order))[:, None, :]
+        local = ((wf @ reference_values(SpaceTag.HCT, quad_order))[:, None, :]
                  @ hct_local_basis(mesh).transform)[:, 0]
         contrib = mesh.tri_area[:, None] / 3.0 * local
         cd = hct_map.cell_dofs
@@ -131,7 +129,7 @@ def _hct_functional(mesh, load: LoadSpec, quad_order):
                 b[dof] += pl.weight
             continue
         t = pl.triangle
-        vals = hct_shapes(mesh, hct_reference_shapes(pl.bary), [t])[0, 0]
+        vals = shapes(mesh, SpaceTag.HCT, reference_shapes(SpaceTag.HCT, pl.bary), [t])[0, 0]
         cd = hct_map.cell_dofs[t]
         keep = cd >= 0
         b[cd[keep]] += pl.weight * vals[keep]
@@ -169,16 +167,14 @@ def plain_load_vector(mesh: Triangulation, dofmap: DofMap, load: LoadSpec,
         quad_order = max(3, 2 + load.density_degree) if load.density_degree is not None else 7
     if quad_order < 3:
         raise LoadError("quadrature order below 3 is rejected")
-    bary, w = triangle_rule(quad_order)
-    pts = np.einsum("qi,tij->tqj", bary, mesh.tri_coords())
+    tag = dofmap.tag
+    if tag is SpaceTag.HCT:
+        raise ValueError(f"plain load vector not defined for {tag}")
+    bary, w = rule(tag, quad_order)
+    pts = triangle_points(bary, mesh.tri_coords())
     f = fn(pts[..., 0], pts[..., 1])
-    N = p2_values(bary)  # (nq, 6)
-    loc = mesh.tri_area[:, None] * np.einsum("q,tq,qa->ta", w, f, N)
-    if dofmap.tag is SpaceTag.MORLEY:
-        C = morley_local_basis(mesh)
-        loc = np.einsum("tba,tb->ta", C, loc)
-    elif dofmap.tag not in (SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
-        raise ValueError(f"plain load vector not defined for {dofmap.tag}")
+    vals = shapes(mesh, tag, reference_values(tag, quad_order))   # (nt, nq, 6)
+    loc = mesh.tri_area[:, None] * np.einsum("q,tq,tqa->ta", w, f, vals)
     b = np.zeros(dofmap.n_free)
     cd = dofmap.cell_dofs
     np.add.at(b, np.maximum(cd, 0), np.where(cd >= 0, loc, 0.0))

@@ -26,16 +26,13 @@ import numpy as np
 
 from .fespace import (
     DiscreteFunction,
-    barycentric_gradients,
+    SpaceTag,
     build_dof_map,
-    hct_reference_values,
-    hct_rule_points,
-    hct_shapes,
     local_dof_values,
-    local_lagrange_coeffs,
-    p2_gradients,
-    p2_hessians,
-    p2_values,
+    reference_shapes,
+    reference_values,
+    rule,
+    shapes,
 )
 from .forms import SchemeConfig, assemble_scheme, jump_seminorm, matrix_config, penalty_value
 from .functions import ScalarFunction
@@ -211,7 +208,8 @@ def nested_dissection(A: SparseMatrix):
 # ---------------------------------------------------------------------------
 
 def _sorted_unique(a):
-    """Sorted distinct values; plain np.unique imports numpy.ma on first use."""
+    """Sorted distinct values by one sort and a neighbour comparison; on
+    numpy 2 ``np.unique`` takes a hashing path that is many times slower."""
     a = np.sort(a)
     keep = np.ones(a.size, dtype=bool)
     keep[1:] = a[1:] != a[:-1]
@@ -500,46 +498,23 @@ class ErrorReport:
         }
 
 
-def _exact_on_points(u: ScalarFunction, pts):
-    vals = u.value(pts[..., 0], pts[..., 1])
-    grads = u.grad(pts[..., 0], pts[..., 1])
-    hess = u.hess(pts[..., 0], pts[..., 1])
-    return vals, grads, hess
+def broken_error_norms(u: ScalarFunction, f: DiscreteFunction, quad_order: int, order: int):
+    """L2 norm, then broken H1 and (``order`` 2) H2 seminorms of u - f.
 
-
-def broken_error_norms(u: ScalarFunction, f_h: DiscreteFunction, quad_order: int):
-    """(L2, broken H1 seminorm, broken H2 seminorm) of u - f_h (P2 spaces)."""
-    mesh = f_h.mesh
-    bary, w = triangle_rule(quad_order)
-    pts = np.einsum("qi,tij->tqj", bary, mesh.tri_coords())
-    vals, grads, hess = _exact_on_points(u, pts)
-    lag = local_lagrange_coeffs(f_h)
-    N = p2_values(bary)
-    vh = np.einsum("qa,ta->tq", N, lag)
-    G = p2_gradients(bary[None], barycentric_gradients(mesh))
-    gh = np.einsum("tqai,ta->tqi", G, lag)
-    Hh = np.einsum("taij,ta->tij", p2_hessians(mesh), lag)
-    area = mesh.tri_area
-    l2 = np.einsum("t,q,tq->", area, w, (vals - vh) ** 2)
-    h1 = np.einsum("t,q,tqi->", area, w, (grads - gh) ** 2)
-    dh = hess - Hh[:, None, :, :]
-    h2 = np.einsum("t,q,tqij->", area, w, dh ** 2)
-    return np.sqrt(l2), np.sqrt(h1), np.sqrt(h2)
-
-
-def hct_error_norms(u: ScalarFunction, f_star: DiscreteFunction, quad_order: int):
-    """(L2, H1 seminorm) of u - f_star, for f_star in the macro space."""
-    mesh = f_star.mesh
-    loc = local_dof_values(f_star)
-    pts = triangle_points(hct_rule_points(quad_order), mesh.tri_coords())
+    ``f`` lies in any space; both functions are evaluated at the points of
+    the space's ``rule(tag, quad_order)``.
+    """
+    mesh, tag = f.mesh, f.tag
+    bary, w = rule(tag, quad_order)
+    pts = triangle_points(bary, mesh.tri_coords())
     x, y = pts[..., 0], pts[..., 1]
-    vh = hct_shapes(mesh, hct_reference_values(quad_order), dofs=loc)
-    gh = hct_shapes(mesh, hct_reference_values(quad_order, 1), dofs=loc)
-    w = np.tile(triangle_rule(quad_order)[1], 3)
-    third = mesh.tri_area / 3.0
-    l2 = np.einsum("t,q,tq->", third, w, (u.value(x, y) - vh) ** 2)
-    h1 = np.einsum("t,q,tqi->", third, w, (u.grad(x, y) - gh) ** 2)
-    return np.sqrt(l2), np.sqrt(h1)
+    loc = local_dof_values(f)
+    norms = []
+    for k, exact in enumerate((u.value, u.grad, u.hess)[: order + 1]):
+        diff = exact(x, y) - shapes(mesh, tag, reference_values(tag, quad_order, k), dofs=loc)
+        sq = (diff ** 2).reshape(len(diff), len(w), -1)
+        norms.append(np.sqrt(np.einsum("t,q,tqk->", mesh.tri_area, w, sq)))
+    return tuple(norms)
 
 
 def energy_distance_p2_hct(f: DiscreteFunction, s: DiscreteFunction) -> float:
@@ -550,11 +525,11 @@ def energy_distance_p2_hct(f: DiscreteFunction, s: DiscreteFunction) -> float:
     the squared difference exactly.
     """
     mesh = f.mesh
-    Hf = np.einsum("taij,ta->tij", p2_hessians(mesh), local_lagrange_coeffs(f))
-    Hs = hct_shapes(mesh, hct_reference_values(4, 2), dofs=local_dof_values(s))
-    w = np.tile(triangle_rule(4)[1], 3)
-    diff = Hs - Hf[:, None]
-    return float(np.sqrt(np.einsum("t,q,tqij->", mesh.tri_area / 3.0, w, diff ** 2)))
+    bary, w = rule(SpaceTag.HCT, 4)
+    Hf = shapes(mesh, f.tag, reference_shapes(f.tag, bary, 2), dofs=local_dof_values(f))
+    Hs = shapes(mesh, SpaceTag.HCT, reference_values(SpaceTag.HCT, 4, 2),
+                dofs=local_dof_values(s))
+    return float(np.sqrt(np.einsum("t,q,tqij->", mesh.tri_area, w, (Hs - Hf) ** 2)))
 
 
 def pi0_hessian_deviation(u: ScalarFunction, mesh: Triangulation,
@@ -580,12 +555,12 @@ def compute_errors(u_exact: ScalarFunction, sol: Solution,
     if quad_order < 4:
         raise ValueError("error quadrature order below 4 is rejected")
     mesh = sol.u_h.mesh
-    l2, h1, energy = broken_error_norms(u_exact, sol.u_h, quad_order)
+    l2, h1, energy = broken_error_norms(u_exact, sol.u_h, quad_order, 2)
     jump = jump_seminorm(sol.u_h)
     norm_h = float(np.hypot(energy, jump))
     pen = penalty_value(sol.u_h, sol.config)
     norm_scheme = float(np.sqrt(energy ** 2 + pen))
-    l2s, h1s = hct_error_norms(u_exact, sol.u_star, quad_order)
+    l2s, h1s = broken_error_norms(u_exact, sol.u_star, quad_order, 1)
     h1_star = float(np.hypot(l2s, h1s))
     best = pi0_hessian_deviation(u_exact, mesh, quad_order)
     return ErrorReport(

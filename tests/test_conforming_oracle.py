@@ -15,9 +15,9 @@ from platefem.fespace import (
     DiscreteFunction,
     SpaceTag,
     build_dof_map,
-    hct_reference_shapes,
-    hct_shapes,
     local_dof_values,
+    reference_shapes,
+    shapes,
 )
 from platefem.forms import SchemeConfig, SchemeTag
 from platefem.functions import get_manufactured
@@ -36,7 +36,7 @@ def macro_hessians(mesh, s, bary):
     sub_bary = bary @ np.array([np.eye(3)[(s + 1) % 3], np.eye(3)[(s + 2) % 3],
                                 np.full(3, 1.0 / 3.0)])
     pts = np.einsum("qi,tij->tqj", sub_bary, mesh.tri_coords())
-    H = hct_shapes(mesh, hct_reference_shapes(sub_bary, 2, s))
+    H = shapes(mesh, SpaceTag.HCT, reference_shapes(SpaceTag.HCT, sub_bary, 2, s))
     return pts, np.moveaxis(H, -1, 2)
 
 

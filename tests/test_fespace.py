@@ -8,10 +8,6 @@ from platefem.fespace import (
     build_dof_map,
     evaluate,
     hct_local_basis,
-    hct_reference_shapes,
-    hct_reference_values,
-    hct_rule_points,
-    hct_shapes,
     interpolate_nodal,
     monomial_gradients,
     monomial_hessians,
@@ -20,6 +16,10 @@ from platefem.fespace import (
     morley_local_basis,
     p2_values,
     prolongate_to_refined,
+    reference_shapes,
+    reference_values,
+    rule,
+    shapes,
     to_dgp2,
     zeros,
 )
@@ -32,6 +32,7 @@ def single_triangle(coords):
 
 
 REF = single_triangle([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+HCT = SpaceTag.HCT
 
 
 # the cubic monomial kernels as a table of powers gathered by exponent; the
@@ -159,11 +160,11 @@ def _sub_bary(s):
 
 def hct_oracle_shapes(mesh, coeffs, quad_order, order):
     """Values (order 0), gradients (1) or Hessians (2) of the oracle's shape
-    functions ``coeffs`` at ``hct_rule_points(quad_order)``, each point on its
-    own sub-triangle, laid out as ``hct_shapes`` returns them."""
+    functions ``coeffs`` at ``rule(SpaceTag.HCT, quad_order)``'s points, each
+    point on its own sub-triangle, laid out as ``shapes`` returns them."""
     p = mesh.tri_coords()
     h = mesh.tri_diam[:, None, None]
-    pts = triangle_points(hct_rule_points(quad_order), p)
+    pts = triangle_points(rule(HCT, quad_order)[0], p)
     xi = (pts - p.mean(axis=1)[:, None]) / h
     mono = np.moveaxis(_power_table_kernels(xi)[order], 2, -1)   # (nt, 3 nq, [2, [2,]] 10)
     mono /= h.reshape(h.shape[:1] + (1,) * (mono.ndim - 1)) ** order
@@ -175,10 +176,10 @@ def hct_oracle_shapes(mesh, coeffs, quad_order, order):
 
 
 def hct_oracle_gaps(mesh, quad_order=3):
-    """Relative gaps of the values, gradients and Hessians of ``hct_shapes``
+    """Relative gaps of the values, gradients and Hessians of ``shapes``
     to those of the per-cell oracle at the rule points."""
     coeffs = hct_coeffs_oracle(mesh)
-    return [_relative_gap(hct_shapes(mesh, hct_reference_values(quad_order, order)),
+    return [_relative_gap(shapes(mesh, HCT, reference_values(HCT, quad_order, order)),
                           hct_oracle_shapes(mesh, coeffs, quad_order, order))
             for order in (0, 1, 2)]
 
@@ -390,7 +391,7 @@ def test_hct_reproduces_affine():
     rng = np.random.default_rng(3)
     for s in range(3):
         bary = rng.dirichlet([1, 1, 1], size=6) @ _sub_bary(s)
-        vals = hct_shapes(mesh, hct_reference_shapes(bary, 0, s), [0], loc[None])[0]
+        vals = shapes(mesh, HCT, reference_shapes(HCT, bary, 0, s), [0], loc[None])[0]
         assert np.abs(vals - bary @ p[:, 0]).max() < 1e-12
 
 
@@ -401,8 +402,8 @@ def test_hct_c1_across_internal_edges(mesh2, rng):
         for j in range(3):
             bary = (1.0 - tau) / 3.0 + tau * np.eye(3)[j]   # centroid to P_j
             for order in (0, 1):
-                v1, v2 = (hct_shapes(mesh2, hct_reference_shapes(bary, order, (j + k) % 3),
-                                     [t], loc) for k in (1, 2))
+                v1, v2 = (shapes(mesh2, HCT, reference_shapes(HCT, bary, order, (j + k) % 3),
+                                 [t], loc) for k in (1, 2))
                 assert np.abs(v1 - v2).max() < 1e-10
 
 
@@ -416,12 +417,12 @@ def test_hct_sub_edge_sides_agree_and_a_tie_takes_the_first():
         bary = (1.0 - tau) / 3.0 + tau * np.eye(3)[j]
         first = min((j + 1) % 3, (j + 2) % 3)
         for order in (0, 1):
-            v1, v2 = (hct_shapes(mesh, hct_reference_shapes(bary, order, (j + k) % 3))
+            v1, v2 = (shapes(mesh, HCT, reference_shapes(HCT, bary, order, (j + k) % 3))
                       for k in (1, 2))
             assert _relative_gap(v1, v2) <= 1e-12
         for order in (0, 1, 2):
-            tie = hct_reference_shapes(bary[1:-1], order)
-            assert np.array_equal(tie, hct_reference_shapes(bary[1:-1], order, first))
+            tie = reference_shapes(HCT, bary[1:-1], order)
+            assert np.array_equal(tie, reference_shapes(HCT, bary[1:-1], order, first))
 
 
 def test_hct_interpolation_matches_least_squares_oracle():
@@ -449,8 +450,8 @@ def test_hct_interpolation_matches_least_squares_oracle():
 
     # main path value at the centroid
     centroid = p.mean(axis=0)
-    vals_main = [hct_shapes(mesh, hct_reference_shapes(np.full(3, 1.0 / 3.0), 0, s), [0],
-                            loc[None])[0, 0] for s in range(3)]
+    vals_main = [shapes(mesh, HCT, reference_shapes(HCT, np.full(3, 1.0 / 3.0), 0, s), [0],
+                        loc[None])[0, 0] for s in range(3)]
 
     # oracle: overdetermined consistent system solved by least squares
     scale = mesh.tri_diam[0]
@@ -531,11 +532,11 @@ def test_hct_reference_table_times_transform_gives_shape_values(quad_order):
     # the tabulated reference values times E_T are the shape values there
     mesh = _jittered(4, 2)
     want = hct_oracle_shapes(mesh, hct_coeffs_oracle(mesh), quad_order, 0)
-    got = hct_reference_values(quad_order) @ hct_local_basis(mesh).transform
+    got = reference_values(HCT, quad_order) @ hct_local_basis(mesh).transform
     assert _relative_gap(got, want) <= 1e-13
     for order in (0, 1, 2):
-        assert not hct_reference_values(quad_order, order).flags.writeable
-    assert not hct_rule_points(quad_order).flags.writeable
+        assert not reference_values(HCT, quad_order, order).flags.writeable
+    assert not any(a.flags.writeable for a in rule(HCT, quad_order))
 
 
 def test_hct_transform_is_identity_on_the_reference_triangle():
@@ -554,8 +555,8 @@ def test_hct_shape_functions_vanish_on_far_edges(mesh2, rng):
         bary = (1.0 - tau) * np.eye(3)[(j + 1) % 3] + tau * np.eye(3)[(j + 2) % 3]
         for order in (0, 1):
             # sub-triangle j carries edge (j+1, j+2)
-            shapes = hct_shapes(mesh2, hct_reference_shapes(bary, order, j), [t])[0]
-            assert np.abs(shapes[..., 3 * j:3 * j + 3]).max() < 1e-10
+            vals = shapes(mesh2, HCT, reference_shapes(HCT, bary, order, j), [t])[0]
+            assert np.abs(vals[..., 3 * j:3 * j + 3]).max() < 1e-10
 
 
 # --- embeddings / prolongation --------------------------------------------------

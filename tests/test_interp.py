@@ -241,7 +241,7 @@ INTERP_CONSTANT = 0.25745784465  # sharp bound for h^-2-weighted interpolation e
 @pytest.mark.parametrize("u", [U1, U2], ids=["u1", "u2"])
 def test_hessian_integral_mean_identity(u, mesh4):
     v_m = morley_interp_avg(u, mesh4)
-    _, _, energy = broken_error_norms(u, v_m, 13)
+    _, _, energy = broken_error_norms(u, v_m, 13, 2)
     dev = pi0_hessian_deviation(u, mesh4, 13)
     assert abs(energy - dev) <= 1e-9 * max(1.0, dev)
 
@@ -252,7 +252,7 @@ def test_interpolation_constant_bound(u):
         mesh = unit_square_mesh(n)
         v_m = morley_interp_avg(u, mesh)
         l2w = _weighted_l2_error(u, v_m)
-        _, _, energy = broken_error_norms(u, v_m, 13)
+        _, _, energy = broken_error_norms(u, v_m, 13, 2)
         assert l2w <= INTERP_CONSTANT * energy * (1.0 + 1e-9)
 
 
@@ -275,10 +275,10 @@ def test_pythagoras_identity(mesh4, rng):
     A = assemble_apw(mesh4, dm)
     for u in (U1, U2):
         v_m = morley_interp_avg(u, mesh4)
-        _, _, e_interp = broken_error_norms(u, v_m, 13)
+        _, _, e_interp = broken_error_norms(u, v_m, 13, 2)
         for _ in range(5):
             w_m = DiscreteFunction(dm, rng.standard_normal(dm.n_free))
-            _, _, e_w = broken_error_norms(u, w_m, 13)
+            _, _, e_w = broken_error_norms(u, w_m, 13, 2)
             d = w_m.coeffs - v_m.coeffs
             cross = float(d @ A.matvec(d))
             rel = abs(e_w ** 2 - (e_interp ** 2 + cross)) / e_w ** 2
@@ -289,8 +289,8 @@ def test_best_approximation_property(mesh4, rng):
     # the interpolant minimizes the broken energy distance over quadratics
     dg = build_dof_map(mesh4, SpaceTag.DG_P2)
     v_m = morley_interp_avg(U1, mesh4)
-    _, _, e_interp = broken_error_norms(U1, v_m, 11)
+    _, _, e_interp = broken_error_norms(U1, v_m, 11, 2)
     for _ in range(10):
         v2 = DiscreteFunction(dg, rng.standard_normal(dg.n_free))
-        _, _, e2 = broken_error_norms(U1, v2, 11)
+        _, _, e2 = broken_error_norms(U1, v2, 11, 2)
         assert e_interp <= e2 + 1e-9

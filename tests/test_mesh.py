@@ -84,6 +84,56 @@ def test_refined_equals_finer_grid_up_to_renumbering():
     assert np.allclose(aa, ab)
 
 
+def _unique_edge_numbering(triangles):
+    """Edge numbering as ``build_triangulation`` derived it from
+    ``np.unique(axis=0)``: edge vertices, tri_edges, the adjacent triangles
+    (T+ the smaller index) and the number of triangles per edge."""
+    nt = triangles.shape[0]
+    pairs = np.stack(
+        [triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]], axis=1
+    ).reshape(-1, 2)
+    edge_vertices, inverse, counts = np.unique(
+        np.sort(pairs, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    edge_tris = np.full((edge_vertices.shape[0], 2), -1, dtype=np.int64)
+    order = np.argsort(inverse, kind="stable")
+    sorted_edges, sorted_tris = inverse[order], np.repeat(np.arange(nt), 3)[order]
+    first = np.concatenate(([True], sorted_edges[1:] != sorted_edges[:-1]))
+    edge_tris[sorted_edges[first], 0] = sorted_tris[first]
+    edge_tris[sorted_edges[~first], 1] = sorted_tris[~first]
+    swap = (edge_tris[:, 1] >= 0) & (edge_tris[:, 0] > edge_tris[:, 1])
+    edge_tris[swap] = edge_tris[swap][:, ::-1]
+    return edge_vertices, inverse.reshape(nt, 3), edge_tris, counts
+
+
+def test_edge_numbering_matches_unique_oracle_on_renumbered_refined_mesh():
+    rng = np.random.default_rng(8)
+    base = refine_uniform(unit_square_mesh(5))
+    vperm = rng.permutation(base.num_vertices)
+    new_index = np.argsort(vperm)
+    tris = new_index[base.triangles[rng.permutation(base.num_triangles)]]
+    tris = np.take_along_axis(tris, (np.arange(3) + rng.integers(0, 3, (len(tris), 1))) % 3, 1)
+    mesh = build_triangulation(base.vertices[vperm], tris)
+    edge_vertices, tri_edges, edge_tris, counts = _unique_edge_numbering(mesh.triangles)
+    assert np.array_equal(mesh.edge_vertices, edge_vertices)
+    assert np.array_equal(mesh.tri_edges, tri_edges)
+    assert mesh.tri_edges.dtype == tri_edges.dtype
+    assert np.array_equal(mesh.edge_tris, edge_tris)
+    assert np.array_equal(mesh.edge_is_boundary, counts == 1)
+    pa, pb = mesh.vertices[edge_vertices[:, 0]], mesh.vertices[edge_vertices[:, 1]]
+    assert np.array_equal(mesh.edge_midpoint, 0.5 * (pa + pb))
+    assert np.array_equal(mesh.edge_length, np.hypot(*(pb - pa).T))
+    boundary = np.zeros(mesh.num_vertices, dtype=bool)
+    boundary[edge_vertices[counts == 1].ravel()] = True
+    assert np.array_equal(mesh.vertex_is_boundary, boundary)
+
+
+def test_edge_shared_by_three_triangles_rejected():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, -1.0]])
+    with pytest.raises(MeshError, match="more than two"):
+        build_triangulation(verts, np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]]))
+
+
 def test_shape_regularity_invariant_under_refinement():
     m = unit_square_mesh(3)
     q0 = (m.tri_diam ** 2 / m.tri_area).max()

@@ -44,13 +44,14 @@ from platefem.fespace import (
     build_dof_map,
     evaluate,
     hct_local_basis,
-    hct_reference_shapes,
-    hct_shapes,
     local_dof_values,
     local_lagrange_coeffs,
     morley_local_basis,
     p2_gradients,
     p2_hessians,
+    p2_values,
+    reference_shapes,
+    shapes,
 )
 from platefem.forms import SchemeConfig, SchemeTag, assemble_scheme, edge_traces
 from platefem.functions import get_manufactured
@@ -64,9 +65,9 @@ from platefem.mesh import build_triangulation, unit_square_mesh
 from platefem.quadrature import edge_rule, triangle_rule
 from platefem.rhs import LoadSpec, _hct_functional, locate_point, smoothed_load_vector
 from platefem.solve import (
+    broken_error_norms,
     compute_errors,
     energy_distance_p2_hct,
-    hct_error_norms,
     solve,
     solve_scheme,
 )
@@ -261,7 +262,8 @@ def _hct_functional_oracle(mesh, load, quad_order):
         for s in range(3):
             corners = np.stack([p[:, (s + 1) % 3], p[:, (s + 2) % 3], p.mean(axis=1)], axis=1)
             pts = np.einsum("qi,tij->tqj", bary, corners)
-            vals = hct_shapes(mesh, hct_reference_shapes(bary @ _sub_bary(s), 0, s))
+            vals = shapes(mesh, SpaceTag.HCT,
+                          reference_shapes(SpaceTag.HCT, bary @ _sub_bary(s), 0, s))
             f = load.density(pts[..., 0], pts[..., 1])
             contrib = mesh.tri_area[:, None] / 3.0 * np.einsum("q,tq,tqa->ta", w, f, vals)
             np.add.at(b, np.maximum(cd, 0), np.where(cd >= 0, contrib, 0.0))
@@ -359,8 +361,8 @@ def _oracle_polynomials(f):
 
 
 def hct_error_norms_oracle(u, f_star, quad_order):
-    """``solve.hct_error_norms`` as it read per-cell monomial coefficients,
-    one sub-triangle at a time."""
+    """The L2 and H1 errors of a macro-space function as they were computed
+    from per-cell monomial coefficients, one sub-triangle at a time."""
     mesh = f_star.mesh
     loc = _oracle_polynomials(f_star)
     bary, w = triangle_rule(quad_order)
@@ -400,7 +402,7 @@ def _macro_norm_gap(v, v_star):
     """Largest relative gap of the L2 and H1 errors of ``v_star`` against u1
     and of the energy distance between ``v`` and ``v_star``, to the oracles."""
     u = get_manufactured("u1")
-    got = (*hct_error_norms(u, v_star, 7), energy_distance_p2_hct(v, v_star))
+    got = (*broken_error_norms(u, v_star, 7, 1), energy_distance_p2_hct(v, v_star))
     want = (*hct_error_norms_oracle(u, v_star, 7), energy_distance_oracle(v, v_star))
     return max(abs(g - w) / w for g, w in zip(got, want))
 
@@ -418,6 +420,84 @@ def test_macro_norms_match_per_subtriangle_oracles(pair):
 def test_macro_norms_match_per_subtriangle_oracles_at_n64():
     v = morley_interp_avg(get_manufactured("u1"), unit_square_mesh(64))
     assert _macro_norm_gap(v, companion(v)) <= 1e-12
+
+
+# --- the generic evaluator against the closed-form oracles -------------------------
+
+def evaluate_p2_oracle(f, tri, lam, order):
+    """``evaluate`` of a quadratic-space function as it was written before one
+    evaluator served every space: the closed-form P2 kernels in physical
+    coordinates."""
+    mesh = f.mesh
+    loc = local_dof_values(f)[tri]
+    if f.tag is SpaceTag.MORLEY:
+        loc = morley_local_basis(mesh)[tri] @ loc
+    if order == 0:
+        return float(p2_values(lam) @ loc)
+    if order == 1:
+        return p2_gradients(lam[None], barycentric_gradients(mesh)[tri:tri + 1])[0].T @ loc
+    return np.einsum("aij,a->ij", p2_hessians(mesh)[tri], loc)
+
+
+def evaluate_hct_oracle(f, tri, lam, order):
+    """``evaluate`` of a macro-space function from its per-cell monomial
+    coefficients on the sub-triangle opposite the smallest coordinate."""
+    mesh = f.mesh
+    p = mesh.tri_coords()[tri]
+    h = mesh.tri_diam[tri]
+    sub = int(np.argmin(lam))
+    kernel = _power_table_kernels((lam @ p - p.mean(axis=0)) / h)[order]
+    return np.moveaxis(kernel, 0, -1) @ _oracle_polynomials(f)[tri, sub] / h ** order
+
+
+def broken_error_norms_oracle(u, f, quad_order):
+    """``broken_error_norms`` of a quadratic-space function as it was written
+    before: the physical gradient of every basis function at every point."""
+    mesh = f.mesh
+    bary, w = triangle_rule(quad_order)
+    pts = np.einsum("qi,tij->tqj", bary, mesh.tri_coords())
+    x, y = pts[..., 0], pts[..., 1]
+    lag = local_lagrange_coeffs(f)
+    vh = np.einsum("qa,ta->tq", p2_values(bary), lag)
+    G = p2_gradients(bary[None], barycentric_gradients(mesh))
+    gh = np.einsum("tqai,ta->tqi", G, lag)
+    Hh = np.einsum("taij,ta->tij", p2_hessians(mesh), lag)
+    area = mesh.tri_area
+    l2 = np.einsum("t,q,tq->", area, w, (u.value(x, y) - vh) ** 2)
+    h1 = np.einsum("t,q,tqi->", area, w, (u.grad(x, y) - gh) ** 2)
+    h2 = np.einsum("t,q,tqij->", area, w, (u.hess(x, y) - Hh[:, None]) ** 2)
+    return np.sqrt(l2), np.sqrt(h1), np.sqrt(h2)
+
+
+@PROPERTY_SETTINGS
+@given(pair=perturbed_pairs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_evaluate_matches_closed_form_oracles(pair, seed):
+    rng = np.random.default_rng(seed)
+    for mesh in pair:
+        for tag in SpaceTag:
+            dm = build_dof_map(mesh, tag)
+            f = DiscreteFunction(dm, rng.standard_normal(dm.n_free))
+            oracle = evaluate_hct_oracle if tag is SpaceTag.HCT else evaluate_p2_oracle
+            cells = rng.integers(mesh.num_triangles, size=8)
+            points = rng.dirichlet(np.ones(3), size=8)
+            for order in (0, 1, 2):
+                got = np.array([evaluate(f, int(t), lam, order) for t, lam in zip(cells, points)])
+                want = np.array([oracle(f, int(t), lam, order) for t, lam in zip(cells, points)])
+                assert _relative_gap(got, want) <= 1e-12, (tag.value, order)
+
+
+@PROPERTY_SETTINGS
+@given(pair=perturbed_pairs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_quadratic_norms_match_closed_form_oracle(pair, seed):
+    rng = np.random.default_rng(seed)
+    u = get_manufactured("u1")
+    for mesh in pair:
+        for tag in (SpaceTag.MORLEY, SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
+            dm = build_dof_map(mesh, tag)
+            f = DiscreteFunction(dm, 0.01 * rng.standard_normal(dm.n_free))
+            got = broken_error_norms(u, f, 7, 2)
+            want = broken_error_norms_oracle(u, f, 7)
+            assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-12, tag.value
 
 
 # --- form blocks against the plain einsums ----------------------------------------

@@ -493,7 +493,7 @@ def test_constant_hessian_case(mesh2):
     )
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
     zero = DiscreteFunction(dm, np.zeros(dm.n_free))
-    _, _, energy = broken_error_norms(u, zero, 5)
+    _, _, energy = broken_error_norms(u, zero, 5, 2)
     expected = np.sqrt(np.sum(mesh2.tri_area * 3.0))  # |H|_F^2 = 1+1+1+0
     assert abs(energy - expected) < 1e-13
     assert pi0_hessian_deviation(u, mesh2, 5) < 1e-13
@@ -563,7 +563,7 @@ def test_norm_h_consistency_and_lower_bound(mesh4):
     # the nonconforming error can never beat the best quadratic approximation
     assert rep.energy_pw >= rep.best_approx - 1e-9
     v_m = morley_interp_avg(U1, mesh4)
-    _, _, e_interp = broken_error_norms(U1, v_m, 7)
+    _, _, e_interp = broken_error_norms(U1, v_m, 7, 2)
     assert rep.energy_pw >= e_interp - 1e-9
 
 
