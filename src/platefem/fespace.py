@@ -386,24 +386,28 @@ def shapes(mesh: Triangulation, tag: SpaceTag, ref, cells=slice(None), dofs=None
     C_T = ``morley_local_basis`` for Morley, none for DG_P2 and LAGRANGE_P2)
     and its derivative axes are pushed through d x_hat / dx, giving
     (c, P, [2, [2,]] n).  Given the local DOF values ``dofs`` (c, n),
-    returns that function instead, (c, P[, 2[, 2]]).
+    returns that function instead, (c, P[, 2[, 2]]): the pushforward and
+    the transform then act on the coefficients, and one gemm with the
+    table evaluates them.
     """
     E = (hct_local_basis(mesh).transform if tag is SpaceTag.HCT
          else morley_local_basis(mesh) if tag is SpaceTag.MORLEY else None)
     G = barycentric_gradients(mesh)[cells, 1:]   # d x_hat / dx
-    flat = ref.reshape(-1, ref.shape[-1])
+    c, P = len(G), len(ref)
+    # the chain rule on all derivative axes at once: D[t, (i..), (k..)] is
+    # the product over axes j of G[t, k_j, i_j]
+    D = np.ones((c, 1, 1))
+    for _ in range(ref.ndim - 2):
+        D = np.einsum("tIK,tki->tIiKk", D, G).reshape(c, 2 * D.shape[1], -1)
+    m = D.shape[1]
     if dofs is not None:
         coeffs = dofs if E is None else np.einsum("tab,tb->ta", E[cells], dofs)
-        out = (coeffs @ flat.T).reshape(G.shape[:1] + ref.shape[:-1])
-    elif E is None:
-        out = np.repeat(ref[None], len(G), axis=0)
-    else:
-        out = (flat @ E[cells]).reshape(G.shape[:1] + ref.shape)
-    for axis in range(2, ref.ndim):   # the chain rule, one derivative axis at a time
-        shape = (len(G),) + (1,) * (axis - 1) + (2,) + (1,) * (out.ndim - axis - 1)
-        d0, d1 = np.split(out, 2, axis)
-        out = G[:, 0].reshape(shape) * d0 + G[:, 1].reshape(shape) * d1
-    return out
+        W = (D[..., None] * coeffs[:, None, None]).reshape(c * m, -1)
+        out = (W @ ref.reshape(P, -1).T).reshape(c, m, P).swapaxes(1, 2)
+        return out.reshape((c,) + ref.shape[:-1])
+    out = (ref.reshape(P, m, -1) if E is None
+           else (ref.reshape(P * m, -1) @ E[cells]).reshape(c, P, m, -1))
+    return (D[:, None] @ out).reshape((c,) + ref.shape)
 
 
 # ---------------------------------------------------------------------------
