@@ -25,8 +25,10 @@ d x_hat / dx and multiplies by the space's transform: C_T
 (``morley_local_basis``) for Morley, the 12x12 DOF transform E_T for
 HCT, which corrects the normal derivatives (they are not
 affine-covariant), and none for the Lagrange spaces.
-``hct_local_basis`` keeps E_T and nothing else per triangle.  The forms
-and transfer operators read the closed-form P2 kernels directly.
+``hct_local_basis`` keeps E_T and nothing else per triangle.  The P2
+tables of the forms and transfer operators (``p2_hessians``,
+``morley_dof_matrix``, the edge traces, the vertex gradients) are read
+from the same reference tables, pushed forward per cell.
 """
 
 from dataclasses import dataclass
@@ -53,6 +55,9 @@ class SpaceTag(Enum):
 # ---------------------------------------------------------------------------
 # quadratic Lagrange machinery (shared by Morley / dG / continuous P2)
 # ---------------------------------------------------------------------------
+
+_REF_DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])   # d lambda / d x_hat
+
 
 @derived
 def barycentric_gradients(mesh: Triangulation):
@@ -82,21 +87,15 @@ def p2_values(lam):
     return out
 
 
-def p2_gradients(lam, g):
-    """Physical gradients of the P2 basis, shape (nt, ..., 6, 2).
-
-    ``g`` is (nt, 3, 2) and the barycentric points ``lam`` are
-    (nt, ..., 3), or (1, ..., 3) for points shared by all cells.
-    """
+def p2_gradients(lam):
+    """x_hat gradients of the P2 basis at barycentric points, (..., 6, 2)."""
     lam = np.asarray(lam)
-    nt = g.shape[0]
-    gx = g.reshape((nt,) + (1,) * (lam.ndim - 2) + (3, 2))
-    out = np.zeros((nt,) + lam.shape[1:-1] + (6, 2))
+    out = np.empty(lam.shape[:-1] + (6, 2))
     for i in range(3):
-        out[..., i, :] = (4.0 * lam[..., i, None] - 1.0) * gx[..., i, :]
+        out[..., i, :] = (4.0 * lam[..., i, None] - 1.0) * _REF_DLAM[i]
         j, k = (i + 1) % 3, (i + 2) % 3
         out[..., 3 + i, :] = 4.0 * (
-            lam[..., k, None] * gx[..., j, :] + lam[..., j, None] * gx[..., k, :]
+            lam[..., k, None] * _REF_DLAM[j] + lam[..., j, None] * _REF_DLAM[k]
         )
     return out
 
@@ -104,21 +103,11 @@ def p2_gradients(lam, g):
 @derived
 def p2_hessians(mesh: Triangulation):
     """Constant Hessians of the P2 basis per triangle, shape (nt, 6, 2, 2)."""
-    g = barycentric_gradients(mesh)
-    H = np.empty((mesh.num_triangles, 6, 2, 2))
-    for i in range(3):
-        H[:, i] = 4.0 * np.einsum("ti,tj->tij", g[:, i], g[:, i])
-        j, k = (i + 1) % 3, (i + 2) % 3
-        H[:, 3 + i] = 4.0 * (
-            np.einsum("ti,tj->tij", g[:, j], g[:, k])
-            + np.einsum("ti,tj->tij", g[:, k], g[:, j])
-        )
-    return H
+    H = shapes(mesh, SpaceTag.DG_P2, reference_shapes(SpaceTag.DG_P2, np.full(3, 1.0 / 3.0), 2))
+    return np.moveaxis(H[:, 0], -1, 1)
 
 
-_EDGE_MID_BARY = np.array(
-    [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
-)  # midpoint of the edge opposite vertex i
+_EDGE_MID_BARY = (1.0 - np.eye(3)) / 2.0   # midpoint of the edge opposite vertex i
 
 
 def morley_dof_matrix(mesh: Triangulation):
@@ -128,12 +117,11 @@ def morley_dof_matrix(mesh: Triangulation):
     the normal derivative over edge i (opposite vertex i) with the global
     edge normal; for quadratics this mean equals the midpoint value.
     """
-    g = barycentric_gradients(mesh)
     M = np.zeros((mesh.num_triangles, 6, 6))
     M[:, :3, :3] = np.eye(3)
-    grads = p2_gradients(_EDGE_MID_BARY[None], g)  # (nt, 3, 6, 2)
+    grads = shapes(mesh, SpaceTag.DG_P2, reference_shapes(SpaceTag.DG_P2, _EDGE_MID_BARY, 1))
     normals = mesh.edge_normal[mesh.tri_edges]  # (nt, 3, 2)
-    M[:, 3:, :] = np.einsum("teai,tei->tea", grads, normals)
+    M[:, 3:, :] = (normals[:, :, None] @ grads)[:, :, 0]
     return M
 
 
@@ -320,9 +308,6 @@ def hct_local_basis(mesh: Triangulation) -> HctBasis:
 # one evaluator for every space: reference table x d x_hat/dx x transform
 # ---------------------------------------------------------------------------
 
-_REF_DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])   # d lambda / d x_hat
-
-
 def reference_shapes(tag: SpaceTag, bary, order=0, sub=None):
     """The reference shape functions of ``tag`` at barycentric points (P, 3).
 
@@ -345,10 +330,10 @@ def reference_shapes(tag: SpaceTag, bary, order=0, sub=None):
     if order == 0:
         return p2_values(lam)
     if order == 1:
-        return np.swapaxes(p2_gradients(lam[None], _REF_DLAM[None])[0], 1, 2)
+        return np.swapaxes(p2_gradients(lam), 1, 2)
     # the gradients are affine in x_hat: their differences between the
     # reference vertices (0, 0), (1, 0) and (0, 1) are the constant Hessians
-    g = p2_gradients(np.eye(3)[None], _REF_DLAM[None])[0]
+    g = p2_gradients(np.eye(3))
     return np.repeat((g[1:] - g[0]).transpose(2, 0, 1)[None], len(lam), axis=0)
 
 
@@ -378,6 +363,20 @@ def reference_values(tag: SpaceTag, q, order=0):
     return table
 
 
+def pushforward(mesh: Triangulation, order, cells=slice(None)):
+    """The chain rule of ``order`` derivative axes on triangles ``cells``.
+
+    Returns D (c, 2^order, 2^order): D[t, (i..), (k..)] is the product over
+    axes j of d x_hat_(k_j) / d x_(i_j), so D[t] times x_hat derivatives
+    gives the x derivatives on t.
+    """
+    G = barycentric_gradients(mesh)[cells, 1:]   # d x_hat / dx
+    D = np.ones((len(G), 1, 1))
+    for _ in range(order):
+        D = np.einsum("tIK,tki->tIiKk", D, G).reshape(len(G), 2 * D.shape[1], 2 * D.shape[2])
+    return D
+
+
 def shapes(mesh: Triangulation, tag: SpaceTag, ref, cells=slice(None), dofs=None):
     """The shape functions of ``tag`` on triangles ``cells`` from reference rows.
 
@@ -392,21 +391,15 @@ def shapes(mesh: Triangulation, tag: SpaceTag, ref, cells=slice(None), dofs=None
     """
     E = (hct_local_basis(mesh).transform if tag is SpaceTag.HCT
          else morley_local_basis(mesh) if tag is SpaceTag.MORLEY else None)
-    G = barycentric_gradients(mesh)[cells, 1:]   # d x_hat / dx
-    c, P = len(G), len(ref)
-    # the chain rule on all derivative axes at once: D[t, (i..), (k..)] is
-    # the product over axes j of G[t, k_j, i_j]
-    D = np.ones((c, 1, 1))
-    for _ in range(ref.ndim - 2):
-        D = np.einsum("tIK,tki->tIiKk", D, G).reshape(c, 2 * D.shape[1], -1)
-    m = D.shape[1]
+    D = pushforward(mesh, ref.ndim - 2, cells)
+    c, m, P = len(D), D.shape[1], len(ref)
     if dofs is not None:
         coeffs = dofs if E is None else np.einsum("tab,tb->ta", E[cells], dofs)
-        W = (D[..., None] * coeffs[:, None, None]).reshape(c * m, -1)
+        W = (D[..., None] * coeffs[:, None, None]).reshape(c * m, m * ref.shape[-1])
         out = (W @ ref.reshape(P, -1).T).reshape(c, m, P).swapaxes(1, 2)
         return out.reshape((c,) + ref.shape[:-1])
     out = (ref.reshape(P, m, -1) if E is None
-           else (ref.reshape(P * m, -1) @ E[cells]).reshape(c, P, m, -1))
+           else (ref.reshape(P * m, -1) @ E[cells]).reshape(c, P, m, ref.shape[-1]))
     return (D[:, None] @ out).reshape((c,) + ref.shape)
 
 
@@ -602,5 +595,6 @@ def prolongate_to_refined(f: DiscreteFunction, fine: Triangulation,
         [fine.tri_coords(), fine.edge_midpoint[fine.tri_edges]], axis=1
     )  # (nt_fine, 6, 2)
     lam = barycentric(pts, coarse.tri_coords()[par][:, None])
-    vals = np.einsum("tna,ta->tn", p2_values(lam), coarse_coeffs[par])
+    N = reference_shapes(SpaceTag.DG_P2, lam).reshape(-1, 6, 6)
+    vals = np.einsum("tna,ta->tn", N, coarse_coeffs[par])
     return DiscreteFunction(fine_dg, vals.ravel())

@@ -34,13 +34,12 @@ from .fespace import (
     DiscreteFunction,
     DofMap,
     SpaceTag,
-    barycentric_gradients,
     build_dof_map,
     local_lagrange_coeffs,
     morley_local_basis,
-    p2_gradients,
     p2_hessians,
-    p2_values,
+    pushforward,
+    reference_shapes,
 )
 from .mesh import Triangulation, derived
 from .quadrature import edge_rule
@@ -108,30 +107,28 @@ def edge_traces(mesh: Triangulation, params):
     its second stored endpoint.  Returns a dict with, per side, basis
     values ``N`` (ne, nq, 6), gradients ``G`` (ne, nq, 6, 2) and the
     all-edges interior mask; side 1 arrays are zero on boundary edges.
+    A side running from local vertex a to b reads the reference table of
+    the points lambda_a = 1 - s, lambda_b = s, and its gradients are
+    pushed forward by one batched matmul.
     """
     params = np.asarray(params, dtype=np.float64)
     info = mesh.edge_side_info()
-    g = barycentric_gradients(mesh)
-    ne, nq = mesh.num_edges, params.size
+    nq = params.size
+    eye = np.eye(3)
+    lam = (eye[:, None, None] * (1.0 - params)[:, None]
+           + eye[None, :, None] * params[:, None]).reshape(-1, 3)   # [a, b, q]
+    N_ref = reference_shapes(SpaceTag.DG_P2, lam).reshape(3, 3, nq, 6)
+    G_ref = reference_shapes(SpaceTag.DG_P2, lam, 1).reshape(3, 3, nq, 2, 6).swapaxes(3, 4)
     out = {"interior": ~mesh.edge_is_boundary}
     for side in range(2):
         t = mesh.edge_tris[:, side]
         valid = t >= 0
         ts = np.maximum(t, 0)
-        onehot_a = (np.arange(3)[None, :] == info["local_a"][:, side][:, None]).astype(float)
-        onehot_b = (np.arange(3)[None, :] == info["local_b"][:, side][:, None]).astype(float)
-        lam = (
-            onehot_a[:, None, :] * (1.0 - params)[None, :, None]
-            + onehot_b[:, None, :] * params[None, :, None]
-        )
-        N = p2_values(lam)
-        G = p2_gradients(lam, g[ts])
-        N[~valid] = 0.0
-        G[~valid] = 0.0
-        out[f"N{side}"] = N
-        out[f"G{side}"] = G
-        out[f"t{side}"] = ts
-        out[f"valid{side}"] = valid
+        a, b = (np.maximum(info[k][:, side], 0) for k in ("local_a", "local_b"))
+        N = N_ref[a, b]
+        G = G_ref[a, b] @ pushforward(mesh, 1, ts).swapaxes(1, 2)[:, None]
+        N[~valid] = G[~valid] = 0.0
+        out.update({f"N{side}": N, f"G{side}": G, f"t{side}": ts, f"valid{side}": valid})
     return out
 
 

@@ -31,12 +31,12 @@ from .fespace import (
     DiscreteFunction,
     DofMap,
     SpaceTag,
-    barycentric_gradients,
     build_dof_map,
     local_lagrange_coeffs,
     morley_dof_matrix,
     morley_local_basis,
-    p2_gradients,
+    reference_shapes,
+    shapes,
     to_dgp2,
 )
 from .mesh import Triangulation, derived
@@ -59,19 +59,6 @@ class InterpolationReport:
     @property
     def ok(self):
         return self.max_residual <= self.tolerance
-
-
-@derived
-def _morley_vertex_grad_rows(mesh):
-    """Gradient of the local Morley shape functions at the vertices.
-
-    Returns (nt, 3, 6, 2): entry [t, lv, a, :] is the gradient at local
-    vertex lv of the shape function dual to local DOF a.
-    """
-    g = barycentric_gradients(mesh)
-    grads = p2_gradients(np.eye(3)[None], g)  # (nt, 3, 6, 2) Lagrange gradients
-    C = morley_local_basis(mesh)
-    return C.transpose(0, 2, 1)[:, None] @ grads
 
 
 def _vertex_patches(mesh, vids):
@@ -154,14 +141,15 @@ def companion_matrix(mesh: Triangulation) -> SparseMatrix:
     vids = np.flatnonzero(~mesh.vertex_is_boundary)
     acc.add(hct_map.vertex_dofs[vids, 0], morley_map.vertex_dofs[vids], np.ones(vids.size))
 
-    # vertex gradients: arithmetic mean over the vertex patch
-    Gv = _morley_vertex_grad_rows(mesh)  # (nt, 3, 6, 2)
+    # vertex gradients: arithmetic mean over the vertex patch; Gv[t, lv, :, a]
+    # is the gradient at local vertex lv of the shape function of local DOF a
+    Gv = shapes(mesh, SpaceTag.MORLEY, reference_shapes(SpaceTag.MORLEY, np.eye(3), 1))
     owner, t_in, lv_in, size = _vertex_patches(mesh, vids)
     w = (1.0 / size)[:, None]
     cols = morley_map.cell_dofs[t_in]  # (N, 6)
     for comp in range(2):
         rows = np.repeat(hct_map.vertex_dofs[vids, 1 + comp][owner], 6).reshape(-1, 6)
-        acc.add(rows, cols, w * Gv[t_in, lv_in, :, comp])
+        acc.add(rows, cols, w * Gv[t_in, lv_in, comp])
 
     # edge slope: q(mid) = (6*mean - q(a) - q(b)) / 4
     eids = np.flatnonzero(~mesh.edge_is_boundary)
@@ -174,7 +162,7 @@ def companion_matrix(mesh: Triangulation) -> SparseMatrix:
         sel = np.flatnonzero(inner)
         owner, t_in, lv_in, size = _vertex_patches(mesh, v[sel])
         w = -0.25 / size
-        gdot = np.einsum("nai,ni->na", Gv[t_in, lv_in], nu[sel][owner])
+        gdot = np.einsum("nia,ni->na", Gv[t_in, lv_in], nu[sel][owner])
         rows = np.repeat(erows[sel][owner], 6).reshape(-1, 6)
         acc.add(rows, morley_map.cell_dofs[t_in], w[:, None] * gdot)
 

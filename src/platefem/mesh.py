@@ -3,8 +3,10 @@
 A :class:`Triangulation` stores the full edge combinatorics needed for
 interior-penalty assembly: every edge has a fixed orientation with the
 unit normal pointing out of its first adjacent triangle ``T+`` (the one
-with the smaller index; outward for boundary edges).  Instances are
-immutable after construction and safe to share.
+with the smaller index; outward for boundary edges).  The geometry is
+computed from the vertices at construction, so a ``dataclasses.replace``
+copy with new vertices has their geometry.  Instances are immutable
+after construction and safe to share.
 
 Data derived from a mesh (adjacency tables, shape functions, DOF maps,
 transfer operators) is computed once per mesh and memoized on it by
@@ -95,15 +97,58 @@ class Triangulation:
     tri_edges: np.ndarray       # (nt, 3) edge index opposite each local vertex
     vertex_is_boundary: np.ndarray
     edge_is_boundary: np.ndarray
-    edge_normal: np.ndarray     # (ne, 2) unit, out of T+
-    edge_tangent: np.ndarray    # (ne, 2) unit, normal x tangent consistent
-    edge_midpoint: np.ndarray   # (ne, 2)
-    edge_length: np.ndarray     # (ne,)  h_E
-    tri_area: np.ndarray        # (nt,)
-    tri_diam: np.ndarray        # (nt,)  h_T
     parent_tri: np.ndarray | None = None   # set by refine_uniform
     io_warnings: int = 0
+    edge_normal: np.ndarray = field(init=False)     # (ne, 2) unit, out of T+
+    edge_tangent: np.ndarray = field(init=False)    # (ne, 2) unit, normal x tangent consistent
+    edge_midpoint: np.ndarray = field(init=False)   # (ne, 2)
+    edge_length: np.ndarray = field(init=False)     # (ne,)  h_E
+    tri_area: np.ndarray = field(init=False)        # (nt,)
+    tri_diam: np.ndarray = field(init=False)        # (nt,)  h_T
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Compute the geometry from the vertices; raise MeshError unless every
+        coordinate is finite, every triangle counterclockwise and the two
+        triangles of every interior edge on opposite sides of it."""
+        vertices, triangles = self.vertices, self.triangles
+        finite = np.isfinite(vertices).all(axis=1)
+        if not finite.all():
+            raise MeshError(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
+        areas = _signed_areas(vertices, triangles)
+        if np.any(areas <= 0):
+            bad = int(np.flatnonzero(areas <= 0)[0])
+            raise MeshError(f"triangle {bad} is not counterclockwise (signed area {areas[bad]:g})")
+        # a counterclockwise triangle runs along its local edge i from local
+        # vertex i+1 to i+2; across an interior edge the two runs must be opposite
+        forward = triangles[:, [1, 2, 0]] == self.edge_vertices[self.tri_edges, 0]
+        runs = np.bincount(self.tri_edges.ravel(), weights=forward.ravel(),
+                           minlength=self.num_edges)
+        clash = ~self.edge_is_boundary & (runs != 1)
+        if np.any(clash):
+            e = int(np.argmax(clash))
+            raise MeshError(f"triangles {self.edge_tris[e, 0]} and {self.edge_tris[e, 1]} "
+                            f"overlap: both lie on one side of edge {e}")
+
+        # every edge has positive length: it is a side of a triangle of positive area
+        pa = vertices[self.edge_vertices[:, 0]]
+        pb = vertices[self.edge_vertices[:, 1]]
+        edge_vec = pb - pa
+        edge_length = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
+        edge_tangent = edge_vec / edge_length[:, None]
+        edge_normal = np.column_stack([edge_tangent[:, 1], -edge_tangent[:, 0]])
+        edge_midpoint = 0.5 * (pa + pb)
+        # flip normals to point out of T+
+        p = vertices[triangles]
+        flip = np.einsum("ei,ei->e", edge_normal,
+                         edge_midpoint - p.mean(axis=1)[self.edge_tris[:, 0]]) < 0
+        edge_normal[flip] *= -1.0
+        edge_tangent[flip] *= -1.0
+        diam = np.linalg.norm(p[:, [2, 0, 1]] - p[:, [1, 2, 0]], axis=2).max(axis=1)
+        for name, value in (("edge_normal", edge_normal), ("edge_tangent", edge_tangent),
+                            ("edge_midpoint", edge_midpoint), ("edge_length", edge_length),
+                            ("tri_area", areas), ("tri_diam", diam)):
+            object.__setattr__(self, name, value)
 
     @property
     def num_vertices(self):
@@ -150,22 +195,17 @@ class Triangulation:
         tri_edges) and ``local_a``/``local_b`` (local vertex index of the
         edge endpoints edge_vertices[:, 0] / [:, 1]).
         """
-        ne = self.num_edges
-        local_edge = np.full((ne, 2), -1, dtype=np.int64)
-        local_a = np.full((ne, 2), -1, dtype=np.int64)
-        local_b = np.full((ne, 2), -1, dtype=np.int64)
-        eids = np.arange(ne)
-        for side in range(2):
-            t = self.edge_tris[:, side]
-            ok = t >= 0
-            tri_e = self.tri_edges[t[ok]]
-            local_edge[eids[ok], side] = np.argmax(tri_e == eids[ok][:, None], axis=1)
-            tri_v = self.triangles[t[ok]]
-            a = self.edge_vertices[ok, 0][:, None]
-            b = self.edge_vertices[ok, 1][:, None]
-            local_a[eids[ok], side] = np.argmax(tri_v == a, axis=1)
-            local_b[eids[ok], side] = np.argmax(tri_v == b, axis=1)
-        return {"local_edge": local_edge, "local_a": local_a, "local_b": local_b}
+        t = np.repeat(np.arange(self.num_triangles), 3)
+        i = np.tile(np.arange(3), self.num_triangles)   # local edge i runs from i+1 to i+2
+        e = self.tri_edges.ravel()
+        side = (self.edge_tris[e, 1] == t).astype(np.int64)
+        forward = self.triangles[t, (i + 1) % 3] == self.edge_vertices[e, 0]
+        out = {k: np.full((self.num_edges, 2), -1, dtype=np.int64)
+               for k in ("local_edge", "local_a", "local_b")}
+        out["local_edge"][e, side] = i
+        out["local_a"][e, side] = np.where(forward, (i + 1) % 3, (i + 2) % 3)
+        out["local_b"][e, side] = np.where(forward, (i + 2) % 3, (i + 1) % 3)
+        return out
 
 
 def _signed_areas(vertices, triangles):
@@ -174,7 +214,10 @@ def _signed_areas(vertices, triangles):
 
 
 def build_triangulation(vertices, triangles, parent_tri=None, io_warnings=0):
-    """Assemble the full edge combinatorics from vertices and triangles."""
+    """Assemble the full edge combinatorics from vertices and triangles.
+
+    The geometry is computed and checked by the ``Triangulation`` itself.
+    """
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     if triangles.size == 0:
@@ -182,10 +225,6 @@ def build_triangulation(vertices, triangles, parent_tri=None, io_warnings=0):
     nv = vertices.shape[0]
     if triangles.min() < 0 or triangles.max() >= nv:
         raise MeshError("triangle references a nonexistent vertex")
-    areas = _signed_areas(vertices, triangles)
-    if np.any(areas <= 0):
-        bad = int(np.flatnonzero(areas <= 0)[0])
-        raise MeshError(f"triangle {bad} is not counterclockwise (signed area {areas[bad]:g})")
 
     nt = triangles.shape[0]
     # local edge i is opposite local vertex i
@@ -223,32 +262,6 @@ def build_triangulation(vertices, triangles, parent_tri=None, io_warnings=0):
     edge_is_boundary = ~interior
     vertex_is_boundary = np.zeros(nv, dtype=bool)
     vertex_is_boundary[edge_vertices[edge_is_boundary].ravel()] = True
-
-    pa = vertices[edge_vertices[:, 0]]
-    pb = vertices[edge_vertices[:, 1]]
-    edge_vec = pb - pa
-    edge_length = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
-    if np.any(edge_length == 0):
-        raise MeshError("degenerate edge of zero length")
-    edge_tangent = edge_vec / edge_length[:, None]
-    edge_normal = np.column_stack([edge_tangent[:, 1], -edge_tangent[:, 0]])
-    edge_midpoint = 0.5 * (pa + pb)
-    # flip normals to point out of T+
-    centroids = vertices[triangles].mean(axis=1)
-    outward = np.einsum("ei,ei->e", edge_normal, edge_midpoint - centroids[edge_tris[:, 0]])
-    flip = outward < 0
-    edge_normal[flip] *= -1.0
-    edge_tangent[flip] *= -1.0
-
-    p = vertices[triangles]
-    lengths = np.stack(
-        [
-            np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-            np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-            np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-        ],
-        axis=1,
-    )
     return Triangulation(
         vertices=vertices,
         triangles=triangles,
@@ -257,12 +270,6 @@ def build_triangulation(vertices, triangles, parent_tri=None, io_warnings=0):
         tri_edges=tri_edges,
         vertex_is_boundary=vertex_is_boundary,
         edge_is_boundary=edge_is_boundary,
-        edge_normal=edge_normal,
-        edge_tangent=edge_tangent,
-        edge_midpoint=edge_midpoint,
-        edge_length=edge_length,
-        tri_area=areas,
-        tri_diam=lengths.max(axis=1),
         parent_tri=parent_tri,
         io_warnings=io_warnings,
     )
@@ -346,6 +353,8 @@ def read_mesh(text: str) -> Triangulation:
             vertices[k] = [float(parts[0]), float(parts[1])]
         except ValueError as exc:
             raise MeshError(f"line {lineno}: malformed vertex {line!r}") from exc
+        if not np.isfinite(vertices[k]).all():
+            raise MeshError(f"line {lineno}: non-finite vertex {line!r}")
     triangles = np.empty((nt, 3), dtype=np.int64)
     for k in range(nt):
         lineno, line = rows[1 + nv + k]
@@ -354,7 +363,7 @@ def read_mesh(text: str) -> Triangulation:
             raise MeshError(f"line {lineno}: triangle line must be 'i j k'")
         try:
             triangles[k] = [int(p) for p in parts]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:   # not an integer, or beyond int64
             raise MeshError(f"line {lineno}: malformed triangle {line!r}") from exc
         if triangles[k].min() < 0 or triangles[k].max() >= nv:
             raise MeshError(f"line {lineno}: dangling vertex index in {line!r}")

@@ -38,7 +38,7 @@ from .forms import SchemeConfig, assemble_scheme, jump_seminorm, matrix_config, 
 from .functions import ScalarFunction
 from .interp import smoother
 from .mesh import Triangulation, derived
-from .quadrature import triangle_points, triangle_rule
+from .quadrature import triangle_points
 from .rhs import LoadSpec, smoothed_load_vector
 from .sparse import SparseMatrix, ragged_positions
 
@@ -504,6 +504,11 @@ def broken_error_norms(u: ScalarFunction, f: DiscreteFunction, quad_order: int, 
     ``f`` lies in any space; both functions are evaluated at the points of
     the space's ``rule(tag, quad_order)``.
     """
+    return _broken_norms(u, f, quad_order, order)[0]
+
+
+def _broken_norms(u, f, quad_order, order):
+    """``broken_error_norms`` and the exact derivatives of ``order`` it read."""
     mesh, tag = f.mesh, f.tag
     bary, w = rule(tag, quad_order)
     pts = triangle_points(bary, mesh.tri_coords())
@@ -511,10 +516,11 @@ def broken_error_norms(u: ScalarFunction, f: DiscreteFunction, quad_order: int, 
     loc = local_dof_values(f)
     norms = []
     for k, exact in enumerate((u.value, u.grad, u.hess)[: order + 1]):
-        diff = exact(x, y) - shapes(mesh, tag, reference_values(tag, quad_order, k), dofs=loc)
+        values = exact(x, y)
+        diff = values - shapes(mesh, tag, reference_values(tag, quad_order, k), dofs=loc)
         sq = (diff ** 2).reshape(len(diff), len(w), -1)
         norms.append(np.sqrt(np.einsum("t,q,tqk->", mesh.tri_area, w, sq)))
-    return tuple(norms)
+    return tuple(norms), values
 
 
 def energy_distance_p2_hct(f: DiscreteFunction, s: DiscreteFunction) -> float:
@@ -535,13 +541,17 @@ def energy_distance_p2_hct(f: DiscreteFunction, s: DiscreteFunction) -> float:
 def pi0_hessian_deviation(u: ScalarFunction, mesh: Triangulation,
                           quad_order: int = 7) -> float:
     """L^2 distance of D^2 u from its per-triangle integral means."""
-    bary, w = triangle_rule(quad_order)
-    pts = np.einsum("qi,tij->tqj", bary, mesh.tri_coords())
-    hess = u.hess(pts[..., 0], pts[..., 1])
+    bary, w = rule(SpaceTag.DG_P2, quad_order)
+    pts = triangle_points(bary, mesh.tri_coords())
+    return _mean_deviation(u.hess(pts[..., 0], pts[..., 1]), w, mesh.tri_area)
+
+
+def _mean_deviation(hess, w, area):
+    """L^2 distance of ``hess`` at rule points (weights ``w``) from its cell means."""
     mean = np.einsum("q,tqij->tij", w, hess)
     dev = hess - mean[:, None, :, :]
     sq = np.einsum("q,tqij->t", w, dev ** 2)
-    return float(np.sqrt(np.sum(mesh.tri_area * sq)))
+    return float(np.sqrt(np.sum(area * sq)))
 
 
 def compute_errors(u_exact: ScalarFunction, sol: Solution,
@@ -555,14 +565,14 @@ def compute_errors(u_exact: ScalarFunction, sol: Solution,
     if quad_order < 4:
         raise ValueError("error quadrature order below 4 is rejected")
     mesh = sol.u_h.mesh
-    l2, h1, energy = broken_error_norms(u_exact, sol.u_h, quad_order, 2)
+    (l2, h1, energy), hess = _broken_norms(u_exact, sol.u_h, quad_order, 2)
     jump = jump_seminorm(sol.u_h)
     norm_h = float(np.hypot(energy, jump))
     pen = penalty_value(sol.u_h, sol.config)
     norm_scheme = float(np.sqrt(energy ** 2 + pen))
     l2s, h1s = broken_error_norms(u_exact, sol.u_star, quad_order, 1)
     h1_star = float(np.hypot(l2s, h1s))
-    best = pi0_hessian_deviation(u_exact, mesh, quad_order)
+    best = _mean_deviation(hess, rule(sol.u_h.tag, quad_order)[1], mesh.tri_area)
     return ErrorReport(
         energy_pw=float(energy), jump=float(jump), norm_h=norm_h,
         norm_scheme=norm_scheme, l2=float(l2), h1_pw=float(h1),

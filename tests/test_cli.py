@@ -88,7 +88,7 @@ def test_point_load_config(tmp_path, capsys):
 
 def test_mesh_file_config(tmp_path, capsys):
     mesh_file = tmp_path / "square.msh"
-    mesh_file.write_text("4 2\n0 0\n1 0\n0 1\n1 1\n0 1 3\n1 3 2\n")
+    mesh_file.write_text("4 2\n0 0\n1 0\n0 1\n1 1\n0 1 3\n0 3 2\n")
     cfg = write_config(
         tmp_path,
         mesh={"kind": "file", "path": str(mesh_file)},

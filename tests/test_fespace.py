@@ -584,6 +584,16 @@ def test_prolongation_is_exact(mesh2, rng):
         assert abs(evaluate(g, ft, lam, 0) - evaluate(f, parent, lam_c, 0)) < 1e-11
 
 
+@pytest.mark.parametrize("tag", list(SpaceTag))
+def test_shapes_on_no_cells_are_empty(mesh2, tag):
+    none = np.zeros(0, dtype=np.int64)
+    n = 12 if tag is HCT else 6
+    for order in (0, 1, 2):
+        ref = reference_shapes(tag, np.eye(3), order)
+        assert shapes(mesh2, tag, ref, none).shape == (0,) + ref.shape
+        assert shapes(mesh2, tag, ref, none, np.zeros((0, n))).shape == (0,) + ref.shape[:-1]
+
+
 @pytest.mark.parametrize("shape", [(1,), (17,), (4, 9), (3, 2, 5)])
 def test_monomial_kernels_match_power_table_bit_for_bit(rng, shape):
     xi = rng.uniform(-1.5, 1.5, shape + (2,))

@@ -165,7 +165,7 @@ def test_roundtrip_canonical():
     again = write_mesh(read_mesh(text))
     assert text == again
     # comments and spacing normalize away
-    noisy = "# unit square\n 4   2 \n0 0\n1 0 # se\n0 1\n1 1\n0 1 3\n1 3 2\n"
+    noisy = "# unit square\n 4   2 \n0 0\n1 0 # se\n0 1\n1 1\n0 1 3\n0 3 2\n"
     parsed = read_mesh(noisy)
     assert write_mesh(read_mesh(write_mesh(parsed))) == write_mesh(parsed)
 
@@ -208,12 +208,30 @@ def test_malformed_counts_and_lines():
         read_mesh("four 2\n")
     with pytest.raises(MeshError, match="line 2"):
         read_mesh("3 1\n0\n1 0\n0 1\n0 1 2\n")
+    with pytest.raises(MeshError, match="line 5: malformed triangle"):
+        read_mesh("3 1\n0 0\n1 0\n0 1\n0 1 99999999999999999999\n")
 
 
 def test_degenerate_triangle_rejected():
     text = "3 1\n0 0\n1 0\n2 0\n0 1 2\n"
     with pytest.raises(MeshError, match="degenerate"):
         read_mesh(text)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_vertex_rejected(token):
+    with pytest.raises(MeshError, match="line 4: non-finite vertex"):
+        read_mesh(f"3 1\n0 0\n1 0\n{token} 1\n0 1 2\n")
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [float(token), 1.0]])
+    with pytest.raises(MeshError, match="vertex 2 has a non-finite coordinate"):
+        build_triangulation(verts, np.array([[0, 1, 2]]))
+
+
+def test_overlapping_triangles_rejected():
+    # both counterclockwise, both on the left of the shared edge (1, 3)
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(MeshError, match="triangles 0 and 1 overlap"):
+        build_triangulation(verts, np.array([[0, 1, 3], [1, 3, 2]]))
 
 
 def test_build_rejects_nonccw():
@@ -303,12 +321,25 @@ def test_replaced_mesh_recomputes_derived_data():
     mesh = unit_square_mesh(2)
     grads = barycentric_gradients(mesh)
     # scaled by 2: the areas grow by 4 and the gradients halve, exactly
-    doubled = dataclasses.replace(mesh, vertices=2.0 * mesh.vertices, tri_area=4.0 * mesh.tri_area)
+    doubled = dataclasses.replace(mesh, vertices=2.0 * mesh.vertices)
     assert not doubled._cache
+    assert np.array_equal(doubled.tri_area, 4.0 * mesh.tri_area)
+    assert np.array_equal(doubled.edge_length, 2.0 * mesh.edge_length)
+    assert np.array_equal(doubled.edge_normal, mesh.edge_normal)
     doubled_grads = barycentric_gradients(doubled)
     assert doubled_grads is not grads
     assert np.array_equal(doubled_grads, 0.5 * grads)
     assert barycentric_gradients(mesh) is grads
+
+
+def test_geometry_is_not_a_constructor_argument():
+    mesh = unit_square_mesh(2)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(mesh, tri_area=4.0 * mesh.tri_area)
+    bad = mesh.vertices.copy()
+    bad[4] = np.nan
+    with pytest.raises(MeshError, match="non-finite"):
+        dataclasses.replace(mesh, vertices=bad)
 
 
 def test_interp_matrix_is_memoized_per_space():

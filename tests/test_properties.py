@@ -21,7 +21,13 @@ function at every quadrature point of one sub-triangle at a time.  The
 macro basis, pushed forward from one reference element, must match the
 per-cell 30x30 solves it replaced, the macro-space error norms the
 per-sub-triangle monomial evaluation they replaced, and every form block
-contracted by BLAS the plain ``np.einsum`` it replaced, all to round-off.
+contracted by BLAS the plain ``np.einsum`` of the closed-form P2 kernels
+(``p2_oracles``) it replaced, all to round-off.  The P2 tables of the
+forms and transfer operators, read from the reference tables, match
+those kernels to 1e-14 relative, and bit for bit on the grid.
+
+Corrupted mesh text (truncated, a bad index, a non-finite coordinate, a
+folded vertex, an edge of three triangles) must raise ``MeshError``.
 
 Examples are derandomized and no example database is written, so the
 suite is deterministic.
@@ -46,8 +52,8 @@ from platefem.fespace import (
     hct_local_basis,
     local_dof_values,
     local_lagrange_coeffs,
+    morley_dof_matrix,
     morley_local_basis,
-    p2_gradients,
     p2_hessians,
     p2_values,
     reference_shapes,
@@ -56,12 +62,11 @@ from platefem.fespace import (
 from platefem.forms import SchemeConfig, SchemeTag, assemble_scheme, edge_traces
 from platefem.functions import get_manufactured
 from platefem.interp import (
-    _morley_vertex_grad_rows,
     companion,
     morley_interp_avg,
     verify_right_inverse,
 )
-from platefem.mesh import build_triangulation, unit_square_mesh
+from platefem.mesh import MeshError, build_triangulation, read_mesh, unit_square_mesh, write_mesh
 from platefem.quadrature import edge_rule, triangle_rule
 from platefem.rhs import LoadSpec, _hct_functional, locate_point, smoothed_load_vector
 from platefem.solve import (
@@ -72,6 +77,7 @@ from platefem.solve import (
     solve_scheme,
 )
 from platefem.sparse import SparseMatrix, TripletAccumulator
+import p2_oracles
 from test_fespace import _EXP, _power_table_kernels, _sub_bary, hct_oracle_gaps
 
 PROPERTY_SETTINGS = settings(database=None, derandomize=True, deadline=None,
@@ -384,7 +390,7 @@ def energy_distance_oracle(f, s):
     """``solve.energy_distance_p2_hct`` as it read per-cell monomial
     coefficients, one sub-triangle at a time."""
     mesh = f.mesh
-    Hf = np.einsum("taij,ta->tij", p2_hessians(mesh), local_lagrange_coeffs(f))
+    Hf = np.einsum("taij,ta->tij", p2_oracles.p2_hessians(mesh), local_lagrange_coeffs(f))
     loc = _oracle_polynomials(s)
     bary, w = triangle_rule(4)
     _, xi = _oracle_frame(mesh, bary)
@@ -435,8 +441,9 @@ def evaluate_p2_oracle(f, tri, lam, order):
     if order == 0:
         return float(p2_values(lam) @ loc)
     if order == 1:
-        return p2_gradients(lam[None], barycentric_gradients(mesh)[tri:tri + 1])[0].T @ loc
-    return np.einsum("aij,a->ij", p2_hessians(mesh)[tri], loc)
+        return (p2_oracles.p2_gradients(lam[None], barycentric_gradients(mesh)[tri:tri + 1])[0].T
+                @ loc)
+    return np.einsum("aij,a->ij", p2_oracles.p2_hessians(mesh)[tri], loc)
 
 
 def evaluate_hct_oracle(f, tri, lam, order):
@@ -459,9 +466,9 @@ def broken_error_norms_oracle(u, f, quad_order):
     x, y = pts[..., 0], pts[..., 1]
     lag = local_lagrange_coeffs(f)
     vh = np.einsum("qa,ta->tq", p2_values(bary), lag)
-    G = p2_gradients(bary[None], barycentric_gradients(mesh))
+    G = p2_oracles.p2_gradients(bary[None], barycentric_gradients(mesh))
     gh = np.einsum("tqai,ta->tqi", G, lag)
-    Hh = np.einsum("taij,ta->tij", p2_hessians(mesh), lag)
+    Hh = np.einsum("taij,ta->tij", p2_oracles.p2_hessians(mesh), lag)
     area = mesh.tri_area
     l2 = np.einsum("t,q,tq->", area, w, (u.value(x, y) - vh) ** 2)
     h1 = np.einsum("t,q,tqi->", area, w, (u.grad(x, y) - gh) ** 2)
@@ -503,8 +510,9 @@ def test_quadratic_norms_match_closed_form_oracle(pair, seed):
 # --- form blocks against the plain einsums ----------------------------------------
 
 def _plain_einsum_matrix(mesh, config):
-    """The dense scheme matrix with every block contracted by a plain einsum,
-    as the forms contracted them before they went through BLAS."""
+    """The dense scheme matrix with every block contracted by a plain einsum
+    from the closed-form P2 kernels, as the forms built them before they
+    went through BLAS and the reference tables."""
     dofmap = build_dof_map(mesh, config.space_tag)
 
     def dense(kind, blocks):
@@ -515,23 +523,24 @@ def _plain_einsum_matrix(mesh, config):
         return np.concatenate([np.einsum("eqai,ei->eqa", traces["G0"], nu),
                                -np.einsum("eqai,ei->eqa", traces["G1"], nu)], axis=2)
 
-    H = p2_hessians(mesh)
+    H = p2_oracles.p2_hessians(mesh)
     K = np.einsum("taij,tbij->tab", H, H) * mesh.tri_area[:, None, None]
     if config.scheme is SchemeTag.MORLEY:
-        C = morley_local_basis(mesh)
+        C = np.linalg.inv(p2_oracles.morley_dof_matrix(mesh))
         return dense("cell", np.einsum("tap,tab,tbq->tpq", C, K, C))
     A = dense("cell", K)
     h = mesh.edge_length[:, None, None]
     if config.scheme is SchemeTag.WOPSIP:
-        traces = edge_traces(mesh, np.array([0.0, 1.0, 0.5]))
+        traces = p2_oracles.edge_traces(mesh, np.array([0.0, 1.0, 0.5]))
         Jv = np.concatenate([traces["N0"], -traces["N1"]], axis=2)[:, :2]
         Jn = dnormal(traces)[:, 2]
         return A + dense("edge", np.einsum("eqa,eqb->eab", Jv, Jv) / h ** 4
                          + np.einsum("ea,eb->eab", Jn, Jn) / h ** 2)
     s, w = edge_rule(forms.EDGE_GAUSS)
-    traces = edge_traces(mesh, s)
+    traces = p2_oracles.edge_traces(mesh, s)
     Jg = np.concatenate([traces["G0"], -traces["G1"]], axis=2)
-    B = dense("edge", np.einsum("q,eqji,eai->eaj", w, Jg, forms._hess_avg_rows(mesh, traces)) * h)
+    Hn = p2_oracles.hess_avg_rows(mesh, traces)
+    B = dense("edge", np.einsum("q,eqji,eai->eaj", w, Jg, Hn) * h)
     Jn = dnormal(traces)
     if config.scheme is SchemeTag.DG:
         Jv = np.concatenate([traces["N0"], -traces["N1"]], axis=2)
@@ -555,6 +564,98 @@ def test_form_blocks_match_plain_einsum(pair):
         A, _ = assemble_scheme(renumbered, config)
         want = _plain_einsum_matrix(renumbered, config)
         assert _relative_gap(A.to_dense(), want) <= 1e-13, (config.scheme.value, config.theta)
-    grads = p2_gradients(np.eye(3)[None], barycentric_gradients(renumbered))
-    want = np.einsum("tvbi,tba->tvai", grads, morley_local_basis(renumbered))
-    assert _relative_gap(_morley_vertex_grad_rows(renumbered), want) <= 1e-13
+
+
+# --- P2 tables from the reference tables against the closed-form kernels -----------
+
+def _p2_table_pairs(mesh):
+    """(name, table, closed-form oracle) for every P2 table the forms and
+    transfer operators read."""
+    vertex_grads = shapes(mesh, SpaceTag.MORLEY, reference_shapes(SpaceTag.MORLEY, np.eye(3), 1))
+    yield "hessians", p2_hessians(mesh), p2_oracles.p2_hessians(mesh)
+    yield "morley_dofs", morley_dof_matrix(mesh), p2_oracles.morley_dof_matrix(mesh)
+    yield "vertex_grads", vertex_grads, p2_oracles.morley_vertex_grad_rows(mesh).swapaxes(2, 3)
+    for params in (edge_rule(forms.EDGE_GAUSS)[0], np.array([0.0, 1.0, 0.5])):
+        got, want = edge_traces(mesh, params), p2_oracles.edge_traces(mesh, params)
+        for key in ("t0", "t1", "valid0", "valid1", "interior"):
+            assert np.array_equal(got[key], want[key]), key
+        for key in ("N0", "N1", "G0", "G1"):
+            yield f"{key} at {params.size} points", got[key], want[key]
+
+
+@PROPERTY_SETTINGS
+@given(perturbed_pairs())
+def test_p2_tables_match_closed_form_oracles(pair):
+    for mesh in pair:
+        gaps = {name: _relative_gap(got, want) for name, got, want in _p2_table_pairs(mesh)}
+        assert max(gaps.values()) <= 1e-14, gaps
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_p2_tables_equal_closed_form_oracles_on_the_grid(n):
+    for name, got, want in _p2_table_pairs(unit_square_mesh(n)):
+        assert np.array_equal(got, want), name
+
+
+# --- malformed mesh text -------------------------------------------------------
+
+def _corrupted(kind, lines, n, data):
+    """Mesh text ``lines`` of ``unit_square_mesh(n)`` with one fault of
+    ``kind``; returns the text and whether the fault is found while parsing
+    (then the error names its line)."""
+    nv = (n + 1) ** 2
+    tri_lines = range(1 + nv, len(lines))
+    if kind == "truncated":
+        keep = data.draw(st.integers(0, len(lines) - 1))
+        tokens = data.draw(st.integers(0, 3))
+        words = lines[keep].split()
+        partial = " ".join(words[:tokens]) if tokens < len(words) else ""
+        return "\n".join(lines[:keep] + [partial]) + "\n", True
+    if kind == "index":
+        k, slot = data.draw(st.sampled_from(tri_lines)), data.draw(st.integers(0, 2))
+        ids = lines[k].split()
+        ids[slot] = data.draw(st.sampled_from([str(nv), str(nv + 7), "-1", str(2 ** 63),
+                                               ids[(slot + 1) % 3]]))
+        lines[k] = " ".join(ids)
+        return "\n".join(lines) + "\n", True
+    if kind == "nonfinite":
+        k, slot = data.draw(st.integers(1, nv)), data.draw(st.integers(0, 1))
+        xy = lines[k].split()
+        xy[slot] = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
+        lines[k] = " ".join(xy)
+        return "\n".join(lines) + "\n", True
+    if kind == "folded":
+        # an interior vertex moved out of the hexagon of its neighbours turns
+        # one of its triangles clockwise against the others
+        i, j = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1))
+        dx = data.draw(st.floats(1.1, 2.5)) * data.draw(st.sampled_from([-1.0, 1.0]))
+        dy = data.draw(st.floats(-1.0, 1.0))
+        if data.draw(st.booleans()):
+            dx, dy = dy, dx
+        lines[1 + j * (n + 1) + i] = f"{(i + dx) / n!r} {(j + dy) / n!r}"
+        return "\n".join(lines) + "\n", False
+    # an edge shared by three triangles: one triangle line twice
+    k = data.draw(st.sampled_from(tri_lines))
+    lines[0] = f"{nv} {len(tri_lines) + 1}"
+    return "\n".join(lines[:k + 1] + [lines[k]] + lines[k + 1:]) + "\n", False
+
+
+@pytest.mark.parametrize("kind", ["truncated", "index", "nonfinite", "folded", "shared"])
+@PROPERTY_SETTINGS
+@given(n=st.integers(2, 4), data=st.data())
+def test_malformed_mesh_text_raises_mesh_error(kind, n, data):
+    text, parse_level = _corrupted(kind, write_mesh(unit_square_mesh(n)).splitlines(), n, data)
+    with pytest.raises(MeshError, match=r"^line \d+: " if parse_level else None):
+        read_mesh(text)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 4), data=st.data())
+def test_reversed_triangle_line_is_reoriented(n, data):
+    mesh = unit_square_mesh(n)
+    lines = write_mesh(mesh).splitlines()
+    k = data.draw(st.integers(1 + mesh.num_vertices, len(lines) - 1))
+    lines[k] = " ".join(lines[k].split()[::-1])
+    again = read_mesh("\n".join(lines) + "\n")
+    assert again.io_warnings == 1
+    assert write_mesh(again) == write_mesh(mesh)

@@ -541,6 +541,21 @@ def test_pi0_deviation_cases(rng):
     assert abs(d1 / d0 - 0.5) < 0.05
 
 
+def test_error_report_evaluates_the_exact_hessian_once(mesh4):
+    calls = []
+
+    def hess(x, y):
+        calls.append(x.shape)
+        return U1.hess(x, y)
+
+    u = dataclasses.replace(U1, hess=hess)
+    load = LoadSpec(density=U1.biharmonic)
+    sol = solve_scheme(mesh4, SchemeConfig(scheme=SchemeTag.MORLEY), load)
+    rep = compute_errors(u, sol)
+    assert len(calls) == 1
+    assert rep.best_approx == pi0_hessian_deviation(U1, mesh4, rep.quad_order)
+
+
 def test_galerkin_identity(mesh4, rng):
     cfg = SchemeConfig(scheme=SchemeTag.DG)
     load = LoadSpec(density=U1.biharmonic)
