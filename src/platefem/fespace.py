@@ -21,10 +21,10 @@ six P2 Lagrange functions, or the twelve macro functions, which are
 solved once on the reference triangle in a scaled monomial frame);
 ``rule`` and ``reference_values`` give the quadrature points of a space
 and its cached tables there.  ``shapes`` pushes derivative axes through
-d x_hat / dx and multiplies by the space's transform: C_T
-(``morley_local_basis``) for Morley, the 12x12 DOF transform E_T for
-HCT, which corrects the normal derivatives (they are not
-affine-covariant), and none for the Lagrange spaces.
+d x_hat / dx and multiplies by the space's ``cell_transform``, which the
+loads read too: C_T (``morley_local_basis``) for Morley, the 12x12 DOF
+transform E_T for HCT, which corrects the normal derivatives (they are
+not affine-covariant), and none for the Lagrange spaces.
 ``hct_local_basis`` keeps E_T and nothing else per triangle.  The P2
 tables of the forms and transfer operators (``p2_hessians``,
 ``morley_dof_matrix``, the edge traces, the vertex gradients) are read
@@ -131,10 +131,18 @@ def morley_local_basis(mesh: Triangulation):
 
     Column a of ``C[t]`` holds the Lagrange coefficients of the shape
     function dual to local DOF a; for local Morley DOFs ``u`` the local
-    Lagrange coefficients are ``C[t] @ u``.
+    Lagrange coefficients are ``C[t] @ u``.  The DOF matrix is
+    [[I, 0], [B, D]] with D = diag(d)(J - 2I), J the all-ones 3x3 matrix
+    and d_i = 2 grad lambda_i . nu_i, so C = [[I, 0], [-D^-1 B, D^-1]]
+    with D^-1 = (J - I) diag(1/d) / 2, in closed form.
     """
     _check_nondegenerate(mesh)
-    return np.linalg.inv(morley_dof_matrix(mesh))
+    C = morley_dof_matrix(mesh)   # inverted in place, block by block
+    d = -C[:, [3, 4, 5], [3, 4, 5]]
+    Dinv = 0.5 * (1.0 - np.eye(3)) / d[:, None, :]
+    C[:, 3:, 3:] = Dinv
+    C[:, 3:, :3] = -Dinv @ C[:, 3:, :3]
+    return C
 
 
 def _check_nondegenerate(mesh):
@@ -377,20 +385,26 @@ def pushforward(mesh: Triangulation, order, cells=slice(None)):
     return D
 
 
+def cell_transform(mesh: Triangulation, tag: SpaceTag):
+    """The per-cell transform (c, n, n) of ``tag``'s shape functions, which
+    multiplies the reference rows: E_T for HCT, C_T for Morley, None for
+    DG_P2 and LAGRANGE_P2."""
+    if tag is SpaceTag.HCT:
+        return hct_local_basis(mesh).transform
+    return morley_local_basis(mesh) if tag is SpaceTag.MORLEY else None
+
+
 def shapes(mesh: Triangulation, tag: SpaceTag, ref, cells=slice(None), dofs=None):
     """The shape functions of ``tag`` on triangles ``cells`` from reference rows.
 
     ``ref`` comes from ``reference_shapes`` or ``reference_values``.  Its
-    shape axis is multiplied by the per-cell transform (E_T for HCT,
-    C_T = ``morley_local_basis`` for Morley, none for DG_P2 and LAGRANGE_P2)
-    and its derivative axes are pushed through d x_hat / dx, giving
-    (c, P, [2, [2,]] n).  Given the local DOF values ``dofs`` (c, n),
-    returns that function instead, (c, P[, 2[, 2]]): the pushforward and
-    the transform then act on the coefficients, and one gemm with the
-    table evaluates them.
+    shape axis is multiplied by ``cell_transform`` and its derivative axes
+    are pushed through d x_hat / dx, giving (c, P, [2, [2,]] n).  Given
+    the local DOF values ``dofs`` (c, n), returns that function instead,
+    (c, P[, 2[, 2]]): the pushforward and the transform then act on the
+    coefficients, and one gemm with the table evaluates them.
     """
-    E = (hct_local_basis(mesh).transform if tag is SpaceTag.HCT
-         else morley_local_basis(mesh) if tag is SpaceTag.MORLEY else None)
+    E = cell_transform(mesh, tag)
     D = pushforward(mesh, ref.ndim - 2, cells)
     c, m, P = len(D), D.shape[1], len(ref)
     if dofs is not None:
@@ -497,13 +511,10 @@ def local_dof_values(f: DiscreteFunction):
 
 def local_lagrange_coeffs(f: DiscreteFunction):
     """Local P2 Lagrange coefficients of a quadratic-space function, (nt, 6)."""
-    loc = local_dof_values(f)
-    if f.tag is SpaceTag.MORLEY:
-        C = morley_local_basis(f.mesh)
-        return np.einsum("tba,ta->tb", C, loc)
-    if f.tag in (SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
-        return loc
-    raise ValueError(f"{f.tag} is not a quadratic space")
+    if f.tag is SpaceTag.HCT:
+        raise ValueError(f"{f.tag} is not a quadratic space")
+    C, loc = cell_transform(f.mesh, f.tag), local_dof_values(f)
+    return loc if C is None else np.einsum("tba,ta->tb", C, loc)
 
 
 def to_dgp2(f: DiscreteFunction, dg_map: DofMap | None = None) -> DiscreteFunction:

@@ -60,19 +60,12 @@ class ConvergenceReport:
 
     def csv_rows(self):
         rows = []
-        for k, rec in enumerate(self.levels):
+        eocs = [(None, None)] + list(zip(self.eoc_energy, self.eoc_h1))
+        for rec, eoc in zip(self.levels, eocs):
             e = rec.errors
-            eoc_e = self.eoc_energy[k - 1] if k > 0 else None
-            eoc_1 = self.eoc_h1[k - 1] if k > 0 else None
-            rows.append([
-                rec.level, rec.h_max, rec.n_dof,
-                e.energy_pw if e else "", e.jump if e else "",
-                e.norm_h if e else "", e.norm_scheme if e else "",
-                e.l2 if e else "", e.h1_pw if e else "",
-                e.h1_star if e else "", e.best_approx if e else "",
-                "" if eoc_e is None else eoc_e,
-                "" if eoc_1 is None else eoc_1,
-            ])
+            rows.append([rec.level, rec.h_max, rec.n_dof]
+                        + [getattr(e, name) if e else "" for name in CSV_COLUMNS[3:-2]]
+                        + ["" if v is None else v for v in eoc])
         return rows
 
     def to_csv(self):
@@ -241,51 +234,33 @@ def run_comparison(config: StudyConfig, extra_levels: int = 2) -> ConvergenceRep
     load = config.load_spec()
     meshes = mesh_sequence(config.n0, config.levels + (0 if u else extra_levels))
     study_meshes = meshes[: config.levels]
-    solutions = {}
-    for tag in COMPARISON_SCHEMES:
-        cfg = replace(config.scheme, scheme=tag)
-        solutions[tag] = [solve_scheme(m, cfg, load) for m in study_meshes]
-
-    per_level = []
-    records = []
-    if u is not None:
-        for k, mesh in enumerate(study_meshes):
-            best = None
-            row = {}
-            for tag in COMPARISON_SCHEMES:
-                rep = compute_errors(u, solutions[tag][k], config.quad_order)
-                row[tag.value] = rep.norm_h
-                if best is None:
-                    best = rep.best_approx
-                    records.append(LevelRecord(
-                        level=k, h_max=mesh.h_max,
-                        n_dof=solutions[SchemeTag.MORLEY][k].u_h.space.n_free,
-                        errors=rep,
-                        assembly_time=solutions[tag][k].stats.get("assembly_time", 0.0),
-                        solve_time=solutions[tag][k].stats.get("solve_time", 0.0),
-                    ))
-            row["best_approx"] = best
-            per_level.append(row)
-    else:
-        reference = solve_scheme(
-            meshes[-1],
-            SchemeConfig(scheme=SchemeTag.MORLEY, quad_order=config.scheme.quad_order),
-            load,
-        )
-        for k, mesh in enumerate(study_meshes):
-            row = {}
-            for tag in COMPARISON_SCHEMES:
-                row[tag.value] = reference_error_norm_h(
-                    solutions[tag][k].u_h, meshes[k:], reference.u_h
-                )
-            per_level.append(row)
-            records.append(LevelRecord(
-                level=k, h_max=mesh.h_max,
-                n_dof=solutions[SchemeTag.MORLEY][k].u_h.space.n_free,
-                errors=None,
-                assembly_time=0.0, solve_time=0.0,
-                extra={"surrogate_errors": dict(row)},
-            ))
+    solutions = {tag: [solve_scheme(m, replace(config.scheme, scheme=tag), load)
+                       for m in study_meshes] for tag in COMPARISON_SCHEMES}
+    if u is None:
+        reference = solve_scheme(meshes[-1], SchemeConfig(
+            scheme=SchemeTag.MORLEY, quad_order=config.scheme.quad_order), load).u_h
+    per_level, records = [], []
+    for k, mesh in enumerate(study_meshes):
+        row, errors = {}, None
+        for tag in COMPARISON_SCHEMES:
+            if u is None:
+                row[tag.value] = reference_error_norm_h(solutions[tag][k].u_h, meshes[k:],
+                                                        reference)
+                continue
+            rep = compute_errors(u, solutions[tag][k], config.quad_order)
+            row[tag.value] = rep.norm_h
+            errors = errors or rep   # the first scheme's report
+        morley = solutions[SchemeTag.MORLEY][k]
+        stats = morley.stats if errors else {}
+        records.append(LevelRecord(
+            level=k, h_max=mesh.h_max, n_dof=morley.u_h.space.n_free, errors=errors,
+            assembly_time=stats.get("assembly_time", 0.0),
+            solve_time=stats.get("solve_time", 0.0),
+            extra={} if errors else {"surrogate_errors": dict(row)},
+        ))
+        if errors:
+            row["best_approx"] = errors.best_approx
+        per_level.append(row)
 
     quantities = list(per_level[0])
     ratios = []

@@ -100,7 +100,6 @@ class Triangulation:
     parent_tri: np.ndarray | None = None   # set by refine_uniform
     io_warnings: int = 0
     edge_normal: np.ndarray = field(init=False)     # (ne, 2) unit, out of T+
-    edge_tangent: np.ndarray = field(init=False)    # (ne, 2) unit, normal x tangent consistent
     edge_midpoint: np.ndarray = field(init=False)   # (ne, 2)
     edge_length: np.ndarray = field(init=False)     # (ne,)  h_E
     tri_area: np.ndarray = field(init=False)        # (nt,)
@@ -135,19 +134,17 @@ class Triangulation:
         pb = vertices[self.edge_vertices[:, 1]]
         edge_vec = pb - pa
         edge_length = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
-        edge_tangent = edge_vec / edge_length[:, None]
-        edge_normal = np.column_stack([edge_tangent[:, 1], -edge_tangent[:, 0]])
+        edge_normal = np.column_stack([edge_vec[:, 1], -edge_vec[:, 0]]) / edge_length[:, None]
         edge_midpoint = 0.5 * (pa + pb)
         # flip normals to point out of T+
         p = vertices[triangles]
         flip = np.einsum("ei,ei->e", edge_normal,
                          edge_midpoint - p.mean(axis=1)[self.edge_tris[:, 0]]) < 0
         edge_normal[flip] *= -1.0
-        edge_tangent[flip] *= -1.0
         diam = np.linalg.norm(p[:, [2, 0, 1]] - p[:, [1, 2, 0]], axis=2).max(axis=1)
-        for name, value in (("edge_normal", edge_normal), ("edge_tangent", edge_tangent),
-                            ("edge_midpoint", edge_midpoint), ("edge_length", edge_length),
-                            ("tri_area", areas), ("tri_diam", diam)):
+        for name, value in (("edge_normal", edge_normal), ("edge_midpoint", edge_midpoint),
+                            ("edge_length", edge_length), ("tri_area", areas),
+                            ("tri_diam", diam)):
             object.__setattr__(self, name, value)
 
     @property

@@ -20,7 +20,7 @@ costs a load vector, triangular solves, the refinement and the smoother.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -490,12 +490,7 @@ class ErrorReport:
     quad_order: int
 
     def as_dict(self):
-        return {
-            "energy_pw": self.energy_pw, "jump": self.jump, "norm_h": self.norm_h,
-            "norm_scheme": self.norm_scheme, "l2": self.l2, "h1_pw": self.h1_pw,
-            "h1_star": self.h1_star, "best_approx": self.best_approx,
-            "quad_order": self.quad_order,
-        }
+        return asdict(self)
 
 
 def broken_error_norms(u: ScalarFunction, f: DiscreteFunction, quad_order: int, order: int):

@@ -23,7 +23,7 @@ from platefem.forms import SchemeConfig, SchemeTag
 from platefem.functions import get_manufactured
 from platefem.mesh import refine_uniform, unit_square_mesh
 from platefem.quadrature import triangle_rule
-from platefem.rhs import LoadSpec, _hct_functional
+from platefem.rhs import LoadSpec, plain_load_vector
 from platefem.solve import compute_errors, solve, solve_scheme
 from platefem.sparse import TripletAccumulator
 
@@ -69,7 +69,7 @@ def assemble_conforming_stiffness(mesh):
 
 def conforming_solution(mesh, quad_order=9):
     A, dofmap = assemble_conforming_stiffness(mesh)
-    b = _hct_functional(mesh, LoadSpec(density=U1.biharmonic), quad_order)
+    b = plain_load_vector(mesh, dofmap, LoadSpec(density=U1.biharmonic), quad_order)
     x, stats = solve(A, b)
     assert stats["residual"] < 1e-9
     return DiscreteFunction(dofmap, x)

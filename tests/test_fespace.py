@@ -238,6 +238,35 @@ def test_morley_duality_identity(mesh4):
     assert resid < 1e-12
 
 
+def test_morley_basis_matches_its_block_inverse_in_long_double():
+    # the DOF matrix is [[I, 0], [B, diag(d)(J - 2I)]] with B_ij = +-nu_i . grad
+    # lambda_j (minus for j = i) and d_i = 2 grad lambda_i . nu_i; its inverse,
+    # evaluated in long double from the vertices and normals, bounds the
+    # round-off of C_T on a jittered mesh
+    base = unit_square_mesh(64)
+    inner = ~base.vertex_is_boundary
+    jitter = np.random.default_rng(64).uniform(-1.0, 1.0, (np.count_nonzero(inner), 2))
+    vertices = base.vertices.copy()
+    vertices[inner] += 0.1 * base.h_max / np.sqrt(2.0) * jitter
+    mesh = build_triangulation(vertices, base.triangles)
+    p = mesh.tri_coords().astype(np.longdouble)
+    j, k = [1, 2, 0], [2, 0, 1]
+    det = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+           - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
+    grad = np.stack([p[:, j, 1] - p[:, k, 1], p[:, k, 0] - p[:, j, 0]], axis=-1)
+    grad /= det[:, None, None]
+    nu = mesh.edge_normal[mesh.tri_edges].astype(np.longdouble)
+    B = np.einsum("tik,tjk->tij", nu, grad) * (1.0 - 2.0 * np.eye(3))
+    Dinv = 0.5 * (1.0 - np.eye(3)) / (-2.0 * B[:, [0, 1, 2], [0, 1, 2]])[:, None, :]
+    want = np.zeros((mesh.num_triangles, 6, 6), dtype=np.longdouble)
+    want[:, :3, :3] = np.eye(3)
+    want[:, 3:, 3:] = Dinv
+    want[:, 3:, :3] = -Dinv @ B
+    got = morley_local_basis(mesh)
+    gap = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert gap.max() <= 1e-15
+
+
 def test_morley_reference_coefficients_against_dense_oracle():
     # oracle: apply the six DOF functionals to the Lagrange basis by
     # direct evaluation/quadrature and invert the dense 6x6 system

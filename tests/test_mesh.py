@@ -50,9 +50,10 @@ def test_edge_adjacency_and_normals():
     assert np.all(m.edge_tris[~interior, 1] == -1)
     # T+ has the smaller triangle index on interior edges
     assert np.all(m.edge_tris[interior, 0] < m.edge_tris[interior, 1])
-    # unit normals, orthogonal tangents, outward of T+
+    # unit normals, orthogonal to their edges, outward of T+
     assert np.allclose(np.linalg.norm(m.edge_normal, axis=1), 1.0)
-    assert np.allclose(np.einsum("ei,ei->e", m.edge_normal, m.edge_tangent), 0.0)
+    edge_vec = m.vertices[m.edge_vertices[:, 1]] - m.vertices[m.edge_vertices[:, 0]]
+    assert np.allclose(np.einsum("ei,ei->e", m.edge_normal, edge_vec), 0.0)
     centroids = m.vertices[m.triangles].mean(axis=1)
     dots = np.einsum("ei,ei->e", m.edge_normal, m.edge_midpoint - centroids[m.edge_tris[:, 0]])
     assert np.all(dots > 0)

@@ -17,7 +17,11 @@ oracle that sorts and sums every form's triplets and combines the forms
 by sort-merges, as the assembly did before it reduced onto memoized
 block patterns.  The macro-space load, which contracts the quadrature
 first, must match to round-off an oracle that evaluates every shape
-function at every quadrature point of one sub-triangle at a time.  The
+function at every quadrature point of one sub-triangle at a time, and
+the plain load of each quadratic space an oracle that evaluates every
+shape function at every rule point and scatters by ``np.add.at``.  Point
+loads at, within 1e-13 of, or away from the vertices must resolve to the
+vertex and triangle that the scan over every vertex gave.  The
 macro basis, pushed forward from one reference element, must match the
 per-cell 30x30 solves it replaced, the macro-space error norms the
 per-sub-triangle monomial evaluation they replaced, and every form block
@@ -57,6 +61,8 @@ from platefem.fespace import (
     p2_hessians,
     p2_values,
     reference_shapes,
+    reference_values,
+    rule,
     shapes,
 )
 from platefem.forms import SchemeConfig, SchemeTag, assemble_scheme, edge_traces
@@ -67,8 +73,15 @@ from platefem.interp import (
     verify_right_inverse,
 )
 from platefem.mesh import MeshError, build_triangulation, read_mesh, unit_square_mesh, write_mesh
-from platefem.quadrature import edge_rule, triangle_rule
-from platefem.rhs import LoadSpec, _hct_functional, locate_point, smoothed_load_vector
+from platefem.quadrature import edge_rule, triangle_points, triangle_rule
+from platefem.rhs import (
+    VERTEX_SNAP_TOL,
+    LoadSpec,
+    locate_point,
+    plain_load_vector,
+    resolve_point_loads,
+    smoothed_load_vector,
+)
 from platefem.solve import (
     broken_error_norms,
     compute_errors,
@@ -252,7 +265,7 @@ def test_memoized_patterns_are_read_only(mesh2):
 
 # --- per-sub-triangle oracle of the smoothed load ------------------------------------
 
-def _hct_functional_oracle(mesh, load, quad_order):
+def _macro_load_oracle(mesh, load, quad_order):
     """The macro-space load in the order it had before quadrature came first.
 
     The density term evaluates all 12 shape functions at every point of one
@@ -291,8 +304,8 @@ def _relative_gap(got, want):
 def test_density_load_matches_per_subtriangle_oracle(quad_order, pair):
     load = LoadSpec(density=get_manufactured("u1").biharmonic)
     for mesh in pair:
-        got = _hct_functional(mesh, load, quad_order)
-        assert _relative_gap(got, _hct_functional_oracle(mesh, load, quad_order)) <= 1e-13
+        got = plain_load_vector(mesh, build_dof_map(mesh, SpaceTag.HCT), load, quad_order)
+        assert _relative_gap(got, _macro_load_oracle(mesh, load, quad_order)) <= 1e-13
 
 
 @PROPERTY_SETTINGS
@@ -303,8 +316,87 @@ def test_density_load_matches_per_subtriangle_oracle(quad_order, pair):
 def test_density_and_point_loads_match_oracle(pair, points):
     _, renumbered = pair
     load = LoadSpec(density=lambda x, y: 1.0 + x * y ** 2, points=tuple(points))
-    got = _hct_functional(renumbered, load, 7)
-    assert _relative_gap(got, _hct_functional_oracle(renumbered, load, 7)) <= 1e-13
+    got = plain_load_vector(renumbered, build_dof_map(renumbered, SpaceTag.HCT), load, 7)
+    assert _relative_gap(got, _macro_load_oracle(renumbered, load, 7)) <= 1e-13
+
+
+# --- the one load path against the two paths it replaced -----------------------
+
+def _resolve_point_loads_oracle(mesh, load):
+    """Point location by a scan of every vertex, as it was before it went
+    through ``locate_point`` alone: a point within ``VERTEX_SNAP_TOL`` of its
+    nearest vertex snaps to it, in the first triangle of the vertex patch;
+    any other point is located.  Returns (vertex or -1, triangle, bary)."""
+    out = []
+    for _, xy in load.points:
+        xy = np.asarray(xy, dtype=np.float64)
+        dists = np.linalg.norm(mesh.vertices - xy[None, :], axis=1)
+        v = int(np.argmin(dists))
+        if dists[v] <= VERTEX_SNAP_TOL:
+            indptr, tris, lv = mesh.vertex_tri_patches()
+            bary = np.zeros(3)
+            bary[lv[indptr[v]]] = 1.0
+            out.append((v, int(tris[indptr[v]]), bary))
+        else:
+            out.append((-1, *locate_point(mesh, xy)))
+    return out
+
+
+def _plain_load_oracle(mesh, dofmap, load, quad_order):
+    """The density load of a quadratic space with every shape function
+    evaluated at every rule point and scattered by ``np.add.at``, as it was
+    before the weighted values met the reference table first."""
+    tag = dofmap.tag
+    bary, w = rule(tag, quad_order)
+    pts = triangle_points(bary, mesh.tri_coords())
+    f = load.density(pts[..., 0], pts[..., 1])
+    vals = shapes(mesh, tag, reference_values(tag, quad_order))
+    loc = mesh.tri_area[:, None] * np.einsum("q,tq,tqa->ta", w, f, vals)
+    b = np.zeros(dofmap.n_free)
+    cd = dofmap.cell_dofs
+    np.add.at(b, np.maximum(cd, 0), np.where(cd >= 0, loc, 0.0))
+    return b
+
+
+@PROPERTY_SETTINGS
+@given(pair=perturbed_pairs(),
+       picks=st.lists(st.tuples(st.sampled_from(["vertex", "near", "edge", "inside"]),
+                                st.integers(0, 10 ** 6), st.floats(0.05, 0.95),
+                                st.floats(0.05, 0.95)), min_size=1, max_size=8))
+def test_point_location_matches_vertex_scan_oracle(pair, picks):
+    for mesh in pair:
+        points = []
+        for kind, i, a, c in picks:
+            if kind in ("vertex", "near"):
+                xy = mesh.vertices[i % mesh.num_vertices]
+                if kind == "near":   # within 1e-13 of the vertex
+                    xy = xy + 1e-13 * np.array([a - 0.5, c - 0.5])
+            elif kind == "edge":
+                p, q = mesh.vertices[mesh.edge_vertices[i % mesh.num_edges]]
+                xy = (1.0 - a) * p + a * q
+            else:
+                xy = np.array([a, (1.0 - a) * c, (1.0 - a) * (1.0 - c)]) @ \
+                    mesh.tri_coords()[i % mesh.num_triangles]
+            points.append((1.0, tuple(xy)))
+        load = LoadSpec(points=tuple(points))
+        for got, (v, t, bary) in zip(resolve_point_loads(mesh, load),
+                                     _resolve_point_loads_oracle(mesh, load)):
+            assert got.snapped == (v >= 0) and got.triangle == t
+            assert np.array_equal(got.bary, bary)
+            if got.snapped:
+                assert mesh.triangles[t, np.argmax(got.bary)] == v
+
+
+@pytest.mark.parametrize("quad_order", [3, 7])
+@PROPERTY_SETTINGS
+@given(pair=perturbed_pairs())
+def test_plain_load_matches_per_point_oracle(quad_order, pair):
+    load = LoadSpec(density=get_manufactured("u1").biharmonic)
+    for mesh in pair:
+        for tag in (SpaceTag.MORLEY, SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
+            dm = build_dof_map(mesh, tag)
+            got = plain_load_vector(mesh, dm, load, quad_order)
+            assert _relative_gap(got, _plain_load_oracle(mesh, dm, load, quad_order)) <= 1e-14
 
 
 # --- the macro basis against its per-cell oracle ----------------------------------

@@ -69,15 +69,30 @@ def test_point_load_outside_domain_rejected(mesh2):
 
 
 def test_plain_rejects_point_loads(mesh2):
-    dm = build_dof_map(mesh2, SpaceTag.DG_P2)
-    with pytest.raises(LoadError, match="L2"):
-        plain_load_vector(mesh2, dm, LoadSpec(points=((1.0, (0.5, 0.5)),)))
+    for tag in (SpaceTag.MORLEY, SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
+        with pytest.raises(LoadError, match="L2"):
+            plain_load_vector(mesh2, build_dof_map(mesh2, tag),
+                              LoadSpec(points=((1.0, (0.5, 0.5)),)))
+
+
+def test_plain_point_loads_on_the_macro_space(mesh2):
+    # a snapped point is exactly its vertex's value DOF; any other point
+    # gives the value of every macro shape function there
+    load = LoadSpec(points=((2.5, (0.5, 0.5)), (1.0, (0.3, 0.45))))
+    hct = build_dof_map(mesh2, SpaceTag.HCT)
+    b = plain_load_vector(mesh2, hct, load)
+    at_vertex = plain_load_vector(mesh2, hct, LoadSpec(points=load.points[:1]))
+    center = int(np.flatnonzero(np.all(mesh2.vertices == 0.5, axis=1))[0])
+    assert np.array_equal(at_vertex, 2.5 * np.eye(1, hct.n_free, hct.vertex_dofs[center, 0])[0])
+    t, lam = locate_point(mesh2, (0.3, 0.45))
+    for i in range(hct.n_free):
+        phi = evaluate(DiscreteFunction(hct, np.eye(1, hct.n_free, i)[0]), t, lam)
+        assert abs(b[i] - at_vertex[i] - phi) < 1e-12
 
 
 def test_plain_partition_of_unity(mesh2):
     dg = build_dof_map(mesh2, SpaceTag.DG_P2)
-    b = plain_load_vector(mesh2, dg, LoadSpec(density=lambda x, y: np.ones_like(x),
-                                              density_degree=0))
+    b = plain_load_vector(mesh2, dg, LoadSpec(density=lambda x, y: np.ones_like(x)))
     per_tri = b.reshape(-1, 6).sum(axis=1)
     assert np.abs(per_tri - mesh2.tri_area).max() < 1e-15
 
