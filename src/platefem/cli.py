@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 
-from .forms import SchemeConfig, SchemeTag
+from .forms import SchemeConfig, SchemeTag, assemble_scheme
 from .functions import get_manufactured
 from .harness import (
     ConvergenceReport,
@@ -59,7 +59,10 @@ def _scheme_config(raw):
         kwargs["sigma_ip"] = float(sch["sigmaIP"])
     if "order" in quad:
         kwargs["quad_order"] = int(quad["order"])
-    return SchemeConfig(**kwargs)
+    try:
+        return SchemeConfig(**kwargs)
+    except ValueError as exc:
+        raise SystemExit(f"config error: {exc}") from None
 
 
 def _load_spec(raw):
@@ -118,8 +121,6 @@ def cmd_solve(raw, dump_matrix=None):
     scheme = _scheme_config(raw)
     load_spec, name = _load_spec(raw)
     if dump_matrix:
-        from .forms import assemble_scheme
-
         A, _ = assemble_scheme(mesh, scheme)
         with open(dump_matrix, "w") as fh:
             fh.write(A.export_coo_text())

@@ -6,13 +6,17 @@ every integral is computed with an exact rule:
 
 * ``a_pw``  - sum_T int_T D^2 v : D^2 w dx (Hessians constant per cell).
 * ``J``     - sum_E int_E [grad v] . <D^2 w> nu ds (consistency form).
-* ``c_dg``  - sigma1/h^3 value jumps + sigma2/h normal-slope jumps.
-* ``c_ip``  - sigma_ip/h normal-slope jumps only.
-* ``c_p``   - h^-4 endpoint value jumps + h^-2 edge-mean slope jumps
-  (point functionals, no quadrature at all).
+* ``c_h``   - the stabilization, weighted squared jumps: sigma1/h^3 value
+  and sigma2/h normal-slope jumps (dG), sigma_ip/h slope jumps (C0IP),
+  h^-4 endpoint value and h^-2 edge-mean slope jumps (WOPSIP: point
+  functionals, no quadrature at all).
 
-Jumps on boundary edges use the single trace (homogeneous clamped
-boundary conditions are imposed weakly through them).
+Each c_h, and the jump seminorm j_h (the WOPSIP terms without their
+extra h^-2), is one table of terms (jump rows J, weights w) in
+``_jump_terms``: the penalty matrices sum J^T diag(w) J per edge, and
+``penalty_value`` and ``jump_seminorm`` sum w (J v_E)^2.  Jumps on
+boundary edges use the single trace (homogeneous clamped boundary
+conditions are imposed weakly through them).
 
 Every form is a set of dense blocks: 6x6 per cell for ``a_pw`` and
 12x12 per edge (both sides' DOFs) for the edge forms.  The sparsity
@@ -76,8 +80,8 @@ class SchemeConfig:
     def __post_init__(self):
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [-1, 1]")
-        if min(self.sigma1, self.sigma2, self.sigma_ip) <= 0.0:
-            raise ValueError("penalty parameters must be positive")
+        if not all(0.0 < s < np.inf for s in (self.sigma1, self.sigma2, self.sigma_ip)):
+            raise ValueError("penalty parameters must be positive and finite")
         if self.quad_order < 3:
             raise ValueError("quadrature order must be at least 3")
 
@@ -130,21 +134,6 @@ def edge_traces(mesh: Triangulation, params):
         N[~valid] = G[~valid] = 0.0
         out.update({f"N{side}": N, f"G{side}": G, f"t{side}": ts, f"valid{side}": valid})
     return out
-
-
-def _jump_rows(traces, kind, normals=None):
-    """Jump functional rows over the combined 12 DOFs of both edge sides.
-
-    kind 'value' -> [v] (ne, nq, 12); 'dnormal' -> [dv/dnu] (ne, nq, 12).
-    Boundary edges carry the single trace (side-1 rows are zero there).
-    """
-    if kind == "value":
-        return np.concatenate([traces["N0"], -traces["N1"]], axis=2)
-    if kind == "dnormal":
-        gn0 = np.einsum("eqai,ei->eqa", traces["G0"], normals, optimize=True)
-        gn1 = np.einsum("eqai,ei->eqa", traces["G1"], normals, optimize=True)
-        return np.concatenate([gn0, -gn1], axis=2)
-    raise ValueError(kind)
 
 
 def _hess_avg_rows(mesh, traces):
@@ -301,34 +290,28 @@ def assemble_jump_form(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
     return _reduce(mesh, dofmap, "edge", block)
 
 
+def _penalty_matrix(mesh, dofmap, config):
+    """c_h of ``config``: sum_E J^T diag(w) J over the terms of its table."""
+    _check_mesh(mesh, dofmap)
+    if dofmap.tag is not config.space_tag:
+        raise ValueError(f"{config.scheme.value} penalty needs the {config.space_tag.value} space")
+    # one product for all terms: their points stacked along the q axis
+    terms = _jump_terms(mesh, config)
+    J = np.concatenate([rows for rows, _ in terms], axis=1)
+    w = np.concatenate([np.broadcast_to(w, rows.shape[:2]) for rows, w in terms], axis=1)
+    block = (J.transpose(0, 2, 1) * w[:, None, :]) @ J
+    return _reduce(mesh, dofmap, "edge", block, symmetric=True)
+
+
 def assemble_cdg(mesh: Triangulation, dofmap: DofMap,
                  sigma1: float, sigma2: float) -> SparseMatrix:
     """Interior-penalty stabilization with value and normal-slope jumps."""
-    _check_mesh(mesh, dofmap)
-    if min(sigma1, sigma2) <= 0:
-        raise ValueError("penalties must be positive")
-    s, w = edge_rule(EDGE_GAUSS)
-    traces = edge_traces(mesh, s)
-    Jv = _jump_rows(traces, "value")
-    Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)
-    h = mesh.edge_length
-    block = sigma1 * (Jv.transpose(0, 2, 1) * (w / h[:, None, None] ** 2)) @ Jv
-    block += sigma2 * (Jn.transpose(0, 2, 1) * w) @ Jn
-    return _reduce(mesh, dofmap, "edge", block, symmetric=True)
+    return _penalty_matrix(mesh, dofmap, SchemeConfig(SchemeTag.DG, sigma1=sigma1, sigma2=sigma2))
 
 
 def assemble_cip(mesh: Triangulation, dofmap: DofMap, sigma_ip: float) -> SparseMatrix:
     """Normal-slope jump penalty for the continuous quadratic scheme."""
-    _check_mesh(mesh, dofmap)
-    if dofmap.tag is not SpaceTag.LAGRANGE_P2:
-        raise ValueError("this penalty is assembled on the continuous P2 space")
-    if sigma_ip <= 0:
-        raise ValueError("penalty must be positive")
-    s, w = edge_rule(EDGE_GAUSS)
-    traces = edge_traces(mesh, s)
-    Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)
-    block = (Jn.transpose(0, 2, 1) * (sigma_ip * w)) @ Jn
-    return _reduce(mesh, dofmap, "edge", block, symmetric=True)
+    return _penalty_matrix(mesh, dofmap, SchemeConfig(SchemeTag.C0IP, sigma_ip=sigma_ip))
 
 
 def assemble_cp(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
@@ -337,16 +320,7 @@ def assemble_cp(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
     Evaluated from DOF/trace arithmetic only; its kernel within the
     discontinuous quadratics is exactly the nonconforming space.
     """
-    _check_mesh(mesh, dofmap)
-    if dofmap.tag is not SpaceTag.DG_P2:
-        raise ValueError("the over-penalized form is assembled on the DG space")
-    traces = edge_traces(mesh, np.array([0.0, 1.0, 0.5]))
-    Jv = _jump_rows(traces, "value")[:, :2]          # endpoint value jumps
-    Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)[:, 2]  # midpoint = mean
-    h = mesh.edge_length
-    block = (Jv.transpose(0, 2, 1) / h[:, None, None] ** 4) @ Jv
-    block += (Jn / h[:, None] ** 2)[:, :, None] * Jn[:, None, :]
-    return _reduce(mesh, dofmap, "edge", block, symmetric=True)
+    return _penalty_matrix(mesh, dofmap, SchemeConfig(SchemeTag.WOPSIP))
 
 
 def matrix_config(config: SchemeConfig) -> SchemeConfig:
@@ -385,8 +359,51 @@ def assemble_scheme(mesh: Triangulation, config: SchemeConfig):
 
 
 # ---------------------------------------------------------------------------
-# jump functionals (exact DOF/trace arithmetic)
+# jump terms: the one definition of every c_h and of j_h
 # ---------------------------------------------------------------------------
+
+def _value_jumps(mesh, params):
+    """[v] rows (ne, nq, 12) over both sides' DOFs at edge parameters ``params``."""
+    traces = edge_traces(mesh, params)
+    return np.concatenate([traces["N0"], -traces["N1"]], axis=2)
+
+
+def _slope_jumps(mesh, params):
+    """[dv/dnu] rows (ne, nq, 12) over both sides' DOFs at edge parameters ``params``."""
+    traces = edge_traces(mesh, params)
+    nu = mesh.edge_normal
+    return np.concatenate([np.einsum("eqai,ei->eqa", traces["G0"], nu, optimize=True),
+                           -np.einsum("eqai,ei->eqa", traces["G1"], nu, optimize=True)], axis=2)
+
+
+def _jump_terms(mesh, config=None):
+    """c_h of ``config``, or j_h^2 without one, as terms (J, w): jump rows
+    J (ne, nq, 12) at nq points of every edge and weights w broadcast to
+    (ne, nq), so that c_h(v, v) = sum over terms of sum_{E,q} w (J v_E)^2.
+    Only the rows a term reads are built."""
+    h = mesh.edge_length[:, None]
+    scheme = None if config is None else config.scheme
+    if scheme in (None, SchemeTag.WOPSIP):
+        # point functionals, no quadrature: value jumps at both endpoints and
+        # the midpoint slope jump, which is the edge mean; c_p = j_h^2 * h^-2
+        p = 0 if scheme is None else 2
+        return [(_value_jumps(mesh, np.array([0.0, 1.0])), h ** -(2 + p)),
+                (_slope_jumps(mesh, np.array([0.5])), h ** -p)]
+    if scheme is SchemeTag.MORLEY:
+        return []
+    s, w = edge_rule(EDGE_GAUSS)
+    if scheme is SchemeTag.C0IP:
+        return [(_slope_jumps(mesh, s), config.sigma_ip * w)]
+    return [(_value_jumps(mesh, s), config.sigma1 * w / h ** 2),
+            (_slope_jumps(mesh, s), config.sigma2 * w)]
+
+
+def _jump_energy(f: DiscreteFunction, terms):
+    """sum over ``terms`` (J, w) of sum_{E,q} w (J v_E)^2 for v = f."""
+    t = f.mesh.edge_tris    # t = -1 on the boundary, where the side-1 rows are zero
+    loc = local_lagrange_coeffs(f)[t].reshape(len(t), 12)
+    return float(sum(np.sum(w * np.einsum("eqa,ea->eq", J, loc) ** 2) for J, w in terms))
+
 
 def jump_seminorm(f: DiscreteFunction) -> float:
     """j_h: endpoint value jumps (weight h^-1) and edge-mean slope jumps.
@@ -394,26 +411,7 @@ def jump_seminorm(f: DiscreteFunction) -> float:
     j_h(v)^2 = sum_E sum_{z in V(E)} h_E^-2 [v]_E(z)^2
              + sum_E ( mean_E [dv/dnu] )^2, single traces on the boundary.
     """
-    vjump, njump = _point_jumps(f)
-    h = f.mesh.edge_length
-    return float(np.sqrt(np.sum(vjump ** 2 / h[:, None] ** 2) + np.sum(njump ** 2)))
-
-
-def _edge_local_coeffs(f: DiscreteFunction, traces):
-    lag = local_lagrange_coeffs(f)
-    loc = np.concatenate([lag[traces["t0"]], lag[traces["t1"]]], axis=1)
-    loc[~traces["valid1"], 6:] = 0.0
-    return loc
-
-
-def _point_jumps(f: DiscreteFunction):
-    """Endpoint value jumps (ne, 2) and edge-mean normal-slope jumps (ne,)."""
-    mesh = f.mesh
-    traces = edge_traces(mesh, np.array([0.0, 1.0, 0.5]))
-    loc = _edge_local_coeffs(f, traces)
-    Jv = _jump_rows(traces, "value")[:, :2]
-    Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)[:, 2]
-    return np.einsum("eqa,ea->eq", Jv, loc), np.einsum("ea,ea->e", Jn, loc)
+    return float(np.sqrt(_jump_energy(f, _jump_terms(f.mesh))))
 
 
 def penalty_value(f: DiscreteFunction, config: SchemeConfig) -> float:
@@ -423,22 +421,4 @@ def penalty_value(f: DiscreteFunction, config: SchemeConfig) -> float:
     through the assembled matrix), so it vanishes to round-off on
     jump-free input despite the strong h^-k weights.
     """
-    mesh = f.mesh
-    if config.scheme is SchemeTag.MORLEY:
-        return 0.0
-    h = mesh.edge_length
-    if config.scheme is SchemeTag.WOPSIP:
-        vjump, njump = _point_jumps(f)
-        return float(np.sum(vjump ** 2 / h[:, None] ** 4) + np.sum(njump ** 2 / h ** 2))
-    s, w = edge_rule(EDGE_GAUSS)
-    traces = edge_traces(mesh, s)
-    loc = _edge_local_coeffs(f, traces)
-    Jn = _jump_rows(traces, "dnormal", mesh.edge_normal)
-    njump = np.einsum("eqa,ea->eq", Jn, loc)
-    if config.scheme is SchemeTag.C0IP:
-        return float(config.sigma_ip * np.sum(w[None, :] * njump ** 2))
-    Jv = _jump_rows(traces, "value")
-    vjump = np.einsum("eqa,ea->eq", Jv, loc)
-    val = config.sigma1 * np.sum(w[None, :] * vjump ** 2 / h[:, None] ** 2)
-    val += config.sigma2 * np.sum(w[None, :] * njump ** 2)
-    return float(val)
+    return _jump_energy(f, _jump_terms(f.mesh, config))

@@ -360,7 +360,8 @@ def solve(matrix: SparseMatrix, vector: np.ndarray):
     ``symmetric`` flag is set and LU ('lu') if not; a later solve with the
     same matrix reports ``factor_reused`` and zero ordering and
     factorization times, and still refines against the matrix.  An LU
-    solve whose backward error stays above 1e-12 raises SolverError.
+    solve whose backward error stays above 1e-12, and a solve whose
+    solution or backward error is not finite, raise SolverError.
     """
     b = np.asarray(vector, dtype=np.float64)
     n = matrix.nrows
@@ -409,12 +410,16 @@ def solve(matrix: SparseMatrix, vector: np.ndarray):
                         minlength=n)
     denom = (axabs + np.abs(b)).max()
     stats["residual"] = float(residual)
-    stats["backward_error"] = float(np.abs(r).max() / denom) if denom > 0 else 0.0
+    # a NaN denom (non-finite x or input) keeps the backward error NaN
+    be = stats["backward_error"] = float(np.abs(r).max() / denom) if denom != 0 else 0.0
     stats["converged"] = bool(residual <= 1e-10)
     stats["solve_time"] = time.perf_counter() - t0
+    if not (np.isfinite(x).all() and be < np.inf):
+        raise SolverError("the solution is not finite: the matrix or the right-hand side "
+                          "has a NaN or infinite entry")
     # LU pivots inside each block only, so nothing bounds its element growth
-    if factor.method == "lu" and stats["backward_error"] > 1e-12:
-        raise SolverError(f"LU solve stalled at backward error {stats['backward_error']:.1e}: "
+    if factor.method == "lu" and not be <= 1e-12:
+        raise SolverError(f"LU solve stalled at backward error {be:.1e}: "
                           "the system is close to singular (increase sigma)")
     return x, stats
 

@@ -123,6 +123,14 @@ def test_missing_load_rejected(tmp_path):
         main(["solve", "--config", str(cfg)])
 
 
+def test_non_finite_penalty_rejected(tmp_path):
+    # json reads NaN and Infinity, so a config can carry them
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"scheme": {"tag": "dg", "sigma1": NaN}, "load": {"density": "u1"}}')
+    with pytest.raises(SystemExit, match="config error: penalty parameters must be positive"):
+        main(["solve", "--config", str(cfg)])
+
+
 def test_verify_flag_exit_code():
     assert main(["--verify"]) == 0
 

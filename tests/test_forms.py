@@ -7,6 +7,7 @@ from platefem.fespace import (
     DiscreteFunction,
     SpaceTag,
     build_dof_map,
+    evaluate,
     interpolate_nodal,
     to_dgp2,
 )
@@ -23,9 +24,46 @@ from platefem.forms import (
     penalty_value,
 )
 from platefem.functions import get_manufactured
+from platefem.mesh import build_triangulation, unit_square_mesh
 from platefem.quadrature import edge_rule, triangle_rule
 
 U1 = get_manufactured("u1")
+
+
+@pytest.fixture
+def skewed_mesh(rng):
+    """unit_square_mesh(3) with jittered interior vertices, its vertices and
+    triangles renumbered and each triangle's vertex order rotated."""
+    base = unit_square_mesh(3)
+    vertices = base.vertices.copy()
+    inner = ~base.vertex_is_boundary
+    vertices[inner] += rng.uniform(-0.1, 0.1, (inner.sum(), 2)) * base.h_max
+    vperm = rng.permutation(base.num_vertices)
+    new_index = np.argsort(vperm)
+    tris = new_index[base.triangles[rng.permutation(base.num_triangles)]]
+    rot = (np.arange(3) + rng.integers(0, 3, (len(tris), 1))) % 3
+    return build_triangulation(vertices[vperm], np.take_along_axis(tris, rot, axis=1))
+
+
+def _evaluated_jumps(f, params, order):
+    """Value (order 0) or normal-slope (order 1) jumps (ne, nq) of ``f`` at the
+    edge parameters ``params``, each side evaluated on its own triangle;
+    single traces on the boundary."""
+    mesh = f.mesh
+    out = np.zeros((mesh.num_edges, len(params)))
+    for e in range(mesh.num_edges):
+        pa, pb = mesh.vertices[mesh.edge_vertices[e]]
+        for q, s in enumerate(params):
+            x = pa + s * (pb - pa)
+            for side, sign in ((0, 1.0), (1, -1.0)):
+                t = int(mesh.edge_tris[e, side])
+                if t < 0:
+                    continue
+                p0, p1, p2 = mesh.tri_coords()[t]
+                lb, lc = np.linalg.solve(np.column_stack([p1 - p0, p2 - p0]), x - p0)
+                val = evaluate(f, t, np.array([1.0 - lb - lc, lb, lc]), order)
+                out[e, q] += sign * (val if order == 0 else val @ mesh.edge_normal[e])
+    return out
 
 
 # --- piecewise Hessian form ----------------------------------------------------
@@ -175,16 +213,11 @@ def test_cip_cases(mesh2, rng):
     lag = build_dof_map(mesh2, SpaceTag.LAGRANGE_P2)
     C = assemble_cip(mesh2, lag, 20.0)
     assert np.all(C.matvec(np.zeros(lag.n_free)) == 0.0)
-    # oracle: quadrature recomputation of the normal-slope jumps
+    # oracle: normal-slope jumps evaluated side by side at the Gauss points
     s, w = edge_rule(3)
-    from platefem.forms import edge_traces, _jump_rows, _edge_local_coeffs
-
     for _ in range(5):
         v = DiscreteFunction(lag, rng.standard_normal(lag.n_free))
-        traces = edge_traces(mesh2, s)
-        loc = _edge_local_coeffs(v, traces)
-        Jn = _jump_rows(traces, "dnormal", mesh2.edge_normal)
-        njump = np.einsum("eqa,ea->eq", Jn, loc)
+        njump = _evaluated_jumps(v, s, 1)
         oracle = 20.0 * float(np.sum(w[None, :] * njump ** 2))
         got = v.coeffs @ C.matvec(v.coeffs)
         assert abs(got - oracle) < 1e-12 * max(1.0, oracle)
@@ -243,17 +276,6 @@ def test_cp_single_vertex_jump(mesh2):
         expect += h[ee] ** -2 * mj ** 2
     assert abs(got - expect) < 1e-9 * expect
     assert got >= single_term - 1e-12
-
-
-def test_cp_matrix_matches_trace_oracle(mesh2, rng):
-    dg = build_dof_map(mesh2, SpaceTag.DG_P2)
-    C = assemble_cp(mesh2, dg)
-    cfg = SchemeConfig(scheme=SchemeTag.WOPSIP)
-    for _ in range(10):
-        v = DiscreteFunction(dg, rng.standard_normal(dg.n_free))
-        mat = v.coeffs @ C.matvec(v.coeffs)
-        oracle = penalty_value(v, cfg)
-        assert abs(mat - oracle) < 1e-12 * max(1.0, oracle)
 
 
 def test_penalties_positive_semidefinite(mesh2, rng):
@@ -365,6 +387,20 @@ def test_config_validation():
         SchemeConfig(quad_order=2)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["theta", "sigma1", "sigma2", "sigma_ip"])
+def test_config_rejects_non_finite_parameters(mesh2, field, value):
+    with pytest.raises(ValueError, match="theta" if field == "theta" else "finite"):
+        SchemeConfig(**{field: value})
+    if field == "sigma_ip":
+        with pytest.raises(ValueError, match="finite"):
+            assemble_cip(mesh2, build_dof_map(mesh2, SpaceTag.LAGRANGE_P2), value)
+    elif field != "theta":
+        sigmas = {"sigma1": 1.0, "sigma2": 1.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            assemble_cdg(mesh2, build_dof_map(mesh2, SpaceTag.DG_P2), **sigmas)
+
+
 def test_matrix_export_format(mesh1):
     A, _ = assemble_scheme(mesh1, SchemeConfig(scheme=SchemeTag.MORLEY))
     text = A.export_coo_text()
@@ -375,14 +411,32 @@ def test_matrix_export_format(mesh1):
     assert int(i) == 1 and int(j) == 1 and float(v) > 0
 
 
-def test_cdg_matrix_matches_trace_oracle(mesh2, rng):
-    # the assembled penalty matrix and the edgewise squared-jump evaluation
-    # are two independent routes to the same quadratic form
-    dg = build_dof_map(mesh2, SpaceTag.DG_P2)
-    C = assemble_cdg(mesh2, dg, 35.0, 10.0)
-    cfg = SchemeConfig(scheme=SchemeTag.DG, sigma1=35.0, sigma2=10.0)
+@pytest.mark.parametrize("config", [
+    SchemeConfig(scheme=SchemeTag.DG, sigma1=70.0, sigma2=3.0),
+    SchemeConfig(scheme=SchemeTag.C0IP, sigma_ip=41.0),
+    SchemeConfig(scheme=SchemeTag.WOPSIP),
+], ids=lambda c: c.scheme.value)
+def test_penalty_matrix_matches_penalty_value(skewed_mesh, rng, config):
+    # the assembled penalty matrix and the edgewise sum of squared jumps are
+    # two reductions of the same terms, so they agree to round-off
+    dofmap = build_dof_map(skewed_mesh, config.space_tag)
+    C = {SchemeTag.DG: lambda: assemble_cdg(skewed_mesh, dofmap, config.sigma1, config.sigma2),
+         SchemeTag.C0IP: lambda: assemble_cip(skewed_mesh, dofmap, config.sigma_ip),
+         SchemeTag.WOPSIP: lambda: assemble_cp(skewed_mesh, dofmap)}[config.scheme]()
     for _ in range(10):
-        v = DiscreteFunction(dg, rng.standard_normal(dg.n_free))
+        v = DiscreteFunction(dofmap, rng.standard_normal(dofmap.n_free))
         mat = v.coeffs @ C.matvec(v.coeffs)
-        oracle = penalty_value(v, cfg)
-        assert abs(mat - oracle) < 1e-12 * max(1.0, oracle)
+        oracle = penalty_value(v, config)
+        assert abs(mat - oracle) <= 1e-12 * max(1.0, oracle)
+
+
+def test_jump_seminorm_matches_evaluated_jumps(skewed_mesh, rng):
+    # j_h^2 = sum_E h_E^-2 ([v](a)^2 + [v](b)^2) + [dv/dnu](mid)^2
+    dg = build_dof_map(skewed_mesh, SpaceTag.DG_P2)
+    h = skewed_mesh.edge_length
+    for _ in range(3):
+        v = DiscreteFunction(dg, rng.standard_normal(dg.n_free))
+        vjump = _evaluated_jumps(v, (0.0, 1.0), 0)
+        njump = _evaluated_jumps(v, (0.5,), 1)
+        oracle = np.sqrt(np.sum(vjump ** 2 / h[:, None] ** 2) + np.sum(njump ** 2))
+        assert abs(jump_seminorm(v) - oracle) <= 1e-12 * oracle

@@ -50,6 +50,15 @@ def test_dimension_mismatch(rng):
         solve(A, np.zeros(6))
 
 
+def test_non_finite_right_hand_side_raises(rng):
+    # NaN flows through the factor, the refinement and the backward error
+    # without a comparison ever failing, so it must be caught explicitly
+    b = rng.standard_normal(10)
+    b[3] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="not finite"):
+        solve(identity_matrix(10), b)
+
+
 def test_spd_paths_agree(mesh4, rng):
     A, dm = assemble_scheme(mesh4, SchemeConfig(scheme=SchemeTag.MORLEY))
     b = rng.standard_normal(dm.n_free)
