@@ -43,25 +43,26 @@ def _load_config(path):
         return json.load(fh)
 
 
+def _integer(value):
+    """``value`` as an int; a fractional number is refused, not truncated."""
+    if not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _scheme_config(raw):
     sch = raw.get("scheme", {})
     quad = raw.get("quad", {})
-    kwargs = {}
-    if "tag" in sch:
-        kwargs["scheme"] = SchemeTag(sch["tag"])
-    if "theta" in sch:
-        kwargs["theta"] = float(sch["theta"])
-    if "sigma1" in sch:
-        kwargs["sigma1"] = float(sch["sigma1"])
-    if "sigma2" in sch:
-        kwargs["sigma2"] = float(sch["sigma2"])
-    if "sigmaIP" in sch:
-        kwargs["sigma_ip"] = float(sch["sigmaIP"])
-    if "order" in quad:
-        kwargs["quad_order"] = int(quad["order"])
+    fields = {"tag": ("scheme", SchemeTag), "theta": ("theta", float),
+              "sigma1": ("sigma1", float), "sigma2": ("sigma2", float),
+              "sigmaIP": ("sigma_ip", float)}
     try:
+        kwargs = {field: convert(sch[key]) for key, (field, convert) in fields.items()
+                  if key in sch}
+        if "order" in quad:
+            kwargs["quad_order"] = _integer(quad["order"])
         return SchemeConfig(**kwargs)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise SystemExit(f"config error: {exc}") from None
 
 

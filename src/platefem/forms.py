@@ -27,6 +27,13 @@ sums that sorting its triplets gives, so nothing is sorted per form.
 The edge pattern contains every cell block, so ``assemble_scheme`` adds
 the forms entrywise on it.  Symmetry is checked in O(nnz) through the
 pattern's memoized transpose index.
+
+A pattern is built by slot arithmetic, without searching: one stable
+sort of the kept slots by entry, fed row by row with each row's columns
+in ascending runs, then a slot-to-entry map.  An entry's transpose is
+the entry of the mirrored slot in the same block, and a cell entry's
+position in the edge pattern the entry of the same slot in an edge
+block of that cell.
 """
 
 from dataclasses import dataclass
@@ -47,7 +54,7 @@ from .fespace import (
 )
 from .mesh import Triangulation, derived
 from .quadrature import edge_rule
-from .sparse import SparseMatrix, transpose_index
+from .sparse import SparseMatrix
 
 EDGE_GAUSS = 3  # exact for edge integrands of degree <= 5 (value jumps: 4)
 
@@ -82,6 +89,8 @@ class SchemeConfig:
             raise ValueError("theta must lie in [-1, 1]")
         if not all(0.0 < s < np.inf for s in (self.sigma1, self.sigma2, self.sigma_ip)):
             raise ValueError("penalty parameters must be positive and finite")
+        if not float(self.quad_order).is_integer():
+            raise ValueError("quadrature order must be an integer")
         if self.quad_order < 3:
             raise ValueError("quadrature order must be at least 3")
 
@@ -184,6 +193,10 @@ class BlockPattern:
     slot order, the sums that sorting the triplets gives.  All arrays
     are shared and read-only; ``tperm``, ``gather`` and ``starts`` are
     int32 unless the block set has 2^31 slots or more.
+
+    Nothing is searched for.  Every block is square over one DOF list,
+    so the transpose of an entry is the entry of its first slot's mirror
+    ``(k, b, a)`` in the same block, read through a slot-to-entry map.
     """
 
     dofmap: DofMap
@@ -205,11 +218,26 @@ class BlockPattern:
         return A
 
 
+def _slot_entries(gather, starts, slots):
+    """The entry each of ``slots`` slots adds to (0 for a dropped slot)."""
+    counts = np.diff(starts, append=gather.size)
+    entry = np.repeat(np.arange(starts.size, dtype=gather.dtype), counts)
+    out = np.zeros(slots, entry.dtype)
+    out[gather] = entry
+    return out
+
+
 @derived
 def _block_pattern(mesh: Triangulation, tag: SpaceTag, kind) -> BlockPattern:
     """Pattern of the ``"cell"`` blocks (one per triangle, its 6 DOFs) or
     the ``"edge"`` blocks (one per edge, the 6 DOFs of its first triangle
     then the 6 of its second, none on the boundary) of the space ``tag``.
+
+    The kept slots are listed row by row: the row segments ``(k, a)``
+    sorted stably by row, and each segment's slots in the order of its
+    block's DOFs sorted stably.  Equal entries then appear in slot order
+    and the columns of a row in ascending runs, so the one stable sort
+    by entry keeps slot order and mostly merges runs.
     """
     dofmap = build_dof_map(mesh, tag)
     n, dofs = dofmap.n_free, dofmap.cell_dofs
@@ -217,18 +245,31 @@ def _block_pattern(mesh: Triangulation, tag: SpaceTag, kind) -> BlockPattern:
         t = mesh.edge_tris
         side1 = np.where((t[:, 1] >= 0)[:, None], dofs[t[:, 1]], -1)
         dofs = np.concatenate([dofs[t[:, 0]], side1], axis=1)
-    m = dofs.shape[1]
-    rows = np.repeat(dofs, m, axis=1).ravel()   # slot (k, a, b) -> dofs[k, a]
-    cols = np.tile(dofs, (1, m)).ravel()        # slot (k, a, b) -> dofs[k, b]
-    gather = np.flatnonzero((rows >= 0) & (cols >= 0))
-    keys = rows[gather] * n + cols[gather]      # int64: n^2 passes 2^31 for DG at n=64
-    del rows, cols                              # 2 x 8 bytes per slot, freed before the sort
-    order = np.argsort(keys, kind="stable")     # the order of lexsort((cols, rows))
-    gather, keys = gather[order], keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    m, slots = dofs.shape[1], dofs.size * dofs.shape[1]
+    # each block's DOFs ascending, equal ones in slot order, dropped (-1) ones first
+    by_dof = _slot_index(np.argsort(dofs, axis=1, kind="stable"), slots)
+    # the kept row segments k m + a, sorted stably by row
+    seg_rows = dofs.ravel()
+    seg = np.flatnonzero(seg_rows >= 0)
+    seg = _slot_index(seg[np.argsort(seg_rows[seg], kind="stable")], slots)
+    block = seg // m
+    cols = np.take_along_axis(dofs, by_dof, axis=1)[block]
+    kept = cols >= 0
+    slot = ((seg * m)[:, None] + by_dof[block])[kept]    # slot (k, a, b) = (k m + a) m + b
+    keys = np.repeat(seg_rows[seg] * n, kept.sum(axis=1)) + cols[kept]   # int64: n^2 passes 2^31
+    del by_dof, seg, block, cols, kept                   # freed before the sort
+    order = np.argsort(keys, kind="stable")
+    gather, keys = slot[order], keys[order]
+    del slot, order
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = _slot_index(np.flatnonzero(new), slots)
     rows, cols = np.divmod(keys[starts], n)
-    tperm = transpose_index(n, rows, cols)
-    tperm, gather, starts = (_slot_index(a, dofs.size * m) for a in (tperm, gather, starts))
+    del keys, new
+    # the transpose of an entry is the entry of its first slot's mirror (k, b, a)
+    first = gather[starts]
+    a, b = np.divmod(first % (m * m), m)
+    tperm = _slot_entries(gather, starts, slots)[first + (b - a) * (m - 1)]
     return BlockPattern(dofmap, *_frozen(rows, cols, tperm, gather, starts))
 
 
@@ -238,10 +279,15 @@ def _cell_positions(mesh: Triangulation, tag: SpaceTag):
 
     A triangle is a side of each of its edges, so every cell block lies
     inside an edge block: the edge pattern is the whole system's pattern.
+    Triangle t is side s of its edge ``tri_edges[t, 0]``, so the entry of
+    cell slot ``(t, a, b)`` is that of edge slot ``(e, 6s + a, 6s + b)``.
     """
     cell, edge = _block_pattern(mesh, tag, "cell"), _block_pattern(mesh, tag, "edge")
-    n = cell.dofmap.n_free
-    pos = np.searchsorted(edge.rows * n + edge.cols, cell.rows * n + cell.cols)
+    e = mesh.tri_edges[:, 0]
+    s = mesh.edge_tris[e, 1] == np.arange(mesh.num_triangles)
+    t, a, b = np.unravel_index(cell.gather[cell.starts], (mesh.num_triangles, 6, 6))
+    slot = np.ravel_multi_index((e[t], 6 * s[t] + a, 6 * s[t] + b), (mesh.num_edges, 12, 12))
+    pos = _slot_entries(edge.gather, edge.starts, 144 * mesh.num_edges)[slot]
     pos = _slot_index(pos, edge.rows.size)
     _frozen(pos)
     return pos

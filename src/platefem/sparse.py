@@ -124,7 +124,9 @@ def transpose_index(n, rows, cols):
     """Position of each entry's transpose among the entries; -1 if absent.
 
     ``rows``/``cols`` index an n x n pattern that is deduplicated and
-    sorted row-major, as a SparseMatrix stores it.
+    sorted row-major, as a SparseMatrix stores it.  A binary search over
+    all keys; it serves only the symmetric check of ``from_triplets``.
+    Block patterns find their transposes by slot arithmetic (``forms``).
     """
     keys = rows * n + cols
     if not keys.size:

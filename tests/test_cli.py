@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import platefem
 from platefem.cli import main
 from platefem.fespace import build_dof_map
 from platefem.forms import SchemeConfig, SchemeTag
@@ -129,6 +134,22 @@ def test_non_finite_penalty_rejected(tmp_path):
     cfg.write_text('{"scheme": {"tag": "dg", "sigma1": NaN}, "load": {"density": "u1"}}')
     with pytest.raises(SystemExit, match="config error: penalty parameters must be positive"):
         main(["solve", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("overrides", [
+    {"scheme": {"tag": "dg", "sigma1": "big"}},
+    {"scheme": {"tag": "nope"}},
+    {"quad": {"order": 7.5}},
+], ids=["sigma1", "tag", "order"])
+def test_bad_config_value_exits_without_traceback(tmp_path, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    src = str(Path(platefem.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run([sys.executable, "-m", "platefem.cli", "solve", "--config", str(cfg)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr.startswith("config error:") and "Traceback" not in run.stderr
 
 
 def test_verify_flag_exit_code():

@@ -355,6 +355,8 @@ def test_config_validation():
         SchemeConfig(sigma1=-1.0)
     with pytest.raises(ValueError, match="quadrature"):
         SchemeConfig(quad_order=2)
+    with pytest.raises(ValueError, match="quadrature order must be an integer"):
+        SchemeConfig(quad_order=7.5)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

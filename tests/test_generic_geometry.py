@@ -23,13 +23,18 @@ from platefem.rhs import LoadSpec
 from platefem.solve import solve_scheme
 
 
-@pytest.fixture(scope="module")
-def skew_mesh():
+def refined_skew_mesh():
+    """A skew quadrilateral of two triangles, refined uniformly twice."""
     verts = np.array([[0.0, 0.0], [1.1, -0.15], [1.4, 1.2], [-0.2, 0.95]])
     mesh = build_triangulation(verts, np.array([[0, 1, 3], [1, 2, 3]]))
     for _ in range(2):
         mesh = refine_uniform(mesh)
     return mesh
+
+
+@pytest.fixture(scope="module")
+def skew_mesh():
+    return refined_skew_mesh()
 
 
 def test_right_inverse_on_skew_mesh(skew_mesh):

@@ -15,9 +15,13 @@ strict expected failure on the smallest such mesh.
 The assembled systems must also equal, bit for bit, those of an
 oracle that sorts and sums every form's triplets and combines the forms
 by sort-merges, as the assembly did before it reduced onto memoized
-block patterns.  The macro-space load, which contracts the quadrature
-first, must match to round-off an oracle that evaluates every shape
-function at every quadrature point of one sub-triangle at a time, and
+block patterns.  Every array of those patterns, dtype included, must
+equal the search-based construction they replaced (``pattern_oracles``),
+and both oracles must hold on the degenerate meshes too: a lone
+triangle, ``unit_square_mesh(1)`` and a refined skew quadrilateral.
+The macro-space load, which contracts the quadrature first, must match
+to round-off an oracle that evaluates every shape function at every
+quadrature point of one sub-triangle at a time, and
 the plain load of each quadratic space an oracle that evaluates every
 shape function at every rule point and scatters by ``np.add.at``.  Point
 loads at, within 1e-13 of, or away from the vertices must resolve to the
@@ -91,7 +95,9 @@ from platefem.solve import (
 )
 from platefem.sparse import SparseMatrix, TripletAccumulator
 import p2_oracles
+import pattern_oracles
 from test_fespace import _EXP, _power_table_kernels, _sub_bary, hct_oracle_gaps
+from test_generic_geometry import refined_skew_mesh
 
 PROPERTY_SETTINGS = settings(database=None, derandomize=True, deadline=None,
                              max_examples=10)
@@ -233,17 +239,76 @@ ORACLE_CONFIGS = [SchemeConfig(scheme=tag) for tag in SchemeTag] + [
 ]
 
 
+def _oracle_mismatches(mesh):
+    """The ORACLE_CONFIGS whose system differs from the triplet oracle's in any bit."""
+    out = []
+    for config in ORACLE_CONFIGS:
+        A, _ = assemble_scheme(mesh, config)
+        want = _oracle_scheme(mesh, config)
+        if not (A.shape == want.shape and A.symmetric == want.symmetric
+                and all(got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+                        for got, ref in ((A.rows, want.rows), (A.cols, want.cols),
+                                         (A.vals, want.vals)))):
+            out.append((config.scheme.value, config.theta))
+    return out
+
+
 @PROPERTY_SETTINGS
 @given(perturbed_pairs())
 def test_assembly_equals_triplet_oracle_bit_for_bit(pair):
     _, renumbered = pair
-    for config in ORACLE_CONFIGS:
-        A, _ = assemble_scheme(renumbered, config)
-        want = _oracle_scheme(renumbered, config)
-        label = (config.scheme.value, config.theta)
-        assert A.shape == want.shape and A.symmetric == want.symmetric, label
-        assert np.array_equal(A.rows, want.rows) and np.array_equal(A.cols, want.cols), label
-        assert np.array_equal(A.vals.view(np.int64), want.vals.view(np.int64)), label
+    assert _oracle_mismatches(renumbered) == []
+
+
+# --- search oracle of the block patterns ---------------------------------------------
+
+PATTERN_SPACES = (SpaceTag.MORLEY, SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2)
+
+
+def _pattern_mismatches(mesh):
+    """Pattern arrays that differ from the search oracle's in value or dtype."""
+    out = []
+    for tag in PATTERN_SPACES:
+        for kind in ("cell", "edge"):
+            p = forms._block_pattern(mesh, tag, kind)
+            want = pattern_oracles.block_pattern(mesh, tag, kind)
+            for name, ref in zip(("rows", "cols", "tperm", "gather", "starts"), want):
+                got = getattr(p, name)
+                if got.dtype != ref.dtype or not np.array_equal(got, ref):
+                    out.append((tag.value, kind, name))
+        got, ref = forms._cell_positions(mesh, tag), pattern_oracles.cell_positions(mesh, tag)
+        if got.dtype != ref.dtype or not np.array_equal(got, ref):
+            out.append((tag.value, "cell positions"))
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(perturbed_pairs())
+def test_block_patterns_equal_search_oracle(pair):
+    _, renumbered = pair
+    assert _pattern_mismatches(renumbered) == []
+
+
+def _one_triangle_mesh():
+    return build_triangulation(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                               np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize("make_mesh", [_one_triangle_mesh, lambda: unit_square_mesh(1),
+                                       refined_skew_mesh],
+                         ids=["one_triangle", "unit_square_1", "refined_skew"])
+def test_degenerate_meshes_equal_both_oracles(make_mesh):
+    # empty patterns, boundary-only edges and constrained (-1) slots
+    mesh = make_mesh()
+    assert _pattern_mismatches(mesh) == []
+    assert _oracle_mismatches(mesh) == []
+
+
+def test_one_triangle_free_dofs():
+    mesh = _one_triangle_mesh()
+    n_free = {tag: build_dof_map(mesh, tag).n_free for tag in PATTERN_SPACES}
+    assert n_free == {SpaceTag.MORLEY: 0, SpaceTag.DG_P2: 6, SpaceTag.LAGRANGE_P2: 0}
+    assert forms._block_pattern(mesh, SpaceTag.LAGRANGE_P2, "edge").rows.size == 0
 
 
 def test_memoized_patterns_are_read_only(mesh2):
