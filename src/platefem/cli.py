@@ -22,6 +22,7 @@ invariant suite and exits nonzero on failure.
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .forms import SchemeConfig, SchemeTag, assemble_scheme
 from .functions import get_manufactured
@@ -33,8 +34,8 @@ from .harness import (
     run_wopsip,
     write_report,
 )
-from .mesh import read_mesh, unit_square_mesh
-from .rhs import LoadSpec
+from .mesh import MeshError, read_mesh, unit_square_mesh
+from .rhs import LoadError, LoadSpec
 from .solve import compute_errors, solve_scheme
 
 
@@ -50,30 +51,43 @@ def _integer(value):
     return int(value)
 
 
+@contextmanager
+def _config_values():
+    """A config value that does not convert ends in a config error."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError) as exc:   # KeyError: an unknown solution name
+        raise SystemExit(f"config error: {exc.args[0]}") from None
+
+
 def _scheme_config(raw):
     sch = raw.get("scheme", {})
     quad = raw.get("quad", {})
     fields = {"tag": ("scheme", SchemeTag), "theta": ("theta", float),
               "sigma1": ("sigma1", float), "sigma2": ("sigma2", float),
               "sigmaIP": ("sigma_ip", float)}
-    try:
+    with _config_values():
         kwargs = {field: convert(sch[key]) for key, (field, convert) in fields.items()
                   if key in sch}
         if "order" in quad:
             kwargs["quad_order"] = _integer(quad["order"])
         return SchemeConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise SystemExit(f"config error: {exc}") from None
+
+
+def _point(entry):
+    if len(entry) != 3:
+        raise ValueError(f"point load {entry!r} is not [weight, x, y]")
+    return float(entry[0]), (float(entry[1]), float(entry[2]))
 
 
 def _load_spec(raw):
     load = raw.get("load", {})
     name = load.get("density")
-    points = tuple((float(p[0]), (float(p[1]), float(p[2])))
-                   for p in load.get("points", []))
+    with _config_values():
+        points = tuple(_point(p) for p in load.get("points", []))
+        density = get_manufactured(name).biharmonic if name else None
     if name is None and not points:
         raise SystemExit("config error: load must name a density or list points")
-    density = get_manufactured(name).biharmonic if name else None
     return LoadSpec(density=density, points=points), name
 
 
@@ -81,8 +95,11 @@ def _mesh_of(raw):
     mesh = raw.get("mesh", {})
     kind = mesh.get("kind", "unit_square")
     if kind == "unit_square":
-        return unit_square_mesh(int(mesh.get("n", 4)))
+        with _config_values():
+            return unit_square_mesh(_integer(mesh.get("n", 4)))
     if kind == "file":
+        if "path" not in mesh:
+            raise SystemExit("config error: mesh kind 'file' needs a path")
         with open(mesh["path"]) as fh:
             return read_mesh(fh.read())
     raise SystemExit(f"config error: unknown mesh kind {kind!r}")
@@ -94,14 +111,15 @@ def _study_config(raw):
         raise SystemExit("config error: convergence studies need the unit_square mesh family")
     load_spec, name = _load_spec(raw)
     scheme = _scheme_config(raw)
-    return StudyConfig(
-        scheme=scheme,
-        n0=int(mesh.get("n", 4)),
-        levels=int(mesh.get("levels", 4)),
-        solution=name,
-        load=None if name else load_spec,
-        quad_order=max(4, scheme.quad_order),
-    )
+    with _config_values():
+        return StudyConfig(
+            scheme=scheme,
+            n0=_integer(mesh.get("n", 4)),
+            levels=_integer(mesh.get("levels", 4)),
+            solution=name,
+            load=None if name else load_spec,
+            quad_order=max(4, scheme.quad_order),
+        )
 
 
 def _emit(report: ConvergenceReport, raw):
@@ -172,17 +190,20 @@ def main(argv=None):
     if args.command is None:
         parser.print_help()
         return 2
-    raw = _load_config(args.config)
-    if args.command == "solve":
-        return cmd_solve(raw, getattr(args, "dump_matrix", None))
-    study = _study_config(raw)
-    if args.command == "converge":
-        report = run_convergence(study)
-    elif args.command == "compare":
-        report = run_comparison(study)
-    else:
-        report = run_wopsip(study)
-    return _emit(report, raw)
+    try:
+        raw = _load_config(args.config)
+        if args.command == "solve":
+            return cmd_solve(raw, getattr(args, "dump_matrix", None))
+        study = _study_config(raw)
+        if args.command == "converge":
+            report = run_convergence(study)
+        elif args.command == "compare":
+            report = run_comparison(study)
+        else:
+            report = run_wopsip(study)
+        return _emit(report, raw)
+    except (MeshError, LoadError, OSError) as exc:    # input the library refuses
+        raise SystemExit(f"config error: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -192,11 +192,14 @@ class BlockPattern:
     of each entry's slots, so :meth:`reduce` adds every entry's slots in
     slot order, the sums that sorting the triplets gives.  All arrays
     are shared and read-only; ``tperm``, ``gather`` and ``starts`` are
-    int32 unless the block set has 2^31 slots or more.
+    int32 unless the block set has 2^31 slots or more.  An edge pattern,
+    the whole system's, also holds the position of each cell-pattern
+    entry among its entries (``cell_positions``; None on a cell pattern).
 
     Nothing is searched for.  Every block is square over one DOF list,
     so the transpose of an entry is the entry of its first slot's mirror
-    ``(k, b, a)`` in the same block, read through a slot-to-entry map.
+    ``(k, b, a)`` in the same block, read through a slot-to-entry map,
+    and a cell entry that of the same slot in an edge block of its cell.
     """
 
     dofmap: DofMap
@@ -205,6 +208,7 @@ class BlockPattern:
     tperm: np.ndarray
     gather: np.ndarray
     starts: np.ndarray
+    cell_positions: np.ndarray | None = None
 
     def reduce(self, blocks):
         """Entry values of the block array ``blocks`` (one value per slot)."""
@@ -241,7 +245,9 @@ def _block_pattern(mesh: Triangulation, tag: SpaceTag, kind) -> BlockPattern:
     """
     dofmap = build_dof_map(mesh, tag)
     n, dofs = dofmap.n_free, dofmap.cell_dofs
+    cell = None
     if kind == "edge":
+        cell = _block_pattern(mesh, tag, "cell")    # built before this build's temporaries
         t = mesh.edge_tris
         side1 = np.where((t[:, 1] >= 0)[:, None], dofs[t[:, 1]], -1)
         dofs = np.concatenate([dofs[t[:, 0]], side1], axis=1)
@@ -269,28 +275,18 @@ def _block_pattern(mesh: Triangulation, tag: SpaceTag, kind) -> BlockPattern:
     # the transpose of an entry is the entry of its first slot's mirror (k, b, a)
     first = gather[starts]
     a, b = np.divmod(first % (m * m), m)
-    tperm = _slot_entries(gather, starts, slots)[first + (b - a) * (m - 1)]
-    return BlockPattern(dofmap, *_frozen(rows, cols, tperm, gather, starts))
-
-
-@derived
-def _cell_positions(mesh: Triangulation, tag: SpaceTag):
-    """Position of each cell-pattern entry among the edge-pattern entries.
-
-    A triangle is a side of each of its edges, so every cell block lies
-    inside an edge block: the edge pattern is the whole system's pattern.
-    Triangle t is side s of its edge ``tri_edges[t, 0]``, so the entry of
-    cell slot ``(t, a, b)`` is that of edge slot ``(e, 6s + a, 6s + b)``.
-    """
-    cell, edge = _block_pattern(mesh, tag, "cell"), _block_pattern(mesh, tag, "edge")
+    entry = _slot_entries(gather, starts, slots)
+    tperm = entry[first + (b - a) * (m - 1)]
+    if cell is None:
+        return BlockPattern(dofmap, *_frozen(rows, cols, tperm, gather, starts))
+    # triangle t is side s of its edge tri_edges[t, 0], so the entry of
+    # cell slot (t, a, b) is that of edge slot (e, 6s + a, 6s + b)
     e = mesh.tri_edges[:, 0]
     s = mesh.edge_tris[e, 1] == np.arange(mesh.num_triangles)
     t, a, b = np.unravel_index(cell.gather[cell.starts], (mesh.num_triangles, 6, 6))
     slot = np.ravel_multi_index((e[t], 6 * s[t] + a, 6 * s[t] + b), (mesh.num_edges, 12, 12))
-    pos = _slot_entries(edge.gather, edge.starts, 144 * mesh.num_edges)[slot]
-    pos = _slot_index(pos, edge.rows.size)
-    _frozen(pos)
-    return pos
+    cell_positions = _slot_index(entry[slot], rows.size)
+    return BlockPattern(dofmap, *_frozen(rows, cols, tperm, gather, starts, cell_positions))
 
 
 def _reduce(mesh, dofmap, kind, blocks, symmetric=False):
@@ -388,7 +384,7 @@ def assemble_scheme(mesh: Triangulation, config: SchemeConfig):
     # -0.0 + x is exactly x, signed zeros included, so an entry a_pw does
     # not store takes the edge forms' sum unchanged
     vals = np.full(pattern.rows.size, -0.0)
-    vals[_cell_positions(mesh, dofmap.tag)] = A.vals
+    vals[pattern.cell_positions] = A.vals
     if config.scheme is SchemeTag.WOPSIP:
         return pattern.matrix(vals + assemble_cp(mesh, dofmap).vals, symmetric=True), dofmap
     B = assemble_jump_form(mesh, dofmap)

@@ -20,7 +20,9 @@
 
 All operators are exposed both as functions on DiscreteFunction and as
 sparse matrices (for transposed application when assembling load
-vectors).
+vectors).  Each matrix is a cell mean (``_cell_mean``): every triangle
+applies its local rows to its own DOFs, and a global DOF takes the sum
+over the triangles that hold it divided by their number.
 """
 
 from dataclasses import dataclass
@@ -41,7 +43,7 @@ from .fespace import (
 )
 from .mesh import Triangulation, derived
 from .quadrature import edge_rule
-from .sparse import SparseMatrix, TripletAccumulator, ragged_positions
+from .sparse import SparseMatrix, ragged_positions
 
 ANALYTIC_EDGE_GAUSS = 5  # exact for normal derivatives of degree <= 9
 
@@ -58,17 +60,26 @@ class InterpolationReport:
         return self.max_residual <= self.tolerance
 
 
-def _vertex_patches(mesh, vids):
-    """The triangles around each vertex of ``vids``, concatenated.
+def _cell_mean(mesh, out_tag, in_tag, L):
+    """The cell mean of the local rows ``L`` (nt, n_out, n_in) or (n_out, n_in).
 
-    Returns ``(owner, tris, lv, size)``: entry k is triangle ``tris[k]``,
-    in which vertex ``vids[owner[k]]`` is local vertex ``lv[k]``, and
-    ``size[k]`` is the number of triangles around that vertex.
+    Cell t maps its ``in_tag`` DOFs to values of its ``out_tag`` DOFs by
+    ``L[t]``; a global output DOF takes the sum of those values over the
+    cells that hold it, divided by their number.  Constrained DOFs are
+    dropped, and so is every entry that sums to zero.
     """
-    indptr, tris, lv = mesh.vertex_tri_patches()
-    pos, count = ragged_positions(indptr, vids)
-    owner = np.repeat(np.arange(vids.size), count)
-    return owner, tris[pos], lv[pos], count[owner]
+    out_map, in_map = build_dof_map(mesh, out_tag), build_dof_map(mesh, in_tag)
+    rows, cols = np.broadcast_arrays(out_map.cell_dofs[:, :, None], in_map.cell_dofs[:, None])
+    L = np.broadcast_to(L, rows.shape)
+    keep = (rows >= 0) & (cols >= 0) & (L != 0)
+    A = SparseMatrix.from_triplets(out_map.n_free, in_map.n_free, rows[keep], cols[keep], L[keep])
+    held = out_map.cell_dofs[out_map.cell_dofs >= 0]
+    return _without_zeros(A, A.vals / np.bincount(held, minlength=A.nrows)[A.rows])
+
+
+def _without_zeros(A, vals):
+    keep = vals != 0
+    return SparseMatrix(A.nrows, A.ncols, A.rows[keep], A.cols[keep], vals[keep])
 
 
 def interp_matrix(space_map: DofMap) -> SparseMatrix:
@@ -82,109 +93,59 @@ def interp_matrix(space_map: DofMap) -> SparseMatrix:
 
 @derived
 def _interp_matrix(mesh: Triangulation, tag: SpaceTag) -> SparseMatrix:
-    space_map = build_dof_map(mesh, tag)
-    morley_map = build_dof_map(mesh, SpaceTag.MORLEY)
-    acc = TripletAccumulator(morley_map.n_free, space_map.n_free)
-
-    if space_map.tag is SpaceTag.MORLEY:
-        eye = np.arange(morley_map.n_free)
-        acc.add(eye, eye, np.ones(morley_map.n_free))
-    elif space_map.tag in (SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
-        # vertex rows: patch average of one-sided point values
-        vids = np.flatnonzero(~mesh.vertex_is_boundary)
-        owner, t_in, lv_in, size = _vertex_patches(mesh, vids)
-        rows = morley_map.vertex_dofs[vids][owner]
-        cols = space_map.cell_dofs[t_in, lv_in]
-        acc.add(rows, cols, 1.0 / size)
-        # edge rows: mean of the two normal-derivative edge means
-        Mdof = morley_dof_matrix(mesh)
-        info = mesh.edge_side_info()
-        eids = np.flatnonzero(~mesh.edge_is_boundary)
-        for side in range(2):
-            t = mesh.edge_tris[eids, side]
-            le = info["local_edge"][eids, side]
-            rows = np.repeat(morley_map.edge_dofs[eids], 6)
-            cols = space_map.cell_dofs[t].ravel()
-            vals = 0.5 * Mdof[t, 3 + le, :].ravel()
-            acc.add(rows, cols, vals)
-    elif space_map.tag is SpaceTag.HCT:
-        vids = np.flatnonzero(~mesh.vertex_is_boundary)
-        acc.add(
-            morley_map.vertex_dofs[vids],
-            space_map.vertex_dofs[vids, 0],
-            np.ones(vids.size),
-        )
-        # edge mean of the normal derivative by exact Simpson closure
-        eids = np.flatnonzero(~mesh.edge_is_boundary)
-        rows = morley_map.edge_dofs[eids]
-        acc.add(rows, space_map.edge_dofs[eids], np.full(eids.size, 4.0 / 6.0))
-        nu = mesh.edge_normal[eids]
-        for endpoint in range(2):
-            v = mesh.edge_vertices[eids, endpoint]
-            for comp in range(2):
-                acc.add(rows, space_map.vertex_dofs[v, 1 + comp], nu[:, comp] / 6.0)
-    else:
-        raise ValueError(f"no interpolation from {space_map.tag}")
-    return acc.build()
+    if tag is SpaceTag.MORLEY:
+        L = np.eye(6)
+    elif tag is SpaceTag.HCT:
+        # vertex values, and the edge mean of the normal derivative by the
+        # exact Simpson rule: 4/6 at the midpoint, nu/6 . gradient at both ends
+        L = np.zeros((mesh.num_triangles, 6, 12))
+        L[:, [0, 1, 2], [0, 3, 6]] = 1.0
+        L[:, [3, 4, 5], [9, 10, 11]] = 4.0 / 6.0
+        nu = mesh.edge_normal[mesh.tri_edges] / 6.0
+        for i in range(3):     # the d/dx, d/dy DOFs at both ends of edge i
+            for v in ((i + 1) % 3, (i + 2) % 3):
+                L[:, 3 + i, 3 * v + 1:3 * v + 3] = nu[:, i]
+    else:   # DG_P2 and LAGRANGE_P2: the one-sided DOF functionals
+        L = morley_dof_matrix(mesh)
+    return _cell_mean(mesh, SpaceTag.MORLEY, tag, L)
 
 
 @derived
 def companion_matrix(mesh: Triangulation) -> SparseMatrix:
-    """The right-inverse into the C^1 macro space as a sparse matrix."""
-    morley_map = build_dof_map(mesh, SpaceTag.MORLEY)
+    """The right-inverse into the C^1 macro space as a sparse matrix.
+
+    The cell mean of the vertex values, the Morley gradients at the
+    vertices and 1.5 times the edge means, closed on every edge by
+    -1/4 nu . (g_a + g_b) with g the mean gradients at its ends: the
+    midpoint slope q(mid) = (6 mean - q(a) - q(b)) / 4 of a quadratic.
+    """
     hct_map = build_dof_map(mesh, SpaceTag.HCT)
-    acc = TripletAccumulator(hct_map.n_free, morley_map.n_free)
-
-    vids = np.flatnonzero(~mesh.vertex_is_boundary)
-    acc.add(hct_map.vertex_dofs[vids, 0], morley_map.vertex_dofs[vids], np.ones(vids.size))
-
-    # vertex gradients: arithmetic mean over the vertex patch; Gv[t, lv, :, a]
-    # is the gradient at local vertex lv of the shape function of local DOF a
+    L = np.zeros((mesh.num_triangles, 12, 6))
+    L[:, [0, 3, 6], [0, 1, 2]] = 1.0
+    # Gv[t, lv, :, a] is the gradient at local vertex lv of the shape function of DOF a
     Gv = shapes(mesh, SpaceTag.MORLEY, reference_shapes(SpaceTag.MORLEY, np.eye(3), 1))
-    owner, t_in, lv_in, size = _vertex_patches(mesh, vids)
-    w = (1.0 / size)[:, None]
-    cols = morley_map.cell_dofs[t_in]  # (N, 6)
-    for comp in range(2):
-        rows = np.repeat(hct_map.vertex_dofs[vids, 1 + comp][owner], 6).reshape(-1, 6)
-        acc.add(rows, cols, w * Gv[t_in, lv_in, comp])
+    L[:, [1, 2, 4, 5, 7, 8]] = Gv.reshape(-1, 6, 6)
+    L[:, [9, 10, 11], [3, 4, 5]] = 1.5
+    A = _cell_mean(mesh, SpaceTag.HCT, SpaceTag.MORLEY, L)
 
-    # edge slope: q(mid) = (6*mean - q(a) - q(b)) / 4
-    eids = np.flatnonzero(~mesh.edge_is_boundary)
-    erows = hct_map.edge_dofs[eids]
-    acc.add(erows, morley_map.edge_dofs[eids], np.full(eids.size, 1.5))
-    nu = mesh.edge_normal[eids]
-    for endpoint in range(2):
-        v = mesh.edge_vertices[eids, endpoint]
-        inner = ~mesh.vertex_is_boundary[v]  # boundary endpoint gradients are clamped
-        sel = np.flatnonzero(inner)
-        owner, t_in, lv_in, size = _vertex_patches(mesh, v[sel])
-        w = -0.25 / size
-        gdot = np.einsum("nia,ni->na", Gv[t_in, lv_in], nu[sel][owner])
-        rows = np.repeat(erows[sel][owner], 6).reshape(-1, 6)
-        acc.add(rows, morley_map.cell_dofs[t_in], w[:, None] * gdot)
-
-    return acc.build()
+    grad_rows = hct_map.vertex_dofs[mesh.edge_vertices, 1:]     # (ne, end, comp)
+    edge_rows = np.broadcast_to(hct_map.edge_dofs[:, None, None], grad_rows.shape)
+    weight = np.broadcast_to(-0.25 * mesh.edge_normal[:, None, :], grad_rows.shape)
+    keep = (grad_rows >= 0) & (edge_rows >= 0)     # boundary edges and gradients are clamped
+    pos, count = ragged_positions(np.searchsorted(A.rows, np.arange(A.nrows + 1)),
+                                  grad_rows[keep])
+    closed = SparseMatrix.from_triplets(
+        A.nrows, A.ncols, np.concatenate([A.rows, np.repeat(edge_rows[keep], count)]),
+        np.concatenate([A.cols, A.cols[pos]]),
+        np.concatenate([A.vals, np.repeat(weight[keep], count) * A.vals[pos]]))
+    return _without_zeros(closed, closed.vals)
 
 
 @derived
 def transfer_ic_matrix(mesh: Triangulation) -> SparseMatrix:
-    """Transfer onto continuous quadratics (midpoint-trace averaging)."""
-    morley_map = build_dof_map(mesh, SpaceTag.MORLEY)
-    lag_map = build_dof_map(mesh, SpaceTag.LAGRANGE_P2)
-    acc = TripletAccumulator(lag_map.n_free, morley_map.n_free)
-    vids = np.flatnonzero(~mesh.vertex_is_boundary)
-    acc.add(lag_map.vertex_dofs[vids], morley_map.vertex_dofs[vids], np.ones(vids.size))
-    # midpoint value of the one-sided trace is the local midpoint coefficient
-    C = morley_local_basis(mesh)
-    info = mesh.edge_side_info()
-    eids = np.flatnonzero(~mesh.edge_is_boundary)
-    for side in range(2):
-        t = mesh.edge_tris[eids, side]
-        le = info["local_edge"][eids, side]
-        rows = np.repeat(lag_map.edge_dofs[eids], 6).reshape(-1, 6)
-        vals = 0.5 * C[t, 3 + le, :]
-        acc.add(rows, morley_map.cell_dofs[t], vals)
-    return acc.build()
+    """Transfer onto continuous quadratics: the cell mean of C_T, which
+    averages the one-sided midpoint traces."""
+    return _cell_mean(mesh, SpaceTag.LAGRANGE_P2, SpaceTag.MORLEY, morley_local_basis(mesh))
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def build_triangulation(vertices, triangles, parent_tri=None, io_warnings=0):
 def unit_square_mesh(n: int) -> Triangulation:
     """Uniform n-by-n grid on [0,1]^2, each cell split by its SW-NE diagonal."""
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise MeshError("n must be a positive integer")
     side = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(side, side)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])

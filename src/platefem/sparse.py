@@ -3,8 +3,9 @@
 Kept in-repo on purpose; the solver works directly on these arrays.
 Entries are deduplicated and sorted row-major at construction.
 
-``from_triplets`` sorts and sums arbitrary triplets; it serves the
-interpolation operators, input and tests.  The bilinear forms do not
+``from_triplets`` sorts and sums arbitrary in-range triplets (callers
+drop constrained DOFs first); it sums the cell means of the transfer
+operators (``interp``) and serves tests.  The bilinear forms do not
 sort: they reduce their dense blocks onto a block pattern built once per
 mesh (see ``forms``), which sums the same values in the same order and
 hands its rows, columns and transpose index to the matrices it makes.
@@ -135,32 +136,3 @@ def transpose_index(n, rows, cols):
     pos = np.searchsorted(keys, tkeys)
     pos[pos == keys.size] = 0
     return np.where(keys[pos] == tkeys, pos, -1)
-
-
-class TripletAccumulator:
-    """Collects (row, col, value) batches and finalizes to a SparseMatrix."""
-
-    def __init__(self, nrows, ncols):
-        self.nrows = nrows
-        self.ncols = ncols
-        self._rows = []
-        self._cols = []
-        self._vals = []
-
-    def add(self, rows, cols, vals):
-        """Append entries; rows/cols/vals are broadcast-compatible arrays.
-
-        Entries with a negative row or column index (constrained DOFs)
-        are dropped.
-        """
-        rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-        keep = (rows >= 0) & (cols >= 0)
-        self._rows.append(np.asarray(rows[keep], dtype=np.int64).ravel())
-        self._cols.append(np.asarray(cols[keep], dtype=np.int64).ravel())
-        self._vals.append(np.asarray(vals[keep], dtype=np.float64).ravel())
-
-    def build(self, symmetric=False):
-        rows = np.concatenate(self._rows) if self._rows else np.empty(0, np.int64)
-        cols = np.concatenate(self._cols) if self._cols else np.empty(0, np.int64)
-        vals = np.concatenate(self._vals) if self._vals else np.empty(0, np.float64)
-        return SparseMatrix.from_triplets(self.nrows, self.ncols, rows, cols, vals, symmetric)

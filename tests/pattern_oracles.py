@@ -2,10 +2,11 @@
 
 ``forms._block_pattern`` once sorted every kept slot by its row-major
 key ``rows * n + cols``, found each entry's transpose by
-``sparse.transpose_index`` (a binary search over all keys) and
-``forms._cell_positions`` found each cell entry among the edge entries
-by ``np.searchsorted``.  It now gets the same arrays, dtypes included,
-by slot arithmetic; the tests compare both ways.
+``sparse.transpose_index`` (a binary search over all keys), and each
+cell entry was found among the edge entries by ``np.searchsorted``.  It
+now gets the same arrays, dtypes included, by slot arithmetic (the cell
+positions as the edge pattern's ``cell_positions``); the tests compare
+both ways.
 """
 
 import numpy as np

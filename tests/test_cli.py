@@ -136,17 +136,26 @@ def test_non_finite_penalty_rejected(tmp_path):
         main(["solve", "--config", str(cfg)])
 
 
-@pytest.mark.parametrize("overrides", [
-    {"scheme": {"tag": "dg", "sigma1": "big"}},
-    {"scheme": {"tag": "nope"}},
-    {"quad": {"order": 7.5}},
-], ids=["sigma1", "tag", "order"])
-def test_bad_config_value_exits_without_traceback(tmp_path, overrides):
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", {"scheme": {"tag": "dg", "sigma1": "big"}}),
+    ("solve", {"scheme": {"tag": "nope"}}),
+    ("solve", {"quad": {"order": 7.5}}),
+    ("solve", {"mesh": {"n": "big"}}),
+    ("solve", {"mesh": {"n": 0}}),
+    ("converge", {"mesh": {"n": 2, "levels": 20}}),
+    ("converge", {"mesh": {"n": 2, "levels": 2.5}}),
+    ("solve", {"load": {"points": [[1.0, 0.5]]}}),
+    ("solve", {"mesh": {"kind": "file"}}),
+    ("solve", {"load": {"density": "u9"}}),
+    ("solve", {"load": {"points": [[1.0, 5.0, 5.0]]}}),
+], ids=["sigma1", "tag", "order", "n_text", "n_zero", "levels_20", "levels_fraction",
+        "point_of_two", "file_without_path", "density_name", "point_outside"])
+def test_bad_config_value_exits_without_traceback(tmp_path, command, overrides):
     cfg = write_config(tmp_path, **overrides)
     src = str(Path(platefem.__file__).resolve().parents[1])
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    run = subprocess.run([sys.executable, "-m", "platefem.cli", "solve", "--config", str(cfg)],
+    run = subprocess.run([sys.executable, "-m", "platefem.cli", command, "--config", str(cfg)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 1 and run.stdout == ""
     assert run.stderr.startswith("config error:") and "Traceback" not in run.stderr

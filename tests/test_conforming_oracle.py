@@ -25,7 +25,7 @@ from platefem.mesh import refine_uniform, unit_square_mesh
 from platefem.quadrature import triangle_rule
 from platefem.rhs import LoadSpec, plain_load_vector
 from platefem.solve import compute_errors, solve, solve_scheme
-from platefem.sparse import TripletAccumulator
+from platefem.sparse import SparseMatrix
 
 U1 = get_manufactured("u1")
 
@@ -57,14 +57,14 @@ def hct_energy_error(u, f, quad_order):
 def assemble_conforming_stiffness(mesh):
     dofmap = build_dof_map(mesh, SpaceTag.HCT)
     bary, w = triangle_rule(2)  # Hessians of cubics: quadratic integrand
-    acc = TripletAccumulator(dofmap.n_free, dofmap.n_free)
     third = mesh.tri_area / 3.0
-    cd = dofmap.cell_dofs
-    for s in range(3):
-        _, H = macro_hessians(mesh, s, bary)
-        local = np.einsum("t,q,tqaij,tqbij->tab", third, w, H, H)
-        acc.add(cd[:, :, None], cd[:, None, :], local)
-    return acc.build(symmetric=True), dofmap
+    rows, cols = np.broadcast_arrays(dofmap.cell_dofs[:, :, None], dofmap.cell_dofs[:, None, :])
+    keep = (rows >= 0) & (cols >= 0)
+    vals = [np.einsum("t,q,tqaij,tqbij->tab", third, w, H, H)[keep]
+            for _, H in (macro_hessians(mesh, s, bary) for s in range(3))]
+    A = SparseMatrix.from_triplets(dofmap.n_free, dofmap.n_free, np.tile(rows[keep], 3),
+                                   np.tile(cols[keep], 3), np.concatenate(vals), symmetric=True)
+    return A, dofmap
 
 
 def conforming_solution(mesh, quad_order=9):

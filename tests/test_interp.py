@@ -14,10 +14,13 @@ from platefem.forms import assemble_apw
 from platefem.functions import ScalarFunction, get_manufactured
 from platefem.interp import (
     companion,
+    companion_matrix,
+    interp_matrix,
     morley_interp_avg,
     morley_interp_local,
     smoother,
     transfer_ic,
+    transfer_ic_matrix,
     verify_right_inverse,
 )
 from platefem.mesh import build_triangulation, refine_uniform, unit_square_mesh
@@ -112,6 +115,27 @@ def test_avg_interp_matches_classical_for_smooth(mesh2):
     dg = build_dof_map(mesh2, SpaceTag.DG_P2)
     nodal = morley_interp_avg(morley_interp_local(U1, mesh2))
     assert np.abs(via_avg.coeffs - nodal.coeffs).max() < 1e-9
+
+
+@pytest.mark.parametrize("tag", [SpaceTag.LAGRANGE_P2, SpaceTag.HCT], ids=["p2c0", "hct"])
+def test_avg_interp_reproduces_vertex_values_bit_for_bit(tag, rng):
+    # continuous input: a vertex's one-sided values agree, and their patch
+    # sum divided by the patch size is the value itself
+    mesh = unit_square_mesh(8)
+    space = build_dof_map(mesh, tag)
+    f = DiscreteFunction(space, rng.standard_normal(space.n_free))
+    out = morley_interp_avg(f)
+    vids = np.flatnonzero(~mesh.vertex_is_boundary)
+    vertex = space.vertex_dofs[vids] if tag is SpaceTag.LAGRANGE_P2 else space.vertex_dofs[vids, 0]
+    morley_vertex = build_dof_map(mesh, SpaceTag.MORLEY).vertex_dofs[vids]
+    assert np.array_equal(out.coeffs[morley_vertex], f.coeffs[vertex])
+
+
+def test_transfer_operators_store_no_zero_entry():
+    for mesh in (unit_square_mesh(8), quad_two_triangles(), reference_triangle()):
+        ops = [interp_matrix(build_dof_map(mesh, tag)) for tag in SpaceTag]
+        ops += [companion_matrix(mesh), transfer_ic_matrix(mesh)]
+        assert all(np.all(A.vals != 0) for A in ops)
 
 
 # --- companion -------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from platefem.solve import multifrontal_factor
-from platefem.sparse import SparseMatrix, TripletAccumulator
+from platefem.sparse import SparseMatrix
 
 
 def spd_system(n=60, seed=4):
@@ -96,13 +96,6 @@ def test_symmetric_flag_rejects(shape, rows, cols, vals, match):
     # an asymmetric value, an entry (1, 2) whose transpose is not stored, a wide matrix
     with pytest.raises(ValueError, match=match):
         SparseMatrix.from_triplets(*shape, rows, cols, vals, symmetric=True)
-
-
-def test_accumulator_drops_constrained():
-    acc = TripletAccumulator(2, 2)
-    acc.add(np.array([0, -1, 1]), np.array([0, 1, -1]), np.array([1.0, 2.0, 3.0]))
-    A = acc.build()
-    assert A.nnz == 1 and A.vals[0] == 1.0
 
 
 def test_index_range_checked():

@@ -12,12 +12,16 @@ in the three vertices, so rotating them moves the quadrature error of
 the norms (about 6e-5 relative at n=2).  The full property is kept as a
 strict expected failure on the smallest such mesh.
 
-The assembled systems must also equal, bit for bit, those of an
+The transfer operators must match the triplet construction they
+replaced (``transfer_oracles``): I_M from Morley, DG_P2 and HCT and I_C
+bit for bit, I_M from P2 except at its vertex entries, which are exactly
+1.0, and J to 1e-15 of its largest entry.  The assembled systems must
+also equal, bit for bit, those of an
 oracle that sorts and sums every form's triplets and combines the forms
 by sort-merges, as the assembly did before it reduced onto memoized
 block patterns.  Every array of those patterns, dtype included, must
 equal the search-based construction they replaced (``pattern_oracles``),
-and both oracles must hold on the degenerate meshes too: a lone
+and all three oracles must hold on the degenerate meshes too: a lone
 triangle, ``unit_square_mesh(1)`` and a refined skew quadrilateral.
 The macro-space load, which contracts the quadrature first, must match
 to round-off an oracle that evaluates every shape function at every
@@ -49,7 +53,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from platefem import forms
+from platefem import forms, interp
 from platefem.fespace import (
     _reference_coeffs,
     barycentric_gradients,
@@ -93,9 +97,10 @@ from platefem.solve import (
     solve,
     solve_scheme,
 )
-from platefem.sparse import SparseMatrix, TripletAccumulator
+from platefem.sparse import SparseMatrix
 import p2_oracles
 import pattern_oracles
+import transfer_oracles
 from test_fespace import _EXP, _power_table_kernels, _sub_bary, hct_oracle_gaps
 from test_generic_geometry import refined_skew_mesh
 
@@ -198,9 +203,10 @@ def _triplet_form(mesh, dofmap, kind, blocks, symmetric=False):
         side1 = dofs[np.maximum(t1, 0)].copy()
         side1[t1 < 0] = -1
         dofs = np.concatenate([dofs[t0], side1], axis=1)
-    acc = TripletAccumulator(dofmap.n_free, dofmap.n_free)
-    acc.add(dofs[:, :, None], dofs[:, None, :], blocks)
-    return acc.build(symmetric=symmetric)
+    rows, cols, vals = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :], blocks)
+    keep = (rows >= 0) & (cols >= 0)
+    return SparseMatrix.from_triplets(dofmap.n_free, dofmap.n_free, rows[keep], cols[keep],
+                                      vals[keep], symmetric=symmetric)
 
 
 def _merged(a, b, symmetric=False):
@@ -276,7 +282,8 @@ def _pattern_mismatches(mesh):
                 got = getattr(p, name)
                 if got.dtype != ref.dtype or not np.array_equal(got, ref):
                     out.append((tag.value, kind, name))
-        got, ref = forms._cell_positions(mesh, tag), pattern_oracles.cell_positions(mesh, tag)
+        got = forms._block_pattern(mesh, tag, "edge").cell_positions
+        ref = pattern_oracles.cell_positions(mesh, tag)
         if got.dtype != ref.dtype or not np.array_equal(got, ref):
             out.append((tag.value, "cell positions"))
     return out
@@ -318,7 +325,7 @@ def test_memoized_patterns_are_read_only(mesh2):
     tags = (forms.SpaceTag.MORLEY, forms.SpaceTag.DG_P2, forms.SpaceTag.LAGRANGE_P2)
     patterns = [forms._block_pattern(mesh2, tag, "cell") for tag in tags]
     patterns += [forms._block_pattern(mesh2, tag, "edge") for tag in tags[1:]]
-    memo = [forms._cell_positions(mesh2, tag) for tag in tags[1:]]
+    memo = [p.cell_positions for p in patterns[len(tags):]]
     memo += [a for p in patterns for a in (p.tperm, p.gather, p.starts)]
     assert all(a.dtype == np.int32 for a in memo)   # slot indices: half the memo
     memo += [a for p in patterns for a in (p.rows, p.cols)]
@@ -326,6 +333,63 @@ def test_memoized_patterns_are_read_only(mesh2):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
+
+
+# --- triplet oracle of the transfer operators ---------------------------------------
+
+def _stored(A):
+    """(rows, cols, vals) of the nonzero entries of ``A``."""
+    keep = A.vals != 0
+    return A.rows[keep], A.cols[keep], A.vals[keep]
+
+
+def _same_bits(got, want):
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def _transfer_mismatches(mesh):
+    """The transfer operators that differ from the triplet oracle beyond their bounds.
+
+    I_M from Morley, DG_P2 and HCT and I_C must equal it bit for bit; I_M
+    from P2 only at its vertex rows, where the cell mean stores exactly 1.0;
+    J to 1e-15 of its largest entry (a patch sum divided once, not 1/size
+    added size times).
+    """
+    out = []
+    pairs = [(interp.interp_matrix(build_dof_map(mesh, tag)),
+              transfer_oracles.interp_matrix(mesh, tag), tag.value)
+             for tag in (SpaceTag.MORLEY, SpaceTag.DG_P2, SpaceTag.HCT)]
+    pairs.append((interp.transfer_ic_matrix(mesh), transfer_oracles.transfer_ic_matrix(mesh),
+                  "I_C"))
+    for got, want, name in pairs:   # the stored entries: the oracle's nonzero ones
+        if not _same_bits((got.rows, got.cols, got.vals), _stored(want)):
+            out.append(name)
+    got = interp.interp_matrix(build_dof_map(mesh, SpaceTag.LAGRANGE_P2))
+    rows, cols, vals = _stored(transfer_oracles.interp_matrix(mesh, SpaceTag.LAGRANGE_P2))
+    vertex_rows = np.isin(got.rows, build_dof_map(mesh, SpaceTag.MORLEY).vertex_dofs)
+    if not (_same_bits((got.rows, got.cols), (rows, cols)) and np.all(got.vals[vertex_rows] == 1.0)
+            and _same_bits([got.vals[~vertex_rows]], [vals[~vertex_rows]])):
+        out.append("p2c0")
+    J, want = interp.companion_matrix(mesh).to_dense(), transfer_oracles.companion_matrix(mesh)
+    if np.abs(J - want.to_dense()).max(initial=0.0) > 1e-15 * np.abs(want.vals).max(initial=0.0):
+        out.append("J")
+    if verify_right_inverse(mesh, samples=5).max_residual > 1e-11:
+        out.append("right inverse")
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(perturbed_pairs())
+def test_transfer_operators_match_triplet_oracle(pair):
+    for mesh in pair:
+        assert _transfer_mismatches(mesh) == []
+
+
+@pytest.mark.parametrize("make_mesh", [_one_triangle_mesh, lambda: unit_square_mesh(1),
+                                       refined_skew_mesh],
+                         ids=["one_triangle", "unit_square_1", "refined_skew"])
+def test_degenerate_meshes_transfer_operators_match_triplet_oracle(make_mesh):
+    assert _transfer_mismatches(make_mesh()) == []
 
 
 # --- per-sub-triangle oracle of the smoothed load ------------------------------------
