@@ -36,7 +36,7 @@ from .harness import (
 )
 from .mesh import MeshError, read_mesh, unit_square_mesh
 from .rhs import LoadError, LoadSpec
-from .solve import compute_errors, solve_scheme
+from .solve import compute_errors, error_quad_order, solve_scheme
 
 
 def _load_config(path):
@@ -118,7 +118,6 @@ def _study_config(raw):
             levels=_integer(mesh.get("levels", 4)),
             solution=name,
             load=None if name else load_spec,
-            quad_order=max(4, scheme.quad_order),
         )
 
 
@@ -151,8 +150,7 @@ def cmd_solve(raw, dump_matrix=None):
     result = {"scheme": scheme.scheme.value, "ndof": sol.u_h.space.n_free,
               "stats": {k: v for k, v in sol.stats.items()}}
     if name:
-        rep = compute_errors(get_manufactured(name), sol,
-                             max(4, scheme.quad_order))
+        rep = compute_errors(get_manufactured(name), sol, error_quad_order(scheme))
         for key, val in rep.as_dict().items():
             print(f"{key} = {val}")
         result["errors"] = rep.as_dict()

@@ -498,15 +498,10 @@ class DiscreteFunction:
         return self.space.mesh
 
 
-def zeros(dofmap: DofMap) -> DiscreteFunction:
-    return DiscreteFunction(dofmap, np.zeros(dofmap.n_free))
-
-
-def local_dof_values(f: DiscreteFunction):
-    """Per-triangle local DOF values, constrained DOFs as zeros, (nt, nl)."""
-    cd = f.space.cell_dofs
-    vals = np.where(cd >= 0, f.coeffs[np.maximum(cd, 0)], 0.0)
-    return vals
+def local_dof_values(f: DiscreteFunction, cells=slice(None)):
+    """Local DOF values on triangles ``cells``, constrained DOFs as zeros, (c, nl)."""
+    cd = f.space.cell_dofs[cells]
+    return np.where(cd >= 0, f.coeffs[np.maximum(cd, 0)], 0.0)
 
 
 def local_lagrange_coeffs(f: DiscreteFunction):
@@ -517,10 +512,9 @@ def local_lagrange_coeffs(f: DiscreteFunction):
     return loc if C is None else np.einsum("tba,ta->tb", C, loc)
 
 
-def to_dgp2(f: DiscreteFunction, dg_map: DofMap | None = None) -> DiscreteFunction:
+def to_dgp2(f: DiscreteFunction) -> DiscreteFunction:
     """Embed a quadratic-space function into the discontinuous P2 space."""
-    if dg_map is None:
-        dg_map = build_dof_map(f.mesh, SpaceTag.DG_P2)
+    dg_map = build_dof_map(f.mesh, SpaceTag.DG_P2)
     return DiscreteFunction(dg_map, local_lagrange_coeffs(f).ravel())
 
 
@@ -540,53 +534,12 @@ def evaluate(f: DiscreteFunction, tri: int, bary, order: int = 0):
         raise ValueError("point lies outside the triangle")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    cd = f.space.cell_dofs[tri]
-    loc = np.where(cd >= 0, f.coeffs[np.maximum(cd, 0)], 0.0)
-    out = shapes(f.mesh, f.tag, reference_shapes(f.tag, lam, order), [tri], loc[None])[0, 0]
+    loc = local_dof_values(f, [tri])
+    out = shapes(f.mesh, f.tag, reference_shapes(f.tag, lam, order), [tri], loc)[0, 0]
     return float(out) if order == 0 else out
 
 
-def interpolate_nodal(dofmap: DofMap, fn, grad=None) -> DiscreteFunction:
-    """Classical nodal interpolation of a smooth function.
-
-    For the quadratic spaces this uses vertex and edge-midpoint values;
-    for HCT it uses vertex values/gradients and edge-midpoint normal
-    derivatives (``grad`` required).  Constrained DOFs are dropped.
-    """
-    mesh = dofmap.mesh
-    if dofmap.tag in (SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
-        vvals = fn(mesh.vertices[:, 0], mesh.vertices[:, 1])
-        evals = fn(mesh.edge_midpoint[:, 0], mesh.edge_midpoint[:, 1])
-        if dofmap.tag is SpaceTag.DG_P2:
-            loc = np.concatenate(
-                [vvals[mesh.triangles], evals[mesh.tri_edges]], axis=1
-            )
-            return DiscreteFunction(dofmap, loc.ravel())
-        out = np.zeros(dofmap.n_free)
-        vd, ed = dofmap.vertex_dofs, dofmap.edge_dofs
-        out[vd[vd >= 0]] = vvals[vd >= 0]
-        out[ed[ed >= 0]] = evals[ed >= 0]
-        return DiscreteFunction(dofmap, out)
-    if dofmap.tag is SpaceTag.HCT:
-        if grad is None:
-            raise ValueError("HCT interpolation needs the gradient callback")
-        out = np.zeros(dofmap.n_free)
-        vd, ed = dofmap.vertex_dofs, dofmap.edge_dofs
-        vvals = fn(mesh.vertices[:, 0], mesh.vertices[:, 1])
-        vgrad = grad(mesh.vertices[:, 0], mesh.vertices[:, 1])
-        keep = vd[:, 0] >= 0
-        out[vd[keep, 0]] = vvals[keep]
-        out[vd[keep, 1]] = vgrad[keep, 0]
-        out[vd[keep, 2]] = vgrad[keep, 1]
-        mg = grad(mesh.edge_midpoint[:, 0], mesh.edge_midpoint[:, 1])
-        keep = ed >= 0
-        out[ed[keep]] = np.einsum("ei,ei->e", mg[keep], mesh.edge_normal[keep])
-        return DiscreteFunction(dofmap, out)
-    raise ValueError(f"nodal interpolation not defined for {dofmap.tag}")
-
-
-def prolongate_to_refined(f: DiscreteFunction, fine: Triangulation,
-                          fine_dg: DofMap | None = None) -> DiscreteFunction:
+def prolongate_to_refined(f: DiscreteFunction, fine: Triangulation) -> DiscreteFunction:
     """Exact re-expansion of a quadratic-space function on a red-refined mesh.
 
     ``fine`` must be one application of ``refine_uniform`` to ``f``'s
@@ -594,8 +547,6 @@ def prolongate_to_refined(f: DiscreteFunction, fine: Triangulation,
     fine DG space since the input may be discontinuous across coarse
     edges.
     """
-    if fine_dg is None:
-        fine_dg = build_dof_map(fine, SpaceTag.DG_P2)
     par = fine.parent_tri
     coarse = f.mesh
     if par is None or fine.num_triangles != 4 * coarse.num_triangles:
@@ -608,4 +559,4 @@ def prolongate_to_refined(f: DiscreteFunction, fine: Triangulation,
     lam = barycentric(pts, coarse.tri_coords()[par][:, None])
     N = reference_shapes(SpaceTag.DG_P2, lam).reshape(-1, 6, 6)
     vals = np.einsum("tna,ta->tn", N, coarse_coeffs[par])
-    return DiscreteFunction(fine_dg, vals.ravel())
+    return DiscreteFunction(build_dof_map(fine, SpaceTag.DG_P2), vals.ravel())

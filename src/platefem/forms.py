@@ -114,15 +114,17 @@ class SchemeConfig:
 
 @derived
 def edge_traces(mesh: Triangulation, params):
-    """P2 basis traces on both sides of every edge at parameters ``params``.
+    """Signed P2 jump rows at parameters ``params`` of every edge.
 
     ``params`` are positions in [0,1] along the edge from its first to
-    its second stored endpoint.  Returns a dict with, per side, basis
-    values ``N`` (ne, nq, 6), gradients ``G`` (ne, nq, 6, 2) and the
-    all-edges interior mask; side 1 arrays are zero on boundary edges.
-    A side running from local vertex a to b reads the reference table of
-    the points lambda_a = 1 - s, lambda_b = s, and its gradients are
-    pushed forward by one batched matmul.
+    its second stored endpoint.  Returns basis values ``N`` (ne, nq, 12)
+    and gradients ``G`` (ne, nq, 12, 2) over the 6 DOFs of side 0 then
+    the 6 of side 1, side 1 negated, so that ``N v_E`` is [v] and
+    ``G v_E`` is [grad v]; the side-1 rows are zero on boundary edges,
+    where the jump is the single trace.  A side running from local
+    vertex a to b reads the reference table of the points
+    lambda_a = 1 - s, lambda_b = s, and its gradients are pushed forward
+    by one batched matmul.  Both arrays are shared and read-only.
     """
     params = np.asarray(params, dtype=np.float64)
     info = mesh.edge_side_info()
@@ -132,27 +134,26 @@ def edge_traces(mesh: Triangulation, params):
            + eye[None, :, None] * params[:, None]).reshape(-1, 3)   # [a, b, q]
     N_ref = reference_shapes(SpaceTag.DG_P2, lam).reshape(3, 3, nq, 6)
     G_ref = reference_shapes(SpaceTag.DG_P2, lam, 1).reshape(3, 3, nq, 2, 6).swapaxes(3, 4)
-    out = {"interior": ~mesh.edge_is_boundary}
-    for side in range(2):
+    N, G = [], []
+    for side, sign in enumerate((1.0, -1.0)):
         t = mesh.edge_tris[:, side]
-        valid = t >= 0
-        ts = np.maximum(t, 0)
         a, b = (np.maximum(info[k][:, side], 0) for k in ("local_a", "local_b"))
-        N = N_ref[a, b]
-        G = G_ref[a, b] @ pushforward(mesh, 1, ts).swapaxes(1, 2)[:, None]
-        N[~valid] = G[~valid] = 0.0
-        out.update({f"N{side}": N, f"G{side}": G, f"t{side}": ts, f"valid{side}": valid})
-    return out
+        Ns = N_ref[a, b]
+        Gs = G_ref[a, b] @ pushforward(mesh, 1, np.maximum(t, 0)).swapaxes(1, 2)[:, None]
+        Ns[t < 0] = Gs[t < 0] = 0.0
+        N.append(sign * Ns)
+        G.append(sign * Gs)
+    return _frozen(np.concatenate(N, axis=2), np.concatenate(G, axis=2))
 
 
-def _hess_avg_rows(mesh, traces):
+def _hess_avg_rows(mesh):
+    """Averaged normal rows <D^2 psi> nu of both sides' basis, (ne, 12, 2)."""
     H = p2_hessians(mesh)
-    nu = mesh.edge_normal
-    Hn0 = np.einsum("eaij,ej->eai", H[traces["t0"]], nu)
-    Hn1 = np.einsum("eaij,ej->eai", H[traces["t1"]], nu)
-    Hn1[~traces["valid1"]] = 0.0
-    w1 = np.where(traces["interior"], 0.5, 1.0)[:, None, None]
-    return np.concatenate([w1 * Hn0, w1 * Hn1], axis=1)  # (ne, 12, 2)
+    t = mesh.edge_tris
+    Hn = np.einsum("esaij,ej->esai", H[np.maximum(t, 0)], mesh.edge_normal)
+    Hn[t < 0] = 0.0
+    w = np.where(mesh.edge_is_boundary, 1.0, 0.5)[:, None, None]
+    return w * Hn.reshape(-1, 12, 2)
 
 
 def _space_local_hessian_matrix(mesh, dofmap):
@@ -325,9 +326,8 @@ def assemble_jump_form(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
     if dofmap.tag not in (SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
         raise ValueError("consistency form lives on the discontinuous/continuous P2 spaces")
     s, w = edge_rule(EDGE_GAUSS)
-    traces = edge_traces(mesh, s)
-    Jg = np.concatenate([traces["G0"], -traces["G1"]], axis=2)  # (ne, nq, 12, 2)
-    Hn = _hess_avg_rows(mesh, traces)
+    Jg = edge_traces(mesh, s)[1]
+    Hn = _hess_avg_rows(mesh)
     block = (Hn * mesh.edge_length[:, None, None]) @ np.einsum("q,eqji->eij", w, Jg)
     return _reduce(mesh, dofmap, "edge", block)
 
@@ -400,17 +400,10 @@ def assemble_scheme(mesh: Triangulation, config: SchemeConfig):
 # jump terms: the one definition of every c_h and of j_h
 # ---------------------------------------------------------------------------
 
-def _value_jumps(mesh, params):
-    """[v] rows (ne, nq, 12) over both sides' DOFs at edge parameters ``params``."""
-    traces = edge_traces(mesh, params)
-    return np.concatenate([traces["N0"], -traces["N1"]], axis=2)
-
-
 def _slope_jumps(mesh, params):
     """[dv/dnu] rows (ne, nq, 12) over both sides' DOFs at edge parameters ``params``."""
-    traces, nu = edge_traces(mesh, params), mesh.edge_normal
-    return np.concatenate([np.einsum("eqai,ei->eqa", traces["G0"], nu, optimize=True),
-                           -np.einsum("eqai,ei->eqa", traces["G1"], nu, optimize=True)], axis=2)
+    return np.einsum("eqai,ei->eqa", edge_traces(mesh, params)[1], mesh.edge_normal,
+                     optimize=True)
 
 
 def _jump_terms(mesh, config=None):
@@ -425,7 +418,7 @@ def _jump_terms(mesh, config=None):
         # point functionals, no quadrature: value jumps at both endpoints and
         # the midpoint slope jump, which is the edge mean; c_p = j_h^2 * h^-2
         p = 0 if scheme is None else 2
-        Jv, Jn = _value_jumps(mesh, np.array([0.0, 1.0])), _slope_jumps(mesh, np.array([0.5]))
+        Jv, Jn = edge_traces(mesh, np.array([0.0, 1.0]))[0], _slope_jumps(mesh, np.array([0.5]))
         return [(Jv, Jv / h ** (2 + p)), (Jn, Jn / h ** p)]
     if scheme is SchemeTag.MORLEY:
         return []
@@ -434,7 +427,7 @@ def _jump_terms(mesh, config=None):
     Jn = _slope_jumps(mesh, s)
     if scheme is SchemeTag.C0IP:
         return [(Jn, Jn * (config.sigma_ip * w))]
-    sigma1, Jv = config.sigma1, _value_jumps(mesh, s)
+    sigma1, Jv = config.sigma1, edge_traces(mesh, s)[0]
     value_block = sigma1 * (Jv * (w / h ** 2))  # platebench's self-test edits this text
     return [(Jv, value_block), (Jn, config.sigma2 * (Jn * w))]
 
@@ -452,7 +445,13 @@ def jump_seminorm(f: DiscreteFunction) -> float:
 
     j_h(v)^2 = sum_E sum_{z in V(E)} h_E^-2 [v]_E(z)^2
              + sum_E ( mean_E [dv/dnu] )^2, single traces on the boundary.
+
+    A nonconforming (Morley) function gives exactly 0.0: its DOFs are
+    these functionals, shared by both sides and zero on the boundary, so
+    every jump vanishes and the sum would hold only round-off.
     """
+    if f.tag is SpaceTag.MORLEY:
+        return 0.0
     return float(np.sqrt(_jump_energy(f, _jump_terms(f.mesh))))
 
 

@@ -15,8 +15,6 @@ import numpy as np
 
 from .fespace import (
     DiscreteFunction,
-    SpaceTag,
-    build_dof_map,
     local_dof_values,
     prolongate_to_refined,
     reference_shapes,
@@ -28,7 +26,7 @@ from .functions import ScalarFunction, get_manufactured
 from .interp import morley_interp_avg
 from .mesh import Triangulation, refine_uniform, unit_square_mesh
 from .rhs import LoadSpec
-from .solve import ErrorReport, SolverError, compute_errors, solve_scheme
+from .solve import ErrorReport, SolverError, compute_errors, error_quad_order, solve_scheme
 
 CSV_COLUMNS = [
     "level", "hmax", "ndof", "energy_pw", "jump", "norm_h", "norm_scheme",
@@ -130,7 +128,6 @@ class StudyConfig:
     levels: int = 4
     solution: str | None = "u1"   # manufactured solution name, or None
     load: LoadSpec | None = None  # explicit load (required when solution is None)
-    quad_order: int = 7
 
     def __post_init__(self):
         if not 2 <= self.levels <= 8:
@@ -181,7 +178,7 @@ def run_convergence(config: StudyConfig) -> ConvergenceReport:
         except SolverError as exc:
             aborted = f"level {k}: {exc}"
             break
-        errors = compute_errors(u, sol, config.quad_order) if u is not None else None
+        errors = compute_errors(u, sol, error_quad_order(config.scheme)) if u is not None else None
         extra = {}
         if wopsip:
             extra["penalty_energy"] = penalty_value(sol.u_h, config.scheme)
@@ -247,7 +244,7 @@ def run_comparison(config: StudyConfig, extra_levels: int = 2) -> ConvergenceRep
                 row[tag.value] = reference_error_norm_h(solutions[tag][k].u_h, meshes[k:],
                                                         reference)
                 continue
-            rep = compute_errors(u, solutions[tag][k], config.quad_order)
+            rep = compute_errors(u, solutions[tag][k], error_quad_order(config.scheme))
             row[tag.value] = rep.norm_h
             errors = errors or rep   # the first scheme's report
         morley = solutions[SchemeTag.MORLEY][k]
@@ -294,9 +291,7 @@ def reference_error_norm_h(u_h: DiscreteFunction, chain, u_ref: DiscreteFunction
     f = u_h
     for mesh in chain[1:]:
         f = prolongate_to_refined(f, mesh)
-    fine_dg = build_dof_map(fine, SpaceTag.DG_P2)
-    ref = to_dgp2(u_ref, fine_dg)
-    diff = DiscreteFunction(fine_dg, ref.coeffs - f.coeffs)
+    diff = DiscreteFunction(f.space, to_dgp2(u_ref).coeffs - f.coeffs)
     H = _cell_hessians(diff)
     energy2 = float(np.sum(fine.tri_area * np.einsum("tij,tij->t", H, H)))
     return float(np.sqrt(energy2 + jump_seminorm(diff) ** 2))

@@ -152,17 +152,16 @@ def transfer_ic_matrix(mesh: Triangulation) -> SparseMatrix:
 # high-level operator application
 # ---------------------------------------------------------------------------
 
-def _analytic_edge_means(mesh, fn, eids=None):
-    """Edge means of the normal derivative of an analytic function."""
-    if eids is None:
-        eids = np.arange(mesh.num_edges)
+def _analytic_dofs(v, mesh):
+    """Vertex values and edge means of the normal derivative of the analytic
+    function ``v``, on every vertex and edge of ``mesh``."""
+    if mesh is None:
+        raise ValueError("mesh is required for analytic input")
     s, w = edge_rule(ANALYTIC_EDGE_GAUSS)
-    pa = mesh.vertices[mesh.edge_vertices[eids, 0]]
-    pb = mesh.vertices[mesh.edge_vertices[eids, 1]]
+    pa, pb = (mesh.vertices[mesh.edge_vertices[:, k]] for k in (0, 1))
     pts = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
-    grads = fn.grad(pts[..., 0], pts[..., 1])
-    dn = np.einsum("eqi,ei->eq", grads, mesh.edge_normal[eids])
-    return dn @ w
+    dn = np.einsum("eqi,ei->eq", v.grad(pts[..., 0], pts[..., 1]), mesh.edge_normal)
+    return v.value(mesh.vertices[:, 0], mesh.vertices[:, 1]), dn @ w
 
 
 def morley_interp_avg(v, mesh: Triangulation | None = None) -> DiscreteFunction:
@@ -176,16 +175,11 @@ def morley_interp_avg(v, mesh: Triangulation | None = None) -> DiscreteFunction:
     if isinstance(v, DiscreteFunction):
         mat = interp_matrix(v.space)
         return DiscreteFunction(build_dof_map(v.mesh, SpaceTag.MORLEY), mat.matvec(v.coeffs))
-    if mesh is None:
-        raise ValueError("mesh is required for analytic input")
+    values, means = _analytic_dofs(v, mesh)
     morley_map = build_dof_map(mesh, SpaceTag.MORLEY)
     out = np.zeros(morley_map.n_free)
-    vd = morley_map.vertex_dofs
-    keep = vd >= 0
-    out[vd[keep]] = v.value(mesh.vertices[keep, 0], mesh.vertices[keep, 1])
-    ed = morley_map.edge_dofs
-    eids = np.flatnonzero(ed >= 0)
-    out[ed[eids]] = _analytic_edge_means(mesh, v, eids)
+    for dofs, x in ((morley_map.vertex_dofs, values), (morley_map.edge_dofs, means)):
+        out[dofs[dofs >= 0]] = x[dofs >= 0]
     return DiscreteFunction(morley_map, out)
 
 
@@ -204,13 +198,8 @@ def morley_interp_local(v, mesh: Triangulation | None = None) -> DiscreteFunctio
         lag = local_lagrange_coeffs(v)
         dofs = np.einsum("tab,tb->ta", morley_dof_matrix(mesh), lag)
     else:
-        if mesh is None:
-            raise ValueError("mesh is required for analytic input")
-        dofs = np.empty((mesh.num_triangles, 6))
-        coords = mesh.tri_coords()
-        dofs[:, :3] = v.value(coords[..., 0], coords[..., 1])
-        means = _analytic_edge_means(mesh, v)
-        dofs[:, 3:] = means[mesh.tri_edges]
+        values, means = _analytic_dofs(v, mesh)
+        dofs = np.concatenate([values[mesh.triangles], means[mesh.tri_edges]], axis=1)
     C = morley_local_basis(mesh)
     lag = np.einsum("tba,ta->tb", C, dofs)
     return DiscreteFunction(build_dof_map(mesh, SpaceTag.DG_P2), lag.ravel())

@@ -29,6 +29,7 @@ from .mesh import Triangulation, barycentric
 from .quadrature import triangle_points
 
 VERTEX_SNAP_TOL = 1e-12
+LOCATE_TOL = 1e-10   # locate_point takes a triangle whose barycentrics are >= -LOCATE_TOL
 
 
 class LoadError(ValueError):
@@ -66,11 +67,11 @@ class ResolvedPointLoad:
     snapped: bool   # at a corner of ``triangle``: ``bary`` is exactly that corner
 
 
-def locate_point(mesh: Triangulation, xy, tol=1e-10):
+def locate_point(mesh: Triangulation, xy):
     """Containing triangle and barycentric coordinates (first match)."""
     xy = np.asarray(xy, dtype=np.float64)
     lam = barycentric(xy, mesh.tri_coords())
-    inside = lam.min(axis=1) >= -tol
+    inside = lam.min(axis=1) >= -LOCATE_TOL
     hits = np.flatnonzero(inside)
     if hits.size == 0:
         raise LoadError(f"point load at {xy.tolist()} lies outside the domain")

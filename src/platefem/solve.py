@@ -47,6 +47,9 @@ from .sparse import SparseMatrix, ragged_positions
 LEAF_SIZE = 160
 # block order of the triangular inversion; larger blocks go through matmul
 INVERSE_BLOCK = 128
+# a solve within this componentwise backward error is converged; an LU
+# solve above it raises
+BACKWARD_ERROR_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -359,9 +362,10 @@ def solve(matrix: SparseMatrix, vector: np.ndarray):
     The matrix's memoized factor is Cholesky ('ldlt') if its
     ``symmetric`` flag is set and LU ('lu') if not; a later solve with the
     same matrix reports ``factor_reused`` and zero ordering and
-    factorization times, and still refines against the matrix.  An LU
-    solve whose backward error stays above 1e-12, and a solve whose
-    solution or backward error is not finite, raise SolverError.
+    factorization times, and still refines against the matrix.  The
+    stats flag ``converged`` reads the backward error: at most
+    ``BACKWARD_ERROR_TOL``.  An LU solve above that bound, and a solve
+    whose solution or backward error is not finite, raise SolverError.
     """
     b = np.asarray(vector, dtype=np.float64)
     n = matrix.nrows
@@ -412,13 +416,13 @@ def solve(matrix: SparseMatrix, vector: np.ndarray):
     stats["residual"] = float(residual)
     # a NaN denom (non-finite x or input) keeps the backward error NaN
     be = stats["backward_error"] = float(np.abs(r).max() / denom) if denom != 0 else 0.0
-    stats["converged"] = bool(residual <= 1e-10)
+    stats["converged"] = bool(be <= BACKWARD_ERROR_TOL)
     stats["solve_time"] = time.perf_counter() - t0
     if not (np.isfinite(x).all() and be < np.inf):
         raise SolverError("the solution is not finite: the matrix or the right-hand side "
                           "has a NaN or infinite entry")
     # LU pivots inside each block only, so nothing bounds its element growth
-    if factor.method == "lu" and not be <= 1e-12:
+    if factor.method == "lu" and not stats["converged"]:
         raise SolverError(f"LU solve stalled at backward error {be:.1e}: "
                           "the system is close to singular (increase sigma)")
     return x, stats
@@ -442,10 +446,6 @@ class Solution:
     u_h: DiscreteFunction
     u_star: DiscreteFunction       # C^1 post-processing of u_h
     stats: dict = field(default_factory=dict)
-
-    @property
-    def scheme(self):
-        return self.config.scheme
 
 
 @derived
@@ -552,6 +552,11 @@ def _mean_deviation(hess, w, area):
     dev = hess - mean[:, None, :, :]
     sq = np.einsum("q,tqij->t", w, dev ** 2)
     return float(np.sqrt(np.sum(area * sq)))
+
+
+def error_quad_order(config: SchemeConfig) -> int:
+    """Quadrature order of a scheme's error norms: its load order, at least 4."""
+    return max(4, config.quad_order)
 
 
 def compute_errors(u_exact: ScalarFunction, sol: Solution,

@@ -4,12 +4,13 @@ The forms and transfer operators once computed the physical derivatives
 of the P2 basis with these kernels: gradients from the barycentric
 gradients of each triangle, Hessians as sums of their outer products.
 They now read the reference tables of ``fespace.reference_shapes``
-pushed forward per cell; the tests compare both ways.
+pushed forward per cell; the tests compare both ways.  The nodal DG
+interpolant the tests build quadratics with is kept here too.
 """
 
 import numpy as np
 
-from platefem.fespace import barycentric_gradients, p2_values
+from platefem.fespace import DiscreteFunction, SpaceTag, barycentric_gradients, p2_values
 
 EDGE_MID_BARY = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
 
@@ -55,6 +56,17 @@ def morley_dof_matrix(mesh):
     normals = mesh.edge_normal[mesh.tri_edges]  # (nt, 3, 2)
     M[:, 3:, :] = np.einsum("teai,tei->tea", grads, normals)
     return M
+
+
+def interpolate_nodal(dofmap, fn):
+    """Nodal interpolant of ``fn(x, y)`` in the discontinuous P2 space
+    ``dofmap``: its values at every triangle's vertices and edge midpoints."""
+    assert dofmap.tag is SpaceTag.DG_P2
+    mesh = dofmap.mesh
+    vvals = fn(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    evals = fn(mesh.edge_midpoint[:, 0], mesh.edge_midpoint[:, 1])
+    loc = np.concatenate([vvals[mesh.triangles], evals[mesh.tri_edges]], axis=1)
+    return DiscreteFunction(dofmap, loc.ravel())
 
 
 def edge_traces(mesh, params):

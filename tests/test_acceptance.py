@@ -71,8 +71,8 @@ def test_criterion_1_operator_identities():
     wop = SchemeConfig(scheme=SchemeTag.WOPSIP)
     worst_b = worst_c = 0.0
     for _ in range(50):
-        v = to_dgp2(DiscreteFunction(morley_map, rng.uniform(-1, 1, morley_map.n_free)), dg_map)
-        w = to_dgp2(DiscreteFunction(morley_map, rng.uniform(-1, 1, morley_map.n_free)), dg_map)
+        v = to_dgp2(DiscreteFunction(morley_map, rng.uniform(-1, 1, morley_map.n_free)))
+        w = to_dgp2(DiscreteFunction(morley_map, rng.uniform(-1, 1, morley_map.n_free)))
         bh = -np.dot(B.matvec(v.coeffs), w.coeffs) - np.dot(B.matvec(w.coeffs), v.coeffs)
         worst_b = max(worst_b, abs(bh))
         worst_c = max(worst_c, abs(penalty_value(v, wop)))

@@ -8,7 +8,6 @@ from platefem.fespace import (
     build_dof_map,
     evaluate,
     hct_local_basis,
-    interpolate_nodal,
     monomial_gradients,
     monomial_hessians,
     monomial_values,
@@ -21,10 +20,11 @@ from platefem.fespace import (
     rule,
     shapes,
     to_dgp2,
-    zeros,
 )
 from platefem.mesh import build_triangulation, refine_uniform, unit_square_mesh
 from platefem.quadrature import edge_rule, triangle_points, triangle_rule
+
+from p2_oracles import interpolate_nodal
 
 
 def single_triangle(coords):
@@ -353,7 +353,8 @@ def test_degenerate_triangle_raises():
 
 def test_evaluate_zero_everywhere(mesh2):
     for tag in SpaceTag:
-        f = zeros(build_dof_map(mesh2, tag))
+        dm = build_dof_map(mesh2, tag)
+        f = DiscreteFunction(dm, np.zeros(dm.n_free))
         for order in (0, 1, 2):
             v = evaluate(f, 0, np.array([0.2, 0.5, 0.3]), order)
             assert np.all(np.asarray(v) == 0.0)
@@ -386,7 +387,8 @@ def test_evaluate_morley_edge_dof_mean(mesh1):
 
 
 def test_evaluate_errors(mesh2):
-    f = zeros(build_dof_map(mesh2, SpaceTag.DG_P2))
+    dg = build_dof_map(mesh2, SpaceTag.DG_P2)
+    f = DiscreteFunction(dg, np.zeros(dg.n_free))
     with pytest.raises(ValueError, match="outside"):
         evaluate(f, 0, np.array([-0.2, 0.6, 0.6]), 0)
     with pytest.raises(ValueError, match="order"):

@@ -8,7 +8,6 @@ from platefem.fespace import (
     SpaceTag,
     build_dof_map,
     evaluate,
-    interpolate_nodal,
     to_dgp2,
 )
 from platefem.forms import (
@@ -26,6 +25,10 @@ from platefem.forms import (
 from platefem.functions import get_manufactured
 from platefem.mesh import build_triangulation, unit_square_mesh
 from platefem.quadrature import edge_rule, triangle_rule
+from platefem.rhs import LoadSpec
+from platefem.solve import compute_errors, solve_scheme
+
+from p2_oracles import interpolate_nodal
 
 U1 = get_manufactured("u1")
 
@@ -104,7 +107,7 @@ def test_jump_form_annihilates_nonconforming(mesh2, rng):
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
     B = assemble_jump_form(mesh2, dg)
     for _ in range(20):
-        v = to_dgp2(DiscreteFunction(dm, rng.standard_normal(dm.n_free)), dg)
+        v = to_dgp2(DiscreteFunction(dm, rng.standard_normal(dm.n_free)))
         w = rng.standard_normal(dg.n_free)
         assert abs(np.dot(B.matvec(v.coeffs), w)) < 1e-12 * max(1.0, np.abs(w).max())
 
@@ -179,11 +182,10 @@ def test_cdg_value_jump_vanishes_for_continuous(mesh2, rng):
     # continuous quadratics vanishing on the boundary have no value jumps,
     # so even an enormous sigma1 contributes nothing to the penalty energy
     lag = build_dof_map(mesh2, SpaceTag.LAGRANGE_P2)
-    dg = build_dof_map(mesh2, SpaceTag.DG_P2)
     huge = SchemeConfig(scheme=SchemeTag.DG, sigma1=1e12, sigma2=1.0)
     tiny = SchemeConfig(scheme=SchemeTag.DG, sigma1=1e-12, sigma2=1.0)
     for _ in range(5):
-        v = to_dgp2(DiscreteFunction(lag, rng.standard_normal(lag.n_free)), dg)
+        v = to_dgp2(DiscreteFunction(lag, rng.standard_normal(lag.n_free)))
         a = penalty_value(v, huge)
         b = penalty_value(v, tiny)
         assert abs(a - b) < 1e-10 * max(1.0, b)
@@ -200,10 +202,9 @@ def test_morley_cdg_positive_but_cp_zero(mesh2, rng):
     # nonconforming quadratics carry L2 jumps (penalized by the dG form)
     # yet all their point-value and mean-slope jumps vanish
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
-    dg = build_dof_map(mesh2, SpaceTag.DG_P2)
     cfg_dg = SchemeConfig(scheme=SchemeTag.DG)
     cfg_p = SchemeConfig(scheme=SchemeTag.WOPSIP)
-    v = to_dgp2(DiscreteFunction(dm, rng.standard_normal(dm.n_free)), dg)
+    v = to_dgp2(DiscreteFunction(dm, rng.standard_normal(dm.n_free)))
     assert penalty_value(v, cfg_dg) > 1e-6
     assert abs(penalty_value(v, cfg_p)) < 1e-12
     assert jump_seminorm(v) < 1e-12
@@ -330,8 +331,8 @@ def test_ip_restriction_of_dg(mesh2, rng):
     for _ in range(20):
         a = rng.standard_normal(lag.n_free)
         b = rng.standard_normal(lag.n_free)
-        fa = to_dgp2(DiscreteFunction(lag, a), dg)
-        fb = to_dgp2(DiscreteFunction(lag, b), dg)
+        fa = to_dgp2(DiscreteFunction(lag, a))
+        fb = to_dgp2(DiscreteFunction(lag, b))
         lhs = fa.coeffs @ A_dg.matvec(fb.coeffs)
         rhs = a @ A_ip.matvec(b)
         assert abs(lhs - rhs) < 1e-12 * scale * max(1.0, np.abs(a).max() * np.abs(b).max())
@@ -412,3 +413,17 @@ def test_jump_seminorm_matches_evaluated_jumps(skewed_mesh, rng):
         njump = _evaluated_jumps(v, (0.5,), 1)
         oracle = np.sqrt(np.sum(vjump ** 2 / h[:, None] ** 2) + np.sum(njump ** 2))
         assert abs(jump_seminorm(v) - oracle) <= 1e-12 * oracle
+
+
+def test_jump_seminorm_of_a_morley_function_is_exactly_zero(skewed_mesh, rng):
+    # j_h measures the Morley DOFs, so it vanishes on the nonconforming space;
+    # the same function embedded in the DG space leaves only round-off
+    dm = build_dof_map(skewed_mesh, SpaceTag.MORLEY)
+    for _ in range(3):
+        v = DiscreteFunction(dm, rng.standard_normal(dm.n_free))
+        assert jump_seminorm(v) == 0.0
+        assert jump_seminorm(to_dgp2(v)) <= 1e-12
+    sol = solve_scheme(unit_square_mesh(4), SchemeConfig(scheme=SchemeTag.MORLEY),
+                       LoadSpec(density=U1.biharmonic))
+    rep = compute_errors(U1, sol)
+    assert rep.jump == 0.0 and rep.norm_h == rep.energy_pw

@@ -121,6 +121,15 @@ def test_morley_small_study_rates():
     assert all(a > b for a, b in zip(hs, hs[1:]))
 
 
+@pytest.mark.parametrize("order, want", [(9, 9), (3, 4)])
+def test_study_errors_use_the_scheme_quad_order(order, want):
+    # a study has no quadrature order of its own: its errors read the
+    # scheme's, raised to the error norms' minimum of 4
+    cfg = StudyConfig(scheme=SchemeConfig(quad_order=order), n0=2, levels=2, solution="u1")
+    for rep in (run_convergence(cfg), run_comparison(cfg)):
+        assert [r.errors.quad_order for r in rep.levels] == [want, want]
+
+
 def test_comparison_block_smoke():
     cfg = StudyConfig(scheme=SchemeConfig(), n0=2, levels=2, solution="u1")
     rep = run_comparison(cfg)

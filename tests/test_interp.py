@@ -6,7 +6,6 @@ from platefem.fespace import (
     SpaceTag,
     build_dof_map,
     evaluate,
-    interpolate_nodal,
     local_lagrange_coeffs,
     to_dgp2,
 )
@@ -26,6 +25,8 @@ from platefem.interp import (
 from platefem.mesh import build_triangulation, refine_uniform, unit_square_mesh
 from platefem.quadrature import edge_rule, triangle_rule
 from platefem.solve import broken_error_norms, pi0_hessian_deviation
+
+from p2_oracles import interpolate_nodal
 
 U1 = get_manufactured("u1")
 U2 = get_manufactured("u2")

@@ -10,6 +10,7 @@ from platefem.interp import morley_interp_avg
 from platefem.mesh import build_triangulation, refine_uniform, unit_square_mesh
 from platefem.rhs import LoadSpec, smoothed_load_vector
 from platefem.solve import (
+    BACKWARD_ERROR_TOL,
     LEAF_SIZE,
     NonCoerciveError,
     SolverError,
@@ -135,6 +136,15 @@ def test_residual_and_backward_error_reported(mesh4):
                        LoadSpec(density=U1.biharmonic))
     assert sol.stats["residual"] < 1e-10
     assert sol.stats["backward_error"] < 1e-13
+
+
+def test_converged_reads_the_backward_error():
+    # at n=32 the h^-4 penalty scaling keeps the raw residual ratio of a
+    # healthy WOPSIP solve near 3e-9, while its backward error is ~1e-17
+    sol = solve_scheme(unit_square_mesh(32), SchemeConfig(scheme=SchemeTag.WOPSIP),
+                       LoadSpec(density=U1.biharmonic))
+    assert sol.stats["backward_error"] <= BACKWARD_ERROR_TOL == 1e-12
+    assert sol.stats["converged"] is True
 
 
 @pytest.mark.parametrize("scheme, theta", [(SchemeTag.WOPSIP, 1.0), (SchemeTag.DG, 0.0)])
