@@ -17,10 +17,13 @@ mesh.  ``load.density`` names a manufactured solution (its biharmonic
 load is applied and errors are reported against it); ``points`` lists
 ``[weight, x, y]`` point loads.  ``platefem --verify`` runs the
 invariant suite and exits nonzero on failure.
+
+Unreadable or refused input exits with ``config error``, unwritable output with ``output error``.
 """
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -32,16 +35,24 @@ from .harness import (
     run_comparison,
     run_convergence,
     run_wopsip,
+    write_json,
     write_report,
 )
 from .mesh import MeshError, read_mesh, unit_square_mesh
 from .rhs import LoadError, LoadSpec
-from .solve import compute_errors, error_quad_order, solve_scheme
+from .solve import compute_errors, solve_scheme
 
 
-def _load_config(path):
-    with open(path) as fh:
-        return json.load(fh)
+STUDIES = {"converge": run_convergence, "compare": run_comparison, "wopsip": run_wopsip}
+
+
+def _read(path):
+    """Text of an input file; one that cannot be read is a config error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise SystemExit(f"config error: {exc}") from None
 
 
 def _integer(value):
@@ -100,8 +111,7 @@ def _mesh_of(raw):
     if kind == "file":
         if "path" not in mesh:
             raise SystemExit("config error: mesh kind 'file' needs a path")
-        with open(mesh["path"]) as fh:
-            return read_mesh(fh.read())
+        return read_mesh(_read(mesh["path"]))
     raise SystemExit(f"config error: unknown mesh kind {kind!r}")
 
 
@@ -148,18 +158,32 @@ def cmd_solve(raw, dump_matrix=None):
           f"method={sol.stats['method']} residual={sol.stats['residual']:.3e} "
           f"converged={sol.stats['converged']}")
     result = {"scheme": scheme.scheme.value, "ndof": sol.u_h.space.n_free,
-              "stats": {k: v for k, v in sol.stats.items()}}
+              "stats": dict(sol.stats)}
     if name:
-        rep = compute_errors(get_manufactured(name), sol, error_quad_order(scheme))
+        rep = compute_errors(get_manufactured(name), sol)
         for key, val in rep.as_dict().items():
             print(f"{key} = {val}")
         result["errors"] = rep.as_dict()
     out = raw.get("output", {})
     if out.get("json"):
-        with open(out["json"], "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
+        write_json(out["json"], result)
     return 0
+
+
+def _run(parser, args):
+    if args.verify:
+        from .verify import run_invariant_suite
+
+        failures = run_invariant_suite()
+        print(f"# invariant suite: {failures} failure(s)")
+        return 1 if failures else 0
+    if args.command is None:
+        parser.print_help()
+        return 2
+    raw = json.loads(_read(args.config))
+    if args.command == "solve":
+        return cmd_solve(raw, args.dump_matrix)
+    return _emit(STUDIES[args.command](_study_config(raw)), raw)
 
 
 def main(argv=None):
@@ -170,38 +194,24 @@ def main(argv=None):
     parser.add_argument("--verify", action="store_true",
                         help="run the invariant suite and exit nonzero on failure")
     sub = parser.add_subparsers(dest="command")
-    for name in ("solve", "converge", "compare", "wopsip"):
+    for name in ("solve", *STUDIES):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON configuration file")
         if name == "solve":
             p.add_argument("--dump-matrix", default=None,
                            help="write the system matrix as 'i j value' (1-based) text")
     args = parser.parse_args(argv)
-
-    if args.verify:
-        from .verify import run_invariant_suite
-
-        failures = run_invariant_suite()
-        print(f"# invariant suite: {failures} failure(s)")
-        return 1 if failures else 0
-
-    if args.command is None:
-        parser.print_help()
-        return 2
     try:
-        raw = _load_config(args.config)
-        if args.command == "solve":
-            return cmd_solve(raw, getattr(args, "dump_matrix", None))
-        study = _study_config(raw)
-        if args.command == "converge":
-            report = run_convergence(study)
-        elif args.command == "compare":
-            report = run_comparison(study)
-        else:
-            report = run_wopsip(study)
-        return _emit(report, raw)
-    except (MeshError, LoadError, OSError) as exc:    # input the library refuses
+        status = _run(parser, args)
+        sys.stdout.flush()   # a closed stdout shows here, not at interpreter exit
+        return status
+    except (MeshError, LoadError) as exc:    # input the library refuses
         raise SystemExit(f"config error: {exc}") from None
+    except BrokenPipeError:   # reader gone (``| head -1``): devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:    # a CSV, JSON or matrix file that cannot be written
+        raise SystemExit(f"output error: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -439,39 +439,23 @@ class DofMap:
     edge_dofs: np.ndarray | None = None
 
 
-def _number(flags):
-    """Sequential numbering of the True entries; -1 elsewhere."""
-    out = np.full(flags.shape, -1, dtype=np.int64)
-    out[flags] = np.arange(np.count_nonzero(flags))
-    return out
-
-
 @derived
 def build_dof_map(mesh: Triangulation, tag: SpaceTag) -> DofMap:
-    nv, ne, nt = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
-    vi = ~mesh.vertex_is_boundary
-    ei = ~mesh.edge_is_boundary
+    """DG_P2 numbers 6 DOFs per cell; every other space numbers k DOFs per
+    free vertex (k = 3 for HCT, else 1), then one DOF per free edge."""
+    nt, nv = mesh.num_triangles, mesh.num_vertices
     if tag is SpaceTag.DG_P2:
-        cell = np.arange(6 * nt, dtype=np.int64).reshape(nt, 6)
-        return DofMap(tag, mesh, 6 * nt, cell)
-    if tag in (SpaceTag.MORLEY, SpaceTag.LAGRANGE_P2):
-        vdof = _number(vi)
-        edof = _number(ei)
-        edof[ei] += np.count_nonzero(vi)
-        cell = np.concatenate([vdof[mesh.triangles], edof[mesh.tri_edges]], axis=1)
-        n = int(np.count_nonzero(vi) + np.count_nonzero(ei))
-        return DofMap(tag, mesh, n, cell, vdof, edof)
-    if tag is SpaceTag.HCT:
-        vdof = np.full((nv, 3), -1, dtype=np.int64)
-        vdof[vi] = np.arange(3 * np.count_nonzero(vi)).reshape(-1, 3)
-        edof = _number(ei)
-        edof[ei] += 3 * np.count_nonzero(vi)
-        cell = np.concatenate(
-            [vdof[mesh.triangles].reshape(nt, 9), edof[mesh.tri_edges]], axis=1
-        )
-        n = int(3 * np.count_nonzero(vi) + np.count_nonzero(ei))
-        return DofMap(tag, mesh, n, cell, vdof, edof)
-    raise ValueError(f"unknown space tag {tag}")
+        return DofMap(tag, mesh, 6 * nt, np.arange(6 * nt, dtype=np.int64).reshape(nt, 6))
+    if tag not in (SpaceTag.MORLEY, SpaceTag.LAGRANGE_P2, SpaceTag.HCT):
+        raise ValueError(f"unknown space tag {tag}")
+    k = 3 if tag is SpaceTag.HCT else 1
+    free = np.concatenate([np.repeat(~mesh.vertex_is_boundary, k), ~mesh.edge_is_boundary])
+    n_free = int(np.count_nonzero(free))
+    dofs = np.full(free.size, -1, dtype=np.int64)
+    dofs[free] = np.arange(n_free)
+    vdof, edof = dofs[: k * nv].reshape(nv, k), dofs[k * nv:]
+    cell = np.concatenate([vdof[mesh.triangles].reshape(nt, 3 * k), edof[mesh.tri_edges]], axis=1)
+    return DofMap(tag, mesh, n_free, cell, vdof if k == 3 else vdof[:, 0], edof)
 
 
 @dataclass

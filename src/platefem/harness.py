@@ -9,7 +9,7 @@ deterministic: identical configurations produce bit-identical CSV.
 import json
 import os
 import platform
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .functions import ScalarFunction, get_manufactured
 from .interp import morley_interp_avg
 from .mesh import Triangulation, refine_uniform, unit_square_mesh
 from .rhs import LoadSpec
-from .solve import ErrorReport, SolverError, compute_errors, error_quad_order, solve_scheme
+from .solve import ErrorReport, SolverError, compute_errors, solve_scheme
 
 CSV_COLUMNS = [
     "level", "hmax", "ndof", "energy_pw", "jump", "norm_h", "norm_scheme",
@@ -44,7 +44,7 @@ class LevelRecord:
     errors: ErrorReport | None
     assembly_time: float
     solve_time: float
-    extra: dict = field(default_factory=dict)
+    extra: dict
 
 
 @dataclass
@@ -56,19 +56,13 @@ class ConvergenceReport:
     comparison: dict | None = None
     aborted: str | None = None   # solver failure message; levels are partial
 
-    def csv_rows(self):
-        rows = []
+    def to_csv(self):
+        lines = [",".join(CSV_COLUMNS)]
         eocs = [(None, None)] + list(zip(self.eoc_energy, self.eoc_h1))
         for rec, eoc in zip(self.levels, eocs):
             e = rec.errors
-            rows.append([rec.level, rec.h_max, rec.n_dof]
-                        + [getattr(e, name) if e else "" for name in CSV_COLUMNS[3:-2]]
-                        + ["" if v is None else v for v in eoc])
-        return rows
-
-    def to_csv(self):
-        lines = [",".join(CSV_COLUMNS)]
-        for row in self.csv_rows():
+            row = ([rec.level, rec.h_max, rec.n_dof]
+                   + [getattr(e, name) if e else None for name in CSV_COLUMNS[3:-2]] + list(eoc))
             lines.append(",".join(_csv_cell(v) for v in row))
         return "\n".join(lines) + "\n"
 
@@ -95,21 +89,27 @@ class ConvergenceReport:
 
 
 def _csv_cell(v):
-    if v == "" or v is None:
+    if v is None:
         return ""
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return f"{float(v):.16e}"
 
 
-def _eoc(errors):
-    out = []
-    for a, b in zip(errors[:-1], errors[1:]):
-        if a is None or b is None or a <= EOC_FLOOR or b <= EOC_FLOOR:
-            out.append(None)
-        else:
-            out.append(float(np.log2(a / b)))
-    return out
+def _level_record(level, mesh, sol, errors, extra):
+    """The record of one level: ``sol``'s size and timings, its errors or None."""
+    return LevelRecord(level, mesh.h_max, sol.u_h.space.n_free, errors,
+                       sol.stats["assembly_time"], sol.stats["solve_time"], extra)
+
+
+def _report(scheme, records, energy, **kwargs):
+    """The report of ``records``, with the EOCs of their ``energy`` and h1_star errors."""
+    def eocs(name):
+        errs = [getattr(r.errors, name) if r.errors else None for r in records]
+        return [None if a is None or b is None or min(a, b) <= EOC_FLOOR
+                else float(np.log2(a / b)) for a, b in zip(errs[:-1], errs[1:])]
+
+    return ConvergenceReport(scheme, records, eocs(energy), eocs("h1_star"), **kwargs)
 
 
 def mesh_sequence(n0: int, levels: int):
@@ -169,43 +169,23 @@ def run_convergence(config: StudyConfig) -> ConvergenceReport:
     u = config.exact()
     load = config.load_spec()
     wopsip = config.scheme.scheme is SchemeTag.WOPSIP
-    meshes = mesh_sequence(config.n0, config.levels)
     records = []
     aborted = None
-    for k, mesh in enumerate(meshes):
+    for k, mesh in enumerate(mesh_sequence(config.n0, config.levels)):
         try:
             sol = solve_scheme(mesh, config.scheme, load)
         except SolverError as exc:
             aborted = f"level {k}: {exc}"
             break
-        errors = compute_errors(u, sol, error_quad_order(config.scheme)) if u is not None else None
+        errors = compute_errors(u, sol) if u is not None else None
         extra = {}
         if wopsip:
             extra["penalty_energy"] = penalty_value(sol.u_h, config.scheme)
             if u is not None:
                 extra["weighted_interp_energy"] = _interp_energy(u, mesh)
-        records.append(LevelRecord(
-            level=k, h_max=mesh.h_max, n_dof=sol.u_h.space.n_free,
-            errors=errors,
-            assembly_time=sol.stats["assembly_time"],
-            solve_time=sol.stats["solve_time"],
-            extra=extra,
-        ))
-    energies = [_energy_for(config.scheme.scheme, r.errors) for r in records]
-    h1s = [r.errors.h1_star if r.errors else None for r in records]
-    return ConvergenceReport(
-        scheme=config.scheme.scheme.value,
-        levels=records,
-        eoc_energy=_eoc(energies),
-        eoc_h1=_eoc(h1s),
-        aborted=aborted,
-    )
-
-
-def _energy_for(scheme: SchemeTag, errors: ErrorReport | None):
-    if errors is None:
-        return None
-    return errors.norm_scheme if scheme is SchemeTag.WOPSIP else errors.norm_h
+        records.append(_level_record(k, mesh, sol, errors, extra))
+    return _report(config.scheme.scheme.value, records,
+                   "norm_scheme" if wopsip else "norm_h", aborted=aborted)
 
 
 def run_wopsip(config: StudyConfig) -> ConvergenceReport:
@@ -230,53 +210,35 @@ def run_comparison(config: StudyConfig, extra_levels: int = 2) -> ConvergenceRep
     u = config.exact()
     load = config.load_spec()
     meshes = mesh_sequence(config.n0, config.levels + (0 if u else extra_levels))
-    study_meshes = meshes[: config.levels]
-    solutions = {tag: [solve_scheme(m, replace(config.scheme, scheme=tag), load)
-                       for m in study_meshes] for tag in COMPARISON_SCHEMES}
     if u is None:
         reference = solve_scheme(meshes[-1], SchemeConfig(
             scheme=SchemeTag.MORLEY, quad_order=config.scheme.quad_order), load).u_h
     per_level, records = [], []
-    for k, mesh in enumerate(study_meshes):
-        row, errors = {}, None
-        for tag in COMPARISON_SCHEMES:
-            if u is None:
-                row[tag.value] = reference_error_norm_h(solutions[tag][k].u_h, meshes[k:],
-                                                        reference)
-                continue
-            rep = compute_errors(u, solutions[tag][k], error_quad_order(config.scheme))
-            row[tag.value] = rep.norm_h
-            errors = errors or rep   # the first scheme's report
-        morley = solutions[SchemeTag.MORLEY][k]
-        stats = morley.stats if errors else {}
-        records.append(LevelRecord(
-            level=k, h_max=mesh.h_max, n_dof=morley.u_h.space.n_free, errors=errors,
-            assembly_time=stats.get("assembly_time", 0.0),
-            solve_time=stats.get("solve_time", 0.0),
-            extra={} if errors else {"surrogate_errors": dict(row)},
-        ))
-        if errors:
+    for k, mesh in enumerate(meshes[: config.levels]):
+        sols = {tag.value: solve_scheme(mesh, replace(config.scheme, scheme=tag), load)
+                for tag in COMPARISON_SCHEMES}
+        if u is None:
+            row = {name: reference_error_norm_h(sol.u_h, meshes[k:], reference)
+                   for name, sol in sols.items()}
+            errors, extra = None, {"surrogate_errors": dict(row)}
+        else:
+            reports = {name: compute_errors(u, sol) for name, sol in sols.items()}
+            errors, extra = reports["morley"], {}
+            row = {name: rep.norm_h for name, rep in reports.items()}
             row["best_approx"] = errors.best_approx
+        records.append(_level_record(k, mesh, sols["morley"], errors, extra))
         per_level.append(row)
 
-    quantities = list(per_level[0])
-    ratios = []
-    for row in per_level:
-        vals = [row[q] for q in quantities]
-        ratios.append(max(vals) / min(vals))
+    ratios = [max(row.values()) / min(row.values()) for row in per_level]
     comparison = {
-        "quantities": quantities,
+        "quantities": list(per_level[0]),
         "per_level": per_level,
         "max_min_ratio": ratios,
         "ratio_drift": [
             abs(b - a) / a for a, b in zip(ratios[:-1], ratios[1:])
         ],
     }
-    energies = [r.errors.norm_h if r.errors else None for r in records]
-    h1s = [r.errors.h1_star if r.errors else None for r in records]
-    return ConvergenceReport(
-        "comparison", records, _eoc(energies), _eoc(h1s), comparison=comparison
-    )
+    return _report("comparison", records, "norm_h", comparison=comparison)
 
 
 def reference_error_norm_h(u_h: DiscreteFunction, chain, u_ref: DiscreteFunction) -> float:
@@ -303,12 +265,17 @@ def environment():
             "cpu_count": os.cpu_count()}
 
 
+def write_json(path, data):
+    """Write ``data`` as indented JSON, with an ``env`` block of :func:`environment`."""
+    with open(path, "w") as fh:
+        json.dump({**data, "env": environment()}, fh, indent=2)
+        fh.write("\n")
+
+
 def write_report(report: ConvergenceReport, csv_path=None, json_path=None):
-    """Write the CSV and/or the JSON report; the JSON adds an ``env`` block."""
+    """Write the CSV and/or the JSON report."""
     if csv_path:
         with open(csv_path, "w") as fh:
             fh.write(report.to_csv())
     if json_path:
-        with open(json_path, "w") as fh:
-            json.dump({**report.to_json_dict(), "env": environment()}, fh, indent=2)
-            fh.write("\n")
+        write_json(json_path, report.to_json_dict())

@@ -226,17 +226,20 @@ def smoother(v: DiscreteFunction) -> DiscreteFunction:
     return companion(morley_interp_avg(v))
 
 
-def verify_right_inverse(mesh: Triangulation, samples: int = 50, seed: int = 2024,
-                         tolerance: float = 1e-11) -> InterpolationReport:
+RIGHT_INVERSE_SEED = 2024
+RIGHT_INVERSE_TOL = 1e-11
+
+
+def verify_right_inverse(mesh: Triangulation, samples: int = 50) -> InterpolationReport:
     """Check that interpolation after the companion is the identity."""
     morley_map = build_dof_map(mesh, SpaceTag.MORLEY)
     hct_map = build_dof_map(mesh, SpaceTag.HCT)
     J = companion_matrix(mesh)
     I = interp_matrix(hct_map)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(RIGHT_INVERSE_SEED)
     resid = np.zeros(morley_map.n_free)
     for _ in range(samples):
         u = rng.uniform(-1.0, 1.0, morley_map.n_free)
         r = I.matvec(J.matvec(u)) - u
         resid = np.maximum(resid, np.abs(r))
-    return InterpolationReport(float(resid.max()) if resid.size else 0.0, tolerance)
+    return InterpolationReport(float(resid.max()) if resid.size else 0.0, RIGHT_INVERSE_TOL)

@@ -554,21 +554,15 @@ def _mean_deviation(hess, w, area):
     return float(np.sqrt(np.sum(area * sq)))
 
 
-def error_quad_order(config: SchemeConfig) -> int:
-    """Quadrature order of a scheme's error norms: its load order, at least 4."""
-    return max(4, config.quad_order)
-
-
-def compute_errors(u_exact: ScalarFunction, sol: Solution,
-                   quad_order: int = 7) -> ErrorReport:
+def compute_errors(u_exact: ScalarFunction, sol: Solution) -> ErrorReport:
     """All error norms of a scheme solution against a clamped exact solution.
 
+    The norms use the scheme's quadrature order, raised to at least 4.
     The jump term of the error is evaluated from DOF/trace arithmetic of
     u_h alone, which is exact when u_exact satisfies the homogeneous
     clamped boundary conditions (the manufactured suite does).
     """
-    if quad_order < 4:
-        raise ValueError("error quadrature order below 4 is rejected")
+    quad_order = max(4, sol.config.quad_order)
     mesh = sol.u_h.mesh
     (l2, h1, energy), hess = _broken_norms(u_exact, sol.u_h, quad_order, 2)
     jump = jump_seminorm(sol.u_h)

@@ -63,7 +63,7 @@ def test_criterion_1_operator_identities():
     mesh = unit_square_mesh(4)
     rng = np.random.default_rng(101)
 
-    rep = verify_right_inverse(mesh, samples=50, tolerance=1e-11)
+    rep = verify_right_inverse(mesh, samples=50)
 
     morley_map = build_dof_map(mesh, SpaceTag.MORLEY)
     dg_map = build_dof_map(mesh, SpaceTag.DG_P2)

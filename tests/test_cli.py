@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import platefem
 from platefem.cli import main
 from platefem.fespace import build_dof_map
 from platefem.forms import SchemeConfig, SchemeTag
-from platefem.harness import CSV_COLUMNS
+from platefem.harness import CSV_COLUMNS, environment
 from platefem.mesh import build_triangulation, unit_square_mesh, write_mesh
 
 
@@ -55,6 +56,7 @@ def test_solve_subcommand_json_and_matrix_dump(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg), "--dump-matrix", str(mat)]) == 0
     data = json.loads(out_json.read_text())
     assert data["scheme"] == "morley" and "errors" in data
+    assert data["env"] == environment()   # the block every JSON report carries
     header = mat.read_text().splitlines()[0].split()
     assert len(header) == 3
     n, m, nnz = (int(v) for v in header)
@@ -136,6 +138,13 @@ def test_non_finite_penalty_rejected(tmp_path):
         main(["solve", "--config", str(cfg)])
 
 
+def _cli_env(**extra):
+    """The environment of a ``python -m platefem.cli`` child that imports this tree."""
+    src = str(Path(platefem.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
 @pytest.mark.parametrize("command, overrides", [
     ("solve", {"scheme": {"tag": "dg", "sigma1": "big"}}),
     ("solve", {"scheme": {"tag": "nope"}}),
@@ -152,11 +161,8 @@ def test_non_finite_penalty_rejected(tmp_path):
         "point_of_two", "file_without_path", "density_name", "point_outside"])
 def test_bad_config_value_exits_without_traceback(tmp_path, command, overrides):
     cfg = write_config(tmp_path, **overrides)
-    src = str(Path(platefem.__file__).resolve().parents[1])
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     run = subprocess.run([sys.executable, "-m", "platefem.cli", command, "--config", str(cfg)],
-                         capture_output=True, text=True, env=env, timeout=120)
+                         capture_output=True, text=True, env=_cli_env(), timeout=120)
     assert run.returncode == 1 and run.stdout == ""
     assert run.stderr.startswith("config error:") and "Traceback" not in run.stderr
 
@@ -167,3 +173,40 @@ def test_verify_flag_exit_code():
 
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("command", ["converge", "solve"])
+def test_unwritable_output_is_an_output_error(tmp_path, capsys, command):
+    missing = tmp_path / "missing"
+    cfg = write_config(tmp_path, output={"csv": str(missing / "out.csv"),
+                                         "json": str(missing / "out.json")})
+    with pytest.raises(SystemExit, match="^output error: .*missing"):
+        main([command, "--config", str(cfg)])
+
+
+def test_unwritable_matrix_dump_is_an_output_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit, match="^output error: "):
+        main(["solve", "--config", str(cfg), "--dump-matrix", str(tmp_path / "no" / "A.txt")])
+
+
+def test_unreadable_input_is_a_config_error(tmp_path):
+    with pytest.raises(SystemExit, match="^config error: "):
+        main(["solve", "--config", str(tmp_path / "absent.json")])
+    cfg = write_config(tmp_path, mesh={"kind": "file", "path": str(tmp_path / "absent.msh")})
+    with pytest.raises(SystemExit, match="^config error: "):
+        main(["solve", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("reader", ["head -1", "true"])
+def test_closed_stdout_ends_quietly(tmp_path, reader):
+    # ``true`` exits before the command writes anything; ``head -1`` after
+    # the first line, with the later lines still to come (unbuffered)
+    cfg = write_config(tmp_path)
+    command = " ".join(shlex.quote(a) for a in
+                       [sys.executable, "-m", "platefem.cli", "solve", "--config", str(cfg)])
+    run = subprocess.run(f"{command} | {reader}", shell=True, capture_output=True, text=True,
+                         env=_cli_env(PYTHONUNBUFFERED="1"), timeout=120)
+    assert run.stderr == ""
+    if reader == "head -1":
+        assert run.stdout.startswith("scheme=morley ")

@@ -223,6 +223,52 @@ def test_dof_count_is_python_int(mesh2, tag):
     assert type(build_dof_map(mesh2, tag).n_free) is int
 
 
+def _per_space_dof_map(mesh, tag):
+    """(n_free, cell, vertex, edge DOFs) as numbered before one rule covered
+    every entity space: a branch for Morley/P2, one for HCT, one for DG."""
+    def number(flags):
+        out = np.full(flags.shape, -1, dtype=np.int64)
+        out[flags] = np.arange(np.count_nonzero(flags))
+        return out
+
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    vi, ei = ~mesh.vertex_is_boundary, ~mesh.edge_is_boundary
+    if tag is SpaceTag.DG_P2:
+        return 6 * nt, np.arange(6 * nt, dtype=np.int64).reshape(nt, 6), None, None
+    if tag is SpaceTag.HCT:
+        vdof = np.full((nv, 3), -1, dtype=np.int64)
+        vdof[vi] = np.arange(3 * np.count_nonzero(vi)).reshape(-1, 3)
+        edof = number(ei)
+        edof[ei] += 3 * np.count_nonzero(vi)
+        cell = np.concatenate([vdof[mesh.triangles].reshape(nt, 9), edof[mesh.tri_edges]], axis=1)
+        return int(3 * np.count_nonzero(vi) + np.count_nonzero(ei)), cell, vdof, edof
+    vdof = number(vi)
+    edof = number(ei)
+    edof[ei] += np.count_nonzero(vi)
+    cell = np.concatenate([vdof[mesh.triangles], edof[mesh.tri_edges]], axis=1)
+    return int(np.count_nonzero(vi) + np.count_nonzero(ei)), cell, vdof, edof
+
+
+@pytest.mark.parametrize("tag", list(SpaceTag))
+def test_dof_numbering_matches_the_per_space_oracle(tag):
+    meshes = (unit_square_mesh(1), unit_square_mesh(5), refine_uniform(unit_square_mesh(3)), REF)
+    for mesh in meshes:
+        dm = build_dof_map(mesh, tag)
+        n_free, *arrays = _per_space_dof_map(mesh, tag)
+        assert type(dm.n_free) is int and dm.n_free == n_free
+        for got, want in zip((dm.cell_dofs, dm.vertex_dofs, dm.edge_dofs), arrays):
+            if want is None:
+                assert got is None
+                continue
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_unknown_space_tag_rejected(mesh2):
+    with pytest.raises(ValueError, match="unknown space tag"):
+        build_dof_map(mesh2, "morley")
+
+
 def test_coefficient_length_checked(mesh2):
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
     with pytest.raises(ValueError, match="coefficient length"):

@@ -152,6 +152,10 @@ def test_point_load_comparison_uses_surrogate():
         for v in row.values():
             assert np.isfinite(v) and v > 0
     assert all(np.isfinite(r) for r in comp["max_min_ratio"])
+    # surrogate levels have no errors, but the Morley solve's timings
+    for rec in rep.levels:
+        assert rec.errors is None and rec.extra["surrogate_errors"] == comp["per_level"][rec.level]
+        assert rec.assembly_time > 0.0 and rec.solve_time > 0.0
 
 
 def test_wopsip_study_extras():

@@ -518,12 +518,6 @@ def test_constant_hessian_case(mesh2):
     assert pi0_hessian_deviation(u, mesh2, 5) < 1e-13
 
 
-def test_quad_order_validation(mesh2):
-    sol = solve_scheme(mesh2, SchemeConfig(scheme=SchemeTag.MORLEY), LoadSpec())
-    with pytest.raises(ValueError, match="order"):
-        compute_errors(U1, sol, quad_order=3)
-
-
 def test_best_approx_high_order_oracle(mesh4):
     # the trigonometric Hessian needs an order-9 rule on the n=4 grid before
     # the order-11 oracle confirms the value to 1e-8 relative
