@@ -44,6 +44,7 @@ from .solve import compute_errors, solve_scheme
 
 
 STUDIES = {"converge": run_convergence, "compare": run_comparison, "wopsip": run_wopsip}
+SECTIONS = ("mesh", "scheme", "load", "quad", "output")
 
 
 def _read(path):
@@ -51,8 +52,23 @@ def _read(path):
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(f"config error: {exc}") from None
+
+
+def _config(path):
+    """The config file's JSON object; text that is not one is a config error."""
+    try:
+        raw = json.loads(_read(path))
+    except ValueError as exc:     # json.JSONDecodeError
+        raise SystemExit(f"config error: {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise SystemExit(f"config error: {path} holds {json.dumps(raw)[:60]}, not a JSON object")
+    for key in SECTIONS:
+        if not isinstance(raw.get(key, {}), dict):
+            raise SystemExit(f"config error: section {key!r} is {json.dumps(raw[key])[:60]}, "
+                             "not a JSON object")
+    return raw
 
 
 def _integer(value):
@@ -180,7 +196,7 @@ def _run(parser, args):
     if args.command is None:
         parser.print_help()
         return 2
-    raw = json.loads(_read(args.config))
+    raw = _config(args.config)
     if args.command == "solve":
         return cmd_solve(raw, args.dump_matrix)
     return _emit(STUDIES[args.command](_study_config(raw)), raw)

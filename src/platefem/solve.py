@@ -2,9 +2,13 @@
 
 Every matrix goes through one sparse factorization in pure numpy.  An
 algebraic nested-dissection ordering (George 1973) bisects the matrix
-graph recursively with breadth-first level-set separators; the
-multifrontal method (Liu 1992) then factors one dense front per
-separator-tree node with LAPACK and BLAS, children before parents, and
+graph recursively with breadth-first level-set separators.  Unknowns
+with identical adjacency (supervariables: the 6 of a discontinuous P2
+triangle) are ordered as one weighted vertex, which gives the same
+ordering on a graph 6 times smaller.  The multifrontal method (Liu 1992)
+then factors one dense front per separator-tree node with LAPACK and
+BLAS, children before parents, and keeps each pivot block's inverse,
+formed by recursive halving, for the triangular sweeps;
 extended-precision iterative refinement polishes the solution.  The
 matrix's verified ``symmetric`` flag picks the pivot-block kernel:
 Cholesky, whose failure raises :class:`NonCoerciveError` - for the
@@ -45,8 +49,6 @@ from .sparse import SparseMatrix, ragged_positions
 # parts of the graph up to this size are not bisected further: one dense
 # front of this order costs less than the Python work of splitting it
 LEAF_SIZE = 160
-# block order of the triangular inversion; larger blocks go through matmul
-INVERSE_BLOCK = 128
 # a solve within this componentwise backward error is converged; an LU
 # solve above it raises
 BACKWARD_ERROR_TOL = 1e-12
@@ -108,55 +110,133 @@ def _component_labels(n, src, dst):
         label = new
 
 
-def nested_dissection(A: SparseMatrix):
-    """Nested-dissection ordering of the off-diagonal pattern of A + A^T.
+def _hash_weights(n):
+    """Random integer weights below 2**31, one per vertex.
 
-    Returns ``(perm, starts, parent)`` for a separator tree in postorder:
-    tree node k owns the permuted positions ``starts[k]:starts[k+1]``,
-    ``perm[i]`` is the original index at permuted position i, and
-    ``parent[k] > k`` (-1 for a root).  All parts of one depth are split
-    together: a breadth-first search from a pseudo-peripheral vertex
-    levels each part, and the median level's vertices that have a
-    neighbour one level further form the separator.  A part that is not
-    connected splits into its components instead.
+    A row hash sums them over a row's columns.  Below 2**22 entries to a
+    row every partial sum is an integer below 2**53, so the hash is exact
+    in float64 whatever the order of the additions.
+    """
+    return np.random.default_rng(0).integers(1, 2 ** 31, size=n).astype(np.float64)
+
+
+def _same_rows(indptr, cols, v, lead):
+    """Whether each row ``v`` stores exactly the columns of row ``lead``."""
+    same = np.diff(indptr)[v] == np.diff(indptr)[lead]
+    pair = np.flatnonzero(same)
+    pos, count = ragged_positions(indptr, v[pair])
+    shift = np.repeat(indptr[lead[pair]] - indptr[v[pair]], count)
+    differ = np.flatnonzero(cols[pos] != cols[pos + shift])
+    same[pair[np.searchsorted(np.cumsum(count), differ, side="right")]] = False
+    return same
+
+
+def _quotient_graph(A: SparseMatrix):
+    """Supervariables of the graph of A + A^T and the graph between them.
+
+    Unknowns with identical closed adjacency (Ashcraft 1995; George & Liu
+    1981, indistinguishable nodes) form one group.  A row that stores its
+    diagonal stores its closed adjacency, and a group's members are
+    neighbours, so each row's candidate leader is its first column whose
+    row has the same O(nnz) hash.  A comparison of the two rows confirms
+    it: a hash collision splits a group and never merges two different
+    rows.  A row without its diagonal stays alone.  Returns ``(group,
+    src, dst)``: ``group[v]`` numbers v's group by the order of the
+    groups' smallest members, and ``src``/``dst`` are the edges of the
+    graph between the groups, read from one row per group.  Returns None
+    when no group has two members, or when a row meets only part of a
+    group, which A's rows alone do not show to be one in A + A^T.
     """
     n = A.nrows
-    off = A.rows != A.cols
-    edges = _sorted_unique(np.concatenate([A.rows[off] * n + A.cols[off],
-                                           A.cols[off] * n + A.rows[off]]))
-    src, dst = edges // n, edges % n
+    indptr = np.searchsorted(A.rows, np.arange(n + 1))
+    h = np.bincount(A.rows, _hash_weights(n)[A.cols], n)
+    tie = np.flatnonzero(np.repeat(h, np.diff(indptr)) == h[A.cols])
+    r, c = A.rows[tie], A.cols[tie]
+    leader = np.arange(n)
+    first = np.diff(r, prepend=-1) != 0
+    leader[r[first]] = c[first]       # rows are sorted: the smallest such column
+    v = np.flatnonzero(leader != np.arange(n))
+    if not v.size:
+        return None
+    has_diagonal = np.zeros(n, dtype=bool)
+    has_diagonal[r[r == c]] = True
+    v = v[~(has_diagonal[v] & _same_rows(indptr, A.cols, v, leader[v]))]
+    leader[v] = v
+    reps = np.flatnonzero(leader == np.arange(n))
+    if reps.size == n:
+        return None
+    ng = reps.size
+    rank = np.empty(n, dtype=np.int64)
+    rank[reps] = np.arange(ng)
+    group = rank[leader]
+    pos, count = ragged_positions(indptr, reps)
+    src, dst = np.repeat(np.arange(ng), count), group[A.cols[pos]]
+    out = src != dst
+    keys = np.sort(src[out] * ng + dst[out])
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    # each row meets all of a neighbouring group or none of it
+    if not np.array_equal(np.diff(first, append=keys.size),
+                          np.bincount(group, minlength=ng)[keys[first] % ng]):
+        return None
+    src, dst = np.divmod(keys[first], ng)
+    edges = _sorted_unique(np.concatenate([keys[first], dst * ng + src]))
+    return group, edges // ng, edges % ng
+
+
+def _dissect(n, src, dst, weight, last):
+    """Separator tree of a graph whose vertex v stands for ``weight[v]``
+    unknowns, the largest of them ``last[v]``; see :func:`nested_dissection`.
+
+    Sizes count unknowns: the leaf test and the median read summed
+    weights, and a tie on the farthest level goes to the vertex holding
+    the largest unknown.  A vertex's group mates lie one level beyond it
+    in the graph of the unknowns, so the root's own weight counts one
+    level out.  With unit weights this is the ordering of the unknowns
+    themselves; with the weights of :func:`_quotient_graph`, its tree
+    expands to that same ordering.
+    """
     part = np.zeros(n, dtype=np.int64)
     part_parent = np.full(min(n, 1), -1)   # tree node each part hangs below; none if n == 0
     nodes, node_parent = [], []
     while part_parent.size:
         ps = part[src]
         inside = (ps == part[dst]) & (ps >= 0)
-        src, dst, ps = src[inside], dst[inside], ps[inside]
+        src, dst = src[inside], dst[inside]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         members = np.flatnonzero(part >= 0)
         members = members[np.argsort(part[members], kind="stable")]
         pm = part[members]
-        size = np.bincount(pm, minlength=part_parent.size)
-        end = np.cumsum(size)
-        start = end - size
+        count = np.bincount(pm, minlength=part_parent.size)
+        end = np.cumsum(count)
+        start = end - count
+        size = np.diff(np.cumsum(weight[members])[end - 1], prepend=0)
         big = size > LEAF_SIZE
-        # pseudo-peripheral root: the farthest vertex from the part's first one
+        # pseudo-peripheral root: the farthest vertex from the part's first
+        # one, on a tie the one holding the largest unknown
         level = _bfs_levels(indptr, dst, members[start[big]], n)
-        far = members[np.lexsort((level[members], pm))]
-        level = _bfs_levels(indptr, dst, far[end[big] - 1], n)
         lm = level[members]
-        ordered = members[np.lexsort((lm, pm))]
-        connected = np.bincount(pm, weights=lm >= 0, minlength=size.size) == size
-        mid = level[ordered[start + size // 2]]
+        lm += (lm == 0) & (weight[members] > 1)     # the root's group mates
+        reach = lm * (last.max() + 1) + last[members]
+        far = members[big[pm] & (reach == np.maximum.reduceat(reach, start)[pm])]
+        level = _bfs_levels(indptr, dst, far, n)
+        lm = level[members]
+        connected = np.bincount(pm, weights=lm >= 0, minlength=count.size) == count
+        # each part's weight by level, from -1 (unreached) to its last level;
+        # the median unknown's level, where the far vertex's group mates lie at 1
+        last_level = np.maximum.reduceat(lm, start)
+        base = np.cumsum(last_level + 2) - (last_level + 2)
+        cum = np.cumsum(np.bincount(base[pm] + lm + 1, weight[members]))
+        below = np.concatenate(([0], cum))[base]
+        mid = np.maximum(np.searchsorted(cum, below + size // 2, side="right") - base - 1, 1)
         # a part whose median lies in its last level is too dense to split
-        split = big & connected & (mid < level[ordered[end - 1]])
+        split = big & connected & (mid < last_level)
         broken = big & ~connected
         mid[~split] = -2
         at_mid = members[lm == mid[pm]]
-        pos, count = ragged_positions(indptr, at_mid)
+        pos, cnt = ragged_positions(indptr, at_mid)
         nb = dst[pos]
-        owner = np.repeat(at_mid, count)
+        owner = np.repeat(at_mid, cnt)
         in_sep = np.zeros(n, dtype=bool)
         in_sep[owner[level[nb] > level[owner]]] = True
         # next round's parts by key: a component's smallest vertex, or
@@ -165,7 +245,8 @@ def nested_dissection(A: SparseMatrix):
         key_parent = np.full(n, -1, dtype=np.int64)
         key_parent[members] = part_parent[pm]
         if broken.any():
-            label = _component_labels(n, src[broken[ps]], dst[broken[ps]])
+            within = broken[part[src]]
+            label = _component_labels(n, src[within], dst[within])
             sel = members[broken[pm]]
             key[sel] = label[sel]
         sel = split[pm] & ~in_sep[members]
@@ -174,7 +255,7 @@ def nested_dissection(A: SparseMatrix):
             nodes.append(members[start[p]:end[p]])
             node_parent.append(part_parent[p])
         seps = members[in_sep[members]]
-        sep_size = np.bincount(part[seps], minlength=size.size)
+        sep_size = np.bincount(part[seps], minlength=count.size)
         sep_end = np.cumsum(sep_size)
         for p in np.flatnonzero(split):
             key_parent[members[start[p]:end[p]]] = len(nodes)
@@ -206,6 +287,48 @@ def nested_dissection(A: SparseMatrix):
     return perm, starts, parent
 
 
+def nested_dissection(A: SparseMatrix):
+    """Nested-dissection ordering of the off-diagonal pattern of A + A^T.
+
+    Returns ``(perm, starts, parent, vertices)`` for a separator tree in
+    postorder: tree node k owns the permuted positions
+    ``starts[k]:starts[k+1]``, ``perm[i]`` is the original index at
+    permuted position i, ``parent[k] > k`` (-1 for a root), and
+    ``vertices`` counts the vertices of the graph that was ordered.  All
+    parts of one depth are split together: a breadth-first search from a
+    pseudo-peripheral vertex levels each part, and the median level's
+    vertices that have a neighbour one level further form the separator.
+    A part that is not connected splits into its components instead.
+
+    Unknowns with identical closed adjacency always land in one tree
+    node, so the graph of their groups (supervariables) is ordered in
+    their place, with each group weighted by its size, and every tree
+    node expands to its unknowns in ascending order.  The result is the
+    ordering of the unknowns themselves, byte for byte; a discontinuous
+    P2 space has 6 unknowns to a group.
+    """
+    n = A.nrows
+    quotient = _quotient_graph(A)
+    if quotient is None:
+        off = A.rows != A.cols
+        rows, cols = A.rows[off], A.cols[off]
+        edges = _sorted_unique(np.concatenate([rows * n + cols, cols * n + rows]))
+        perm, starts, parent = _dissect(n, edges // n, edges % n, np.ones(n, dtype=np.int64),
+                                        np.arange(n))
+        return perm, starts, parent, n
+    group, src, dst = quotient
+    ng = int(group.max()) + 1
+    last = np.zeros(ng, dtype=np.int64)
+    np.maximum.at(last, group, np.arange(n))
+    qperm, qstarts, parent = _dissect(ng, src, dst, np.bincount(group, minlength=ng), last)
+    node = np.empty(ng, dtype=np.int64)
+    node[qperm] = np.repeat(np.arange(parent.size), np.diff(qstarts))
+    node = node[group]
+    starts = np.zeros(parent.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(node, minlength=parent.size), out=starts[1:])
+    return np.argsort(node, kind="stable"), starts, parent, ng
+
+
 # ---------------------------------------------------------------------------
 # multifrontal factorization
 # ---------------------------------------------------------------------------
@@ -220,15 +343,20 @@ def _sorted_unique(a):
 
 
 def _lower_inverse(L):
-    """Inverse of a lower triangular matrix, by blocks through matmul."""
+    """Inverse of a lower triangular matrix by recursive halving.
+
+    With L = [[A, 0], [C, B]], the inverse is [[A^-1, 0], [-B^-1 C A^-1,
+    B^-1]]: both halves recurse and one gemm pair forms the off-diagonal
+    block; blocks below 32 columns go to ``np.linalg.inv``.
+    """
     k = L.shape[0]
+    if k < 32:
+        return np.linalg.inv(L)
+    h = k // 2
     X = np.zeros_like(L)
-    for i in range(0, k, INVERSE_BLOCK):
-        j = min(i + INVERSE_BLOCK, k)
-        D = np.linalg.inv(L[i:j, i:j])
-        X[i:j, i:j] = D
-        if i:
-            X[i:j, :i] = -D @ (L[i:j, :i] @ X[:i, :i])
+    X[:h, :h] = _lower_inverse(L[:h, :h])
+    X[h:, h:] = _lower_inverse(L[h:, h:])
+    X[h:, :h] = -X[h:, h:] @ (L[h:, :h] @ X[:h, :h])
     return X
 
 
@@ -252,6 +380,7 @@ class MultifrontalFactor:
     min_pivot: float | None
     nnz: int              # off-diagonal entries of L (and U, for LU)
     max_front: int
+    supervariables: int   # vertices of the ordered graph
     order_time: float
     factor_time: float
 
@@ -287,7 +416,7 @@ def multifrontal_factor(A: SparseMatrix) -> MultifrontalFactor:
     """
     n = A.nrows
     t0 = time.perf_counter()
-    perm, starts, parent = nested_dissection(A)
+    perm, starts, parent, supervariables = nested_dissection(A)
     t1 = time.perf_counter()
     inv = np.empty(n, dtype=np.int64)
     inv[perm] = np.arange(n)
@@ -352,8 +481,8 @@ def multifrontal_factor(A: SparseMatrix) -> MultifrontalFactor:
         nnz += p * (p - 1) // 2 + boundary.size * p
         max_front = max(max_front, m)
     return MultifrontalFactor("ldlt" if A.symmetric else "lu", perm, fronts, min_pivot,
-                              nnz if A.symmetric else 2 * nnz, max_front, t1 - t0,
-                              time.perf_counter() - t1)
+                              nnz if A.symmetric else 2 * nnz, max_front, supervariables,
+                              t1 - t0, time.perf_counter() - t1)
 
 
 def solve(matrix: SparseMatrix, vector: np.ndarray):
@@ -403,6 +532,7 @@ def solve(matrix: SparseMatrix, vector: np.ndarray):
     if factor.min_pivot is not None:
         stats["min_pivot"] = factor.min_pivot
     stats.update(factor_nnz=factor.nnz, fronts=len(factor.fronts), max_front=factor.max_front,
+                 supervariables=factor.supervariables,
                  order_time=0.0 if reused else factor.order_time,
                  factor_time=0.0 if reused else factor.factor_time)
     r = r.astype(np.float64)

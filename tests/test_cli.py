@@ -75,6 +75,8 @@ def test_solve_json_round_trip_every_scheme(tmp_path, tag):
     space = SchemeConfig(scheme=SchemeTag(tag)).space_tag
     ndof = build_dof_map(unit_square_mesh(2), space).n_free
     assert data["ndof"] == data["stats"]["n"] == ndof > 0
+    # the ordering runs on one vertex per triangle of the 8 for DG and WOPSIP
+    assert data["stats"]["supervariables"] == (8 if tag in ("dg", "wopsip") else ndof)
 
 
 def test_compare_and_wopsip_run(tmp_path, capsys):
@@ -196,6 +198,33 @@ def test_unreadable_input_is_a_config_error(tmp_path):
     cfg = write_config(tmp_path, mesh={"kind": "file", "path": str(tmp_path / "absent.msh")})
     with pytest.raises(SystemExit, match="^config error: "):
         main(["solve", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "is not valid JSON"),
+    ("", "is not valid JSON"),
+    ("[1, 2]", r"holds \[1, 2\], not a JSON object"),
+    ('"u1"', 'holds "u1", not a JSON object'),
+    ('{"mesh": [1]}', r"section 'mesh' is \[1\], not a JSON object"),
+    ('{"load": "u1"}', "section 'load' is \"u1\", not a JSON object"),
+], ids=["invalid", "empty", "list", "string", "mesh_list", "load_string"])
+def test_config_that_is_not_a_json_object_is_a_config_error(tmp_path, text, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit, match=f"^config error: .*{message}"):
+        main(["solve", "--config", str(cfg)])
+
+
+def test_invalid_json_exits_without_traceback(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b"\xff{")     # neither UTF-8 nor JSON
+    for text in (None, "[1, 2]"):
+        if text is not None:
+            cfg.write_text(text)
+        run = subprocess.run([sys.executable, "-m", "platefem.cli", "solve", "--config", str(cfg)],
+                             capture_output=True, text=True, env=_cli_env(), timeout=120)
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr.startswith("config error:") and "Traceback" not in run.stderr
 
 
 @pytest.mark.parametrize("reader", ["head -1", "true"])

@@ -360,7 +360,7 @@ def test_multifrontal_block_diagonal(rng):
     A = SparseMatrix.from_triplets(
         n, n, np.concatenate([r1, r2 + off2, iso]), np.concatenate([c1, c2 + off2, iso]),
         np.concatenate([v1, v2, np.linspace(1.0, 2.0, iso.size)]), symmetric=True)
-    perm, starts, parent = nested_dissection(A)
+    perm, starts, parent, _ = nested_dissection(A)
     assert np.array_equal(np.sort(perm), np.arange(n))
     assert starts[0] == 0 and starts[-1] == n and np.all(np.diff(starts) > 0)
     assert np.all((parent > np.arange(parent.size)) | (parent == -1))
@@ -474,7 +474,7 @@ def test_under_penalized_lu_solve_is_accurate_or_raises(theta, n):
 
 def test_min_pivot_matches_dense_ldlt():
     A, _ = assemble_scheme(unit_square_mesh(8), SchemeConfig(scheme=SchemeTag.C0IP))
-    perm, _, _ = nested_dissection(A)
+    perm, _, _, _ = nested_dissection(A)
     dense = A.to_dense()[np.ix_(perm, perm)]
     pivots = np.diag(np.linalg.cholesky(dense)) ** 2   # D of the L D L^T in that order
     min_pivot = multifrontal_factor(A).min_pivot
