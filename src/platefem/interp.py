@@ -118,6 +118,13 @@ def companion_matrix(mesh: Triangulation) -> SparseMatrix:
     vertices and 1.5 times the edge means, closed on every edge by
     -1/4 nu . (g_a + g_b) with g the mean gradients at its ends: the
     midpoint slope q(mid) = (6 mean - q(a) - q(b)) / 4 of a quadratic.
+
+    The closure is the product of the closure weights with the cell mean,
+    summed one slice of edge rows at a time (Gustavson's row-wise
+    product): each slice sorts its own entries of the cell mean followed
+    by its closure terms, and expands no more terms than the cell mean
+    stores.  Every entry sums the same terms in the same order as one
+    sort of all of them would.
     """
     hct_map = build_dof_map(mesh, SpaceTag.HCT)
     L = np.zeros((mesh.num_triangles, 12, 6))
@@ -127,18 +134,34 @@ def companion_matrix(mesh: Triangulation) -> SparseMatrix:
     L[:, [1, 2, 4, 5, 7, 8]] = Gv.reshape(-1, 6, 6)
     L[:, [9, 10, 11], [3, 4, 5]] = 1.5
     A = _cell_mean(mesh, SpaceTag.HCT, SpaceTag.MORLEY, L)
+    del L, Gv
 
-    grad_rows = hct_map.vertex_dofs[mesh.edge_vertices, 1:]     # (ne, end, comp)
-    edge_rows = np.broadcast_to(hct_map.edge_dofs[:, None, None], grad_rows.shape)
-    weight = np.broadcast_to(-0.25 * mesh.edge_normal[:, None, :], grad_rows.shape)
-    keep = (grad_rows >= 0) & (edge_rows >= 0)     # boundary edges and gradients are clamped
-    pos, count = ragged_positions(np.searchsorted(A.rows, np.arange(A.nrows + 1)),
-                                  grad_rows[keep])
-    closed = SparseMatrix.from_triplets(
-        A.nrows, A.ncols, np.concatenate([A.rows, np.repeat(edge_rows[keep], count)]),
-        np.concatenate([A.cols, A.cols[pos]]),
-        np.concatenate([A.vals, np.repeat(weight[keep], count) * A.vals[pos]]))
-    return _without_zeros(closed, closed.vals)
+    # the free edges' rows follow the vertex rows, in edge order
+    free = hct_map.edge_dofs >= 0
+    first = A.nrows - np.count_nonzero(free)
+    grad_rows = hct_map.vertex_dofs[mesh.edge_vertices[free], 1:].reshape(-1, 4)  # (a,x) .. (b,y)
+    weight = np.repeat(-0.25 * mesh.edge_normal[free], 2, axis=0).reshape(-1, 4)
+    indptr = np.searchsorted(A.rows, np.arange(A.nrows + 1))
+    # clamped gradients add nothing; an edge's four rows are distinct rows of A,
+    # so every edge fits in a slice of A.nnz terms
+    terms = np.where(grad_rows >= 0, np.diff(indptr)[grad_rows], 0).sum(axis=1)
+    ends = np.concatenate(([0], np.cumsum(terms)))
+    parts = [(A.rows[:indptr[first]], A.cols[:indptr[first]], A.vals[:indptr[first]])]
+    e0 = 0
+    while e0 < terms.size:
+        e1 = int(np.searchsorted(ends, ends[e0] + A.nnz, side="right")) - 1
+        keep = grad_rows[e0:e1] >= 0
+        pos, count = ragged_positions(indptr, grad_rows[e0:e1][keep])
+        erows = first + e0 + np.nonzero(keep)[0]
+        own = slice(indptr[first + e0], indptr[first + e1])
+        S = SparseMatrix.from_triplets(
+            A.nrows, A.ncols, np.concatenate([A.rows[own], np.repeat(erows, count)]),
+            np.concatenate([A.cols[own], A.cols[pos]]),
+            np.concatenate([A.vals[own], np.repeat(weight[e0:e1][keep], count) * A.vals[pos]]))
+        S = _without_zeros(S, S.vals)
+        parts.append((S.rows, S.cols, S.vals))
+        e0 = e1
+    return SparseMatrix(A.nrows, A.ncols, *(np.concatenate(p) for p in zip(*parts)))
 
 
 @derived

@@ -25,7 +25,7 @@ from .fespace import (
 )
 from .functions import ScalarFunction
 from .interp import companion_matrix, interp_matrix
-from .mesh import Triangulation, barycentric
+from .mesh import Triangulation, barycentric, derived
 from .quadrature import triangle_points
 
 VERTEX_SNAP_TOL = 1e-12
@@ -67,16 +67,61 @@ class ResolvedPointLoad:
     snapped: bool   # at a corner of ``triangle``: ``bary`` is exactly that corner
 
 
+@derived
+def _bucket_grid(mesh: Triangulation):
+    """Triangles by the cells of a grid over the mesh, as (lo, h, shape, indptr, tris).
+
+    The cells are about one triangle in size.  Cell c lists, in index
+    order, ``tris[indptr[c]:indptr[c + 1]]``: every triangle whose
+    bounding box, widened beyond what barycentrics >= -LOCATE_TOL reach
+    outside the triangle, meets the cell.
+    """
+    p = mesh.tri_coords()
+    box_lo = np.minimum(np.minimum(p[:, 0], p[:, 1]), p[:, 2])
+    box_hi = np.maximum(np.maximum(p[:, 0], p[:, 1]), p[:, 2])
+    size, reach = box_hi - box_lo, np.maximum(-box_lo, box_hi)
+    # barycentrics >= -tol reach at most 2 tol diam outside; the rest covers rounding
+    margin = (8.0 * LOCATE_TOL * np.maximum(size[:, 0], size[:, 1])
+              + 64.0 * np.finfo(float).eps * np.maximum(reach[:, 0], reach[:, 1]))[:, None]
+    box_lo, box_hi = box_lo - margin, box_hi + margin
+    lo = box_lo.min(axis=0)
+    h = np.sqrt(2.0 * mesh.tri_area.mean())
+    shape = np.maximum(np.ceil((box_hi.max(axis=0) - lo) / h), 1).astype(np.int64)
+    c_lo, c_hi = _grid_cells(box_lo, lo, h, shape), _grid_cells(box_hi, lo, h, shape)
+    span = c_hi - c_lo + 1
+    count = span.prod(axis=1)
+    tris = np.repeat(np.arange(mesh.num_triangles), count)
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    ix = c_lo[tris, 0] + k % span[tris, 0]
+    iy = c_lo[tris, 1] + k // span[tris, 0]
+    cell = ix + iy * shape[0]
+    order = np.argsort(cell, kind="stable")     # triangle order within a cell
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=shape.prod()))))
+    return lo, h, shape, indptr, tris[order]
+
+
+def _grid_cells(xy, lo, h, shape):
+    """Grid cell (ix, iy) of the points ``xy`` (..., 2), clipped to the grid."""
+    return np.clip(np.floor((xy - lo) / h), 0, shape - 1).astype(np.int64)
+
+
 def locate_point(mesh: Triangulation, xy):
-    """Containing triangle and barycentric coordinates (first match)."""
+    """Containing triangle and barycentric coordinates: of the triangles
+    whose barycentrics are all >= -LOCATE_TOL, the first in mesh order.
+    Only the triangles listed in the point's grid cell are tested."""
     xy = np.asarray(xy, dtype=np.float64)
-    lam = barycentric(xy, mesh.tri_coords())
-    inside = lam.min(axis=1) >= -LOCATE_TOL
-    hits = np.flatnonzero(inside)
+    lo, h, shape, indptr, tris = _bucket_grid(mesh)
+    cand = tris[:0]     # a non-finite point lies in no cell
+    if np.all(np.isfinite(xy)):
+        ix, iy = _grid_cells(xy, lo, h, shape)
+        cell = ix + iy * shape[0]
+        cand = tris[indptr[cell]:indptr[cell + 1]]
+    lam = barycentric(xy, mesh.vertices[mesh.triangles[cand]])
+    hits = np.flatnonzero(lam.min(axis=1) >= -LOCATE_TOL)
     if hits.size == 0:
         raise LoadError(f"point load at {xy.tolist()} lies outside the domain")
-    t = int(hits[0])
-    return t, np.clip(lam[t], 0.0, None) / np.clip(lam[t], 0.0, None).sum()
+    lam = np.clip(lam[hits[0]], 0.0, None)
+    return int(cand[hits[0]]), lam / lam.sum()
 
 
 def resolve_point_loads(mesh: Triangulation, load: LoadSpec):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,20 @@ def test_transfer_operators_store_no_zero_entry():
 
 
 # --- companion -------------------------------------------------------------------
+
+def test_cold_companion_peak_is_bounded_by_its_size():
+    # the edge closure sums slices of at most the cell mean's size: the peak
+    # of a cold build (its DOF maps and Morley gradients included) stays
+    # within 4 times what J stores
+    mesh = unit_square_mesh(32)
+    tracemalloc.start()
+    try:
+        J = companion_matrix(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (J.rows.nbytes + J.cols.nbytes + J.vals.nbytes)
+
 
 def test_right_inverse_identity(mesh2):
     rep = verify_right_inverse(mesh2, samples=50)

@@ -15,7 +15,8 @@ strict expected failure on the smallest such mesh.
 The transfer operators must match the triplet construction they
 replaced (``transfer_oracles``): I_M from Morley, DG_P2 and HCT and I_C
 bit for bit, I_M from P2 except at its vertex entries, which are exactly
-1.0, and J to 1e-15 of its largest entry.  The assembled systems must
+1.0, and J to 1e-15 of its largest entry.  J, closed one slice of edge
+rows at a time, must equal bit for bit its closure by one sort.  The assembled systems must
 also equal, bit for bit, those of an
 oracle that sorts and sums every form's triplets and combines the forms
 by sort-merges, as the assembly did before it reduced onto memoized
@@ -103,6 +104,7 @@ import pattern_oracles
 import transfer_oracles
 from test_fespace import _EXP, _power_table_kernels, _sub_bary, hct_oracle_gaps
 from test_generic_geometry import refined_skew_mesh
+from test_rhs import locate_point_scan
 
 PROPERTY_SETTINGS = settings(database=None, derandomize=True, deadline=None,
                              max_examples=10)
@@ -347,6 +349,11 @@ def _same_bits(got, want):
     return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
+def _same_companion(got, want):
+    return got.shape == want.shape and _same_bits((got.rows, got.cols, got.vals),
+                                                  (want.rows, want.cols, want.vals))
+
+
 def _transfer_mismatches(mesh):
     """The transfer operators that differ from the triplet oracle beyond their bounds.
 
@@ -370,9 +377,12 @@ def _transfer_mismatches(mesh):
     if not (_same_bits((got.rows, got.cols), (rows, cols)) and np.all(got.vals[vertex_rows] == 1.0)
             and _same_bits([got.vals[~vertex_rows]], [vals[~vertex_rows]])):
         out.append("p2c0")
-    J, want = interp.companion_matrix(mesh).to_dense(), transfer_oracles.companion_matrix(mesh)
-    if np.abs(J - want.to_dense()).max(initial=0.0) > 1e-15 * np.abs(want.vals).max(initial=0.0):
+    J, want = interp.companion_matrix(mesh), transfer_oracles.companion_matrix(mesh)
+    if np.abs(J.to_dense() - want.to_dense()).max(initial=0.0) > \
+            1e-15 * np.abs(want.vals).max(initial=0.0):
         out.append("J")
+    if not _same_companion(J, transfer_oracles.companion_closed_in_one_sort(mesh)):
+        out.append("J slices")
     if verify_right_inverse(mesh, samples=5).max_residual > 1e-11:
         out.append("right inverse")
     return out
@@ -390,6 +400,41 @@ def test_transfer_operators_match_triplet_oracle(pair):
                          ids=["one_triangle", "unit_square_1", "refined_skew"])
 def test_degenerate_meshes_transfer_operators_match_triplet_oracle(make_mesh):
     assert _transfer_mismatches(make_mesh()) == []
+
+
+def _jittered_n8():
+    base = unit_square_mesh(8)
+    interior = np.flatnonzero(~base.vertex_is_boundary)
+    vertices = base.vertices.copy()
+    vertices[interior] += np.random.default_rng(8).uniform(-0.01, 0.01, (interior.size, 2))
+    return build_triangulation(vertices, base.triangles)
+
+
+def _renumbered_n8():
+    base, rng = unit_square_mesh(8), np.random.default_rng(9)
+    return _renumbered(base, rng.permutation(base.num_vertices),
+                       rng.permutation(base.num_triangles),
+                       rng.integers(0, 3, base.num_triangles))
+
+
+@pytest.mark.parametrize("make_mesh",
+                         [*(lambda n=n: unit_square_mesh(n) for n in (1, 2, 3, 8, 33)),
+                          _jittered_n8, _renumbered_n8],
+                         ids=["n1", "n2", "n3", "n8", "n33", "jittered_n8", "renumbered_n8"])
+def test_companion_slices_equal_one_sort_bit_for_bit(make_mesh):
+    # at n=2 some free edges have both ends on the boundary: rows without closure terms
+    mesh = make_mesh()
+    assert _same_companion(interp.companion_matrix(mesh),
+                           transfer_oracles.companion_closed_in_one_sort(mesh))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_companion_closes_in_more_than_one_slice(n):
+    # one call sums the cell mean, one more closes each slice
+    with mock.patch.object(SparseMatrix, "from_triplets",
+                           wraps=SparseMatrix.from_triplets) as from_triplets:
+        interp.companion_matrix(unit_square_mesh(n))
+    assert from_triplets.call_count > 2
 
 
 # --- per-sub-triangle oracle of the smoothed load ------------------------------------
@@ -455,7 +500,8 @@ def _resolve_point_loads_oracle(mesh, load):
     """Point location by a scan of every vertex, as it was before it went
     through ``locate_point`` alone: a point within ``VERTEX_SNAP_TOL`` of its
     nearest vertex snaps to it, in the first triangle of the vertex patch;
-    any other point is located.  Returns (vertex or -1, triangle, bary)."""
+    any other point is located by a scan of every triangle.  Returns
+    (vertex or -1, triangle, bary)."""
     out = []
     for _, xy in load.points:
         xy = np.asarray(xy, dtype=np.float64)
@@ -467,7 +513,7 @@ def _resolve_point_loads_oracle(mesh, load):
             bary[lv[indptr[v]]] = 1.0
             out.append((v, int(tris[indptr[v]]), bary))
         else:
-            out.append((-1, *locate_point(mesh, xy)))
+            out.append((-1, *locate_point_scan(mesh, xy)))
     return out
 
 

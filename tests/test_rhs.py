@@ -4,9 +4,10 @@ import pytest
 from platefem.fespace import DiscreteFunction, SpaceTag, build_dof_map, evaluate
 from platefem.functions import get_manufactured
 from platefem.interp import smoother
-from platefem.mesh import unit_square_mesh
+from platefem.mesh import barycentric, build_triangulation, unit_square_mesh
 from platefem.quadrature import triangle_rule
 from platefem.rhs import (
+    LOCATE_TOL,
     LoadError,
     LoadSpec,
     locate_point,
@@ -60,6 +61,58 @@ def test_point_load_general_evaluation_oracle(mesh2, rng):
         e[i] = 1.0
         val = evaluate(smoother(DiscreteFunction(dg, e)), t, lam, 0)
         assert abs(b[i] - val) < 1e-12
+
+
+def locate_point_scan(mesh, xy):
+    """Point location by the barycentrics of every triangle, as it was
+    before the bucket grid: the first triangle whose barycentrics are all
+    >= -LOCATE_TOL."""
+    xy = np.asarray(xy, dtype=np.float64)
+    lam = barycentric(xy, mesh.tri_coords())
+    hits = np.flatnonzero(lam.min(axis=1) >= -LOCATE_TOL)
+    if hits.size == 0:
+        raise LoadError(f"point load at {xy.tolist()} lies outside the domain")
+    t = int(hits[0])
+    return t, np.clip(lam[t], 0.0, None) / np.clip(lam[t], 0.0, None).sum()
+
+
+def _located(locate, mesh, xy):
+    try:
+        t, bary = locate(mesh, xy)
+    except LoadError as err:
+        return str(err)
+    return t, bary.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["square", "jittered", "shuffled"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 32])
+def test_bucket_grid_locates_as_the_scan(n, kind):
+    # random points in and around the square, vertices, edge midpoints,
+    # points a little below and left of the vertices, where a triangle
+    # further on passes the tolerance, and points within and beyond
+    # LOCATE_TOL outside the square: same triangle, same bits, same
+    # LoadError; a non-finite point lies outside
+    rng = np.random.default_rng(n)
+    mesh = unit_square_mesh(n)
+    vertices, triangles = mesh.vertices.copy(), mesh.triangles
+    if kind == "jittered":
+        interior = ~mesh.vertex_is_boundary
+        vertices[interior] += rng.uniform(-0.1 / n, 0.1 / n, (interior.sum(), 2))
+    elif kind == "shuffled":    # triangles in random order
+        triangles = triangles[rng.permutation(mesh.num_triangles)]
+    mesh = build_triangulation(vertices, triangles)
+    side, near = rng.uniform(0.0, 1.0, 8), 0.5 * LOCATE_TOL / n
+    corners = mesh.vertices[rng.permutation(mesh.num_vertices)[:200]]
+    points = [*rng.uniform(-0.05, 1.05, (40, 2)), *corners, *mesh.edge_midpoint[:200],
+              *(corners - (near, 0.0)), *(corners - (0.0, near)),
+              *np.column_stack([side, np.full(8, -0.5 * LOCATE_TOL)]),
+              *np.column_stack([np.full(8, 1.0 + 2.0 * LOCATE_TOL), side]),
+              (-1e-11, -1e-11), (1.0 + 1e-9, 1.0)]
+    for xy in points:
+        assert _located(locate_point, mesh, xy) == _located(locate_point_scan, mesh, xy)
+    for xy in ((np.nan, 0.5), (0.5, np.inf)):
+        with pytest.raises(LoadError, match="outside"):
+            locate_point(mesh, xy)
 
 
 def test_point_load_outside_domain_rejected(mesh2):

@@ -18,6 +18,7 @@ from platefem.fespace import (
     reference_shapes,
     shapes,
 )
+from platefem.interp import _cell_mean
 from platefem.sparse import SparseMatrix, ragged_positions
 
 
@@ -109,3 +110,28 @@ def transfer_ic_matrix(mesh):
         rows = np.repeat(lag_map.edge_dofs[eids], 6).reshape(-1, 6)
         out.append((rows, morley_map.cell_dofs[t], 0.5 * C[t, 3 + le, :]))
     return _matrix(lag_map.n_free, morley_map.n_free, out)
+
+
+def companion_closed_in_one_sort(mesh):
+    """J as ``interp`` built it before it closed the edge rows in slices:
+    the cell mean and every closure term summed by one ``from_triplets``."""
+    hct_map = build_dof_map(mesh, SpaceTag.HCT)
+    L = np.zeros((mesh.num_triangles, 12, 6))
+    L[:, [0, 3, 6], [0, 1, 2]] = 1.0
+    Gv = shapes(mesh, SpaceTag.MORLEY, reference_shapes(SpaceTag.MORLEY, np.eye(3), 1))
+    L[:, [1, 2, 4, 5, 7, 8]] = Gv.reshape(-1, 6, 6)
+    L[:, [9, 10, 11], [3, 4, 5]] = 1.5
+    A = _cell_mean(mesh, SpaceTag.HCT, SpaceTag.MORLEY, L)
+    grad_rows = hct_map.vertex_dofs[mesh.edge_vertices, 1:]     # (ne, end, comp)
+    edge_rows = np.broadcast_to(hct_map.edge_dofs[:, None, None], grad_rows.shape)
+    weight = np.broadcast_to(-0.25 * mesh.edge_normal[:, None, :], grad_rows.shape)
+    keep = (grad_rows >= 0) & (edge_rows >= 0)
+    pos, count = ragged_positions(np.searchsorted(A.rows, np.arange(A.nrows + 1)),
+                                  grad_rows[keep])
+    closed = SparseMatrix.from_triplets(
+        A.nrows, A.ncols, np.concatenate([A.rows, np.repeat(edge_rows[keep], count)]),
+        np.concatenate([A.cols, A.cols[pos]]),
+        np.concatenate([A.vals, np.repeat(weight[keep], count) * A.vals[pos]]))
+    nonzero = closed.vals != 0
+    return SparseMatrix(closed.nrows, closed.ncols, closed.rows[nonzero], closed.cols[nonzero],
+                        closed.vals[nonzero])
