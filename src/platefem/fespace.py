@@ -31,7 +31,7 @@ tables of the forms and transfer operators (``p2_hessians``,
 from the same reference tables, pushed forward per cell.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -429,10 +429,10 @@ class DofMap:
     or -1 when the DOF is constrained to zero (clamped boundary).
     ``vertex_dofs``/``edge_dofs`` expose the entity-based numbering used
     by the interpolation operators (None for the cell-based DG space).
+    A map holds no mesh; ``check_dof_map`` tells whether it is a mesh's own.
     """
 
     tag: SpaceTag
-    mesh: Triangulation
     n_free: int
     cell_dofs: np.ndarray
     vertex_dofs: np.ndarray | None = None
@@ -445,7 +445,7 @@ def build_dof_map(mesh: Triangulation, tag: SpaceTag) -> DofMap:
     free vertex (k = 3 for HCT, else 1), then one DOF per free edge."""
     nt, nv = mesh.num_triangles, mesh.num_vertices
     if tag is SpaceTag.DG_P2:
-        return DofMap(tag, mesh, 6 * nt, np.arange(6 * nt, dtype=np.int64).reshape(nt, 6))
+        return DofMap(tag, 6 * nt, np.arange(6 * nt, dtype=np.int64).reshape(nt, 6))
     if tag not in (SpaceTag.MORLEY, SpaceTag.LAGRANGE_P2, SpaceTag.HCT):
         raise ValueError(f"unknown space tag {tag}")
     k = 3 if tag is SpaceTag.HCT else 1
@@ -455,31 +455,35 @@ def build_dof_map(mesh: Triangulation, tag: SpaceTag) -> DofMap:
     dofs[free] = np.arange(n_free)
     vdof, edof = dofs[: k * nv].reshape(nv, k), dofs[k * nv:]
     cell = np.concatenate([vdof[mesh.triangles].reshape(nt, 3 * k), edof[mesh.tri_edges]], axis=1)
-    return DofMap(tag, mesh, n_free, cell, vdof if k == 3 else vdof[:, 0], edof)
+    return DofMap(tag, n_free, cell, vdof if k == 3 else vdof[:, 0], edof)
+
+
+def check_dof_map(mesh: Triangulation, dofmap: DofMap):
+    """Raise ValueError unless ``dofmap`` is ``mesh``'s own map, the
+    memoized ``build_dof_map(mesh, dofmap.tag)``: a map of another mesh,
+    or an equal copy, could number the DOFs differently."""
+    if build_dof_map(mesh, dofmap.tag) is not dofmap:
+        raise ValueError("DOF map belongs to a different mesh or is a copy; "
+                         "pass build_dof_map(mesh, tag)")
 
 
 @dataclass
 class DiscreteFunction:
-    """Coefficient vector over the free DOFs of one space."""
+    """Coefficients over the free DOFs ``space = build_dof_map(mesh, tag)``."""
 
-    space: DofMap
+    mesh: Triangulation
+    tag: SpaceTag
     coeffs: np.ndarray
+    space: DofMap = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.space = build_dof_map(self.mesh, self.tag)
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
         if self.coeffs.shape != (self.space.n_free,):
             raise ValueError(
                 f"coefficient length {self.coeffs.shape} does not match "
                 f"free DOF count {self.space.n_free}"
             )
-
-    @property
-    def tag(self):
-        return self.space.tag
-
-    @property
-    def mesh(self):
-        return self.space.mesh
 
 
 def local_dof_values(f: DiscreteFunction, cells=slice(None)):
@@ -498,8 +502,7 @@ def local_lagrange_coeffs(f: DiscreteFunction):
 
 def to_dgp2(f: DiscreteFunction) -> DiscreteFunction:
     """Embed a quadratic-space function into the discontinuous P2 space."""
-    dg_map = build_dof_map(f.mesh, SpaceTag.DG_P2)
-    return DiscreteFunction(dg_map, local_lagrange_coeffs(f).ravel())
+    return DiscreteFunction(f.mesh, SpaceTag.DG_P2, local_lagrange_coeffs(f).ravel())
 
 
 def evaluate(f: DiscreteFunction, tri: int, bary, order: int = 0):
@@ -543,4 +546,4 @@ def prolongate_to_refined(f: DiscreteFunction, fine: Triangulation) -> DiscreteF
     lam = barycentric(pts, coarse.tri_coords()[par][:, None])
     N = reference_shapes(SpaceTag.DG_P2, lam).reshape(-1, 6, 6)
     vals = np.einsum("tna,ta->tn", N, coarse_coeffs[par])
-    return DiscreteFunction(build_dof_map(fine, SpaceTag.DG_P2), vals.ravel())
+    return DiscreteFunction(fine, SpaceTag.DG_P2, vals.ravel())

@@ -46,6 +46,7 @@ from .fespace import (
     DofMap,
     SpaceTag,
     build_dof_map,
+    check_dof_map,
     local_lagrange_coeffs,
     morley_local_basis,
     p2_hessians,
@@ -203,7 +204,7 @@ class BlockPattern:
     and a cell entry that of the same slot in an edge block of its cell.
     """
 
-    dofmap: DofMap
+    n_free: int
     rows: np.ndarray
     cols: np.ndarray
     tperm: np.ndarray
@@ -216,7 +217,7 @@ class BlockPattern:
         return np.add.reduceat(blocks.reshape(-1)[self.gather], self.starts)
 
     def matrix(self, vals, symmetric=False):
-        n = self.dofmap.n_free
+        n = self.n_free
         A = SparseMatrix(n, n, self.rows, self.cols, vals, symmetric)
         if symmetric:
             A._check_symmetry(self.tperm)
@@ -279,7 +280,7 @@ def _block_pattern(mesh: Triangulation, tag: SpaceTag, kind) -> BlockPattern:
     entry = _slot_entries(gather, starts, slots)
     tperm = entry[first + (b - a) * (m - 1)]
     if cell is None:
-        return BlockPattern(dofmap, *_frozen(rows, cols, tperm, gather, starts))
+        return BlockPattern(n, *_frozen(rows, cols, tperm, gather, starts))
     # triangle t is side s of its edge tri_edges[t, 0], so the entry of
     # cell slot (t, a, b) is that of edge slot (e, 6s + a, 6s + b)
     e = mesh.tri_edges[:, 0]
@@ -287,14 +288,12 @@ def _block_pattern(mesh: Triangulation, tag: SpaceTag, kind) -> BlockPattern:
     t, a, b = np.unravel_index(cell.gather[cell.starts], (mesh.num_triangles, 6, 6))
     slot = np.ravel_multi_index((e[t], 6 * s[t] + a, 6 * s[t] + b), (mesh.num_edges, 12, 12))
     cell_positions = _slot_index(entry[slot], rows.size)
-    return BlockPattern(dofmap, *_frozen(rows, cols, tperm, gather, starts, cell_positions))
+    return BlockPattern(n, *_frozen(rows, cols, tperm, gather, starts, cell_positions))
 
 
 def _reduce(mesh, dofmap, kind, blocks, symmetric=False):
     """The form with block values ``blocks`` on the ``kind`` block set."""
     pattern = _block_pattern(mesh, dofmap.tag, kind)
-    if pattern.dofmap is not dofmap:
-        raise ValueError("forms are assembled on the mesh's own DOF map (build_dof_map)")
     return pattern.matrix(pattern.reduce(blocks), symmetric)
 
 
@@ -302,14 +301,9 @@ def _reduce(mesh, dofmap, kind, blocks, symmetric=False):
 # bilinear forms
 # ---------------------------------------------------------------------------
 
-def _check_mesh(mesh, dofmap):
-    if dofmap.mesh is not mesh:
-        raise ValueError("DOF map belongs to a different mesh")
-
-
 def assemble_apw(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
     """Piecewise Hessian energy form; exact since P2 Hessians are constant."""
-    _check_mesh(mesh, dofmap)
+    check_dof_map(mesh, dofmap)
     if dofmap.tag not in (SpaceTag.MORLEY, SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
         raise ValueError("energy form is assembled on the quadratic spaces")
     K = _space_local_hessian_matrix(mesh, dofmap)
@@ -322,7 +316,7 @@ def assemble_jump_form(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
     Returned matrix B satisfies (B u) . w = form(u, w) with the trial
     function u in the gradient-jump slot.
     """
-    _check_mesh(mesh, dofmap)
+    check_dof_map(mesh, dofmap)
     if dofmap.tag not in (SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
         raise ValueError("consistency form lives on the discontinuous/continuous P2 spaces")
     s, w = edge_rule(EDGE_GAUSS)
@@ -334,7 +328,7 @@ def assemble_jump_form(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
 
 def _penalty_matrix(mesh, dofmap, config):
     """c_h of ``config``: sum_E W^T J, one product per term (J, W), in table order."""
-    _check_mesh(mesh, dofmap)
+    check_dof_map(mesh, dofmap)
     if dofmap.tag is not config.space_tag:
         raise ValueError(f"{config.scheme.value} penalty needs the {config.space_tag.value} space")
     block = sum(W.transpose(0, 2, 1) @ J for J, W in _jump_terms(mesh, config))

@@ -253,16 +253,17 @@ def reference_error_norm_h(u_h: DiscreteFunction, chain, u_ref: DiscreteFunction
     f = u_h
     for mesh in chain[1:]:
         f = prolongate_to_refined(f, mesh)
-    diff = DiscreteFunction(f.space, to_dgp2(u_ref).coeffs - f.coeffs)
+    diff = DiscreteFunction(f.mesh, f.tag, to_dgp2(u_ref).coeffs - f.coeffs)
     H = _cell_hessians(diff)
     energy2 = float(np.sum(fine.tri_area * np.einsum("tij,tij->t", H, H)))
     return float(np.sqrt(energy2 + jump_seminorm(diff) ** 2))
 
 
 def environment():
-    """numpy and Python versions and CPU count of the running process."""
+    """numpy and Python versions, CPU count of the running process, and the
+    mantissa bits of the ``np.longdouble`` that refinement residuals use."""
     return {"numpy": np.__version__, "python": platform.python_version(),
-            "cpu_count": os.cpu_count()}
+            "cpu_count": os.cpu_count(), "longdouble_mantissa_bits": np.finfo(np.longdouble).nmant}
 
 
 def write_json(path, data):

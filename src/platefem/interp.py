@@ -31,7 +31,6 @@ import numpy as np
 
 from .fespace import (
     DiscreteFunction,
-    DofMap,
     SpaceTag,
     build_dof_map,
     local_lagrange_coeffs,
@@ -82,17 +81,13 @@ def _without_zeros(A, vals):
     return SparseMatrix(A.nrows, A.ncols, A.rows[keep], A.cols[keep], vals[keep])
 
 
-def interp_matrix(space_map: DofMap) -> SparseMatrix:
+@derived
+def interp_matrix(mesh: Triangulation, tag: SpaceTag) -> SparseMatrix:
     """Averaging interpolation onto the nonconforming space as a matrix.
 
-    Maps coefficients of ``space_map`` (quadratic spaces or the macro
-    space) to coefficients of the Morley-type space on the same mesh.
+    Maps coefficients of the space ``tag`` (quadratic spaces or the macro
+    space) on ``mesh`` to coefficients of the Morley-type space there.
     """
-    return _interp_matrix(space_map.mesh, space_map.tag)
-
-
-@derived
-def _interp_matrix(mesh: Triangulation, tag: SpaceTag) -> SparseMatrix:
     if tag is SpaceTag.MORLEY:
         L = np.eye(6)
     elif tag is SpaceTag.HCT:
@@ -196,14 +191,14 @@ def morley_interp_avg(v, mesh: Triangulation | None = None) -> DiscreteFunction:
     the classical interpolation.
     """
     if isinstance(v, DiscreteFunction):
-        mat = interp_matrix(v.space)
-        return DiscreteFunction(build_dof_map(v.mesh, SpaceTag.MORLEY), mat.matvec(v.coeffs))
+        return DiscreteFunction(v.mesh, SpaceTag.MORLEY,
+                                interp_matrix(v.mesh, v.tag).matvec(v.coeffs))
     values, means = _analytic_dofs(v, mesh)
     morley_map = build_dof_map(mesh, SpaceTag.MORLEY)
     out = np.zeros(morley_map.n_free)
     for dofs, x in ((morley_map.vertex_dofs, values), (morley_map.edge_dofs, means)):
         out[dofs[dofs >= 0]] = x[dofs >= 0]
-    return DiscreteFunction(morley_map, out)
+    return DiscreteFunction(mesh, SpaceTag.MORLEY, out)
 
 
 def morley_interp_local(v, mesh: Triangulation | None = None) -> DiscreteFunction:
@@ -225,23 +220,22 @@ def morley_interp_local(v, mesh: Triangulation | None = None) -> DiscreteFunctio
         dofs = np.concatenate([values[mesh.triangles], means[mesh.tri_edges]], axis=1)
     C = morley_local_basis(mesh)
     lag = np.einsum("tba,ta->tb", C, dofs)
-    return DiscreteFunction(build_dof_map(mesh, SpaceTag.DG_P2), lag.ravel())
+    return DiscreteFunction(mesh, SpaceTag.DG_P2, lag.ravel())
 
 
 def companion(v: DiscreteFunction) -> DiscreteFunction:
     """Map a nonconforming function to its C^1 macro-element companion."""
     if v.tag is not SpaceTag.MORLEY:
         raise ValueError("companion expects a function in the nonconforming space")
-    mat = companion_matrix(v.mesh)
-    return DiscreteFunction(build_dof_map(v.mesh, SpaceTag.HCT), mat.matvec(v.coeffs))
+    return DiscreteFunction(v.mesh, SpaceTag.HCT, companion_matrix(v.mesh).matvec(v.coeffs))
 
 
 def transfer_ic(v: DiscreteFunction) -> DiscreteFunction:
     """Transfer a nonconforming function onto continuous quadratics."""
     if v.tag is not SpaceTag.MORLEY:
         raise ValueError("transfer expects a function in the nonconforming space")
-    mat = transfer_ic_matrix(v.mesh)
-    return DiscreteFunction(build_dof_map(v.mesh, SpaceTag.LAGRANGE_P2), mat.matvec(v.coeffs))
+    return DiscreteFunction(v.mesh, SpaceTag.LAGRANGE_P2,
+                            transfer_ic_matrix(v.mesh).matvec(v.coeffs))
 
 
 def smoother(v: DiscreteFunction) -> DiscreteFunction:
@@ -256,9 +250,8 @@ RIGHT_INVERSE_TOL = 1e-11
 def verify_right_inverse(mesh: Triangulation, samples: int = 50) -> InterpolationReport:
     """Check that interpolation after the companion is the identity."""
     morley_map = build_dof_map(mesh, SpaceTag.MORLEY)
-    hct_map = build_dof_map(mesh, SpaceTag.HCT)
     J = companion_matrix(mesh)
-    I = interp_matrix(hct_map)
+    I = interp_matrix(mesh, SpaceTag.HCT)
     rng = np.random.default_rng(RIGHT_INVERSE_SEED)
     resid = np.zeros(morley_map.n_free)
     for _ in range(samples):

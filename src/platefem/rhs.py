@@ -19,6 +19,7 @@ from .fespace import (
     SpaceTag,
     build_dof_map,
     cell_transform,
+    check_dof_map,
     reference_shapes,
     reference_values,
     rule,
@@ -148,6 +149,7 @@ def plain_load_vector(mesh: Triangulation, dofmap: DofMap, load: LoadSpec,
     only) go through the same transform, and a snapped one is exactly the
     value DOF of its vertex.  Everything is scattered by one bincount.
     """
+    check_dof_map(mesh, dofmap)
     tag = dofmap.tag
     if load.points and tag is not SpaceTag.HCT:
         raise LoadError(
@@ -200,7 +202,8 @@ def smoothed_load_vector(mesh: Triangulation, dofmap: DofMap, load: LoadSpec,
     nonconforming space and a point load at a vertex this reduces
     exactly to the nodal shortcut (unit coefficient at that vertex DOF).
     """
+    check_dof_map(mesh, dofmap)
     if dofmap.tag is SpaceTag.HCT:
         raise ValueError("assemble loads on the trial space, not the macro space")
     b = plain_load_vector(mesh, build_dof_map(mesh, SpaceTag.HCT), load, quad_order)
-    return interp_matrix(dofmap).rmatvec(companion_matrix(mesh).rmatvec(b))
+    return interp_matrix(mesh, dofmap.tag).rmatvec(companion_matrix(mesh).rmatvec(b))

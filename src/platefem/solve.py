@@ -599,7 +599,7 @@ def solve_scheme(mesh: Triangulation, config: SchemeConfig, load: LoadSpec) -> S
     b = smoothed_load_vector(mesh, dofmap, load, quad_order=config.quad_order)
     t3 = time.perf_counter()
     x, stats = solve(A, b)
-    u_h = DiscreteFunction(dofmap, x)
+    u_h = DiscreteFunction(mesh, config.space_tag, x)
     u_star = smoother(u_h)
     stats["dofmap_time"] = t1 - t0
     stats["forms_time"] = t2 - t1

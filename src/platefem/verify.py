@@ -115,8 +115,8 @@ def run_invariant_suite() -> int:
     wop_cfg = forms.SchemeConfig(scheme=forms.SchemeTag.WOPSIP)
     worst_b = worst_c = 0.0
     for _ in range(50):
-        vm = DiscreteFunction(morley_map, rng.uniform(-1, 1, morley_map.n_free))
-        wm = DiscreteFunction(morley_map, rng.uniform(-1, 1, morley_map.n_free))
+        vm = DiscreteFunction(mesh, SpaceTag.MORLEY, rng.uniform(-1, 1, morley_map.n_free))
+        wm = DiscreteFunction(mesh, SpaceTag.MORLEY, rng.uniform(-1, 1, morley_map.n_free))
         ve, we = to_dgp2(vm), to_dgp2(wm)
         bh = -np.dot(B.matvec(ve.coeffs), we.coeffs) - np.dot(B.matvec(we.coeffs), ve.coeffs)
         worst_b = max(worst_b, abs(bh))
@@ -136,7 +136,7 @@ def run_invariant_suite() -> int:
         f"|{einterp:.6f} - {dev:.6f}|",
     )
 
-    wm = DiscreteFunction(morley_map, rng.uniform(-1, 1, morley_map.n_free))
+    wm = DiscreteFunction(mesh, SpaceTag.MORLEY, rng.uniform(-1, 1, morley_map.n_free))
     _, _, e_wm = broken_error_norms(u1, wm, 11, 2)
     A_m = forms.assemble_apw(mesh, morley_map)
     d = wm.coeffs - v_m.coeffs
@@ -169,7 +169,7 @@ def run_invariant_suite() -> int:
     # energy of the input, a proxy for the companion operator norm
     ratios = []
     for _ in range(10):
-        vm = DiscreteFunction(morley_map, rng.uniform(-1, 1, morley_map.n_free))
+        vm = DiscreteFunction(mesh, SpaceTag.MORLEY, rng.uniform(-1, 1, morley_map.n_free))
         jv = companion(vm)
         dist = energy_distance_p2_hct(vm, jv)
         energy = float(np.sqrt(vm.coeffs @ A_m.matvec(vm.coeffs)))

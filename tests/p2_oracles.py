@@ -58,15 +58,13 @@ def morley_dof_matrix(mesh):
     return M
 
 
-def interpolate_nodal(dofmap, fn):
-    """Nodal interpolant of ``fn(x, y)`` in the discontinuous P2 space
-    ``dofmap``: its values at every triangle's vertices and edge midpoints."""
-    assert dofmap.tag is SpaceTag.DG_P2
-    mesh = dofmap.mesh
+def interpolate_nodal(mesh, fn):
+    """Nodal interpolant of ``fn(x, y)`` in the discontinuous P2 space on
+    ``mesh``: its values at every triangle's vertices and edge midpoints."""
     vvals = fn(mesh.vertices[:, 0], mesh.vertices[:, 1])
     evals = fn(mesh.edge_midpoint[:, 0], mesh.edge_midpoint[:, 1])
     loc = np.concatenate([vvals[mesh.triangles], evals[mesh.tri_edges]], axis=1)
-    return DiscreteFunction(dofmap, loc.ravel())
+    return DiscreteFunction(mesh, SpaceTag.DG_P2, loc.ravel())
 
 
 def edge_traces(mesh, params):

@@ -71,8 +71,8 @@ def test_criterion_1_operator_identities():
     wop = SchemeConfig(scheme=SchemeTag.WOPSIP)
     worst_b = worst_c = 0.0
     for _ in range(50):
-        v = to_dgp2(DiscreteFunction(morley_map, rng.uniform(-1, 1, morley_map.n_free)))
-        w = to_dgp2(DiscreteFunction(morley_map, rng.uniform(-1, 1, morley_map.n_free)))
+        v = to_dgp2(DiscreteFunction(mesh, SpaceTag.MORLEY, rng.uniform(-1, 1, morley_map.n_free)))
+        w = to_dgp2(DiscreteFunction(mesh, SpaceTag.MORLEY, rng.uniform(-1, 1, morley_map.n_free)))
         bh = -np.dot(B.matvec(v.coeffs), w.coeffs) - np.dot(B.matvec(w.coeffs), v.coeffs)
         worst_b = max(worst_b, abs(bh))
         worst_c = max(worst_c, abs(penalty_value(v, wop)))
@@ -112,7 +112,7 @@ def test_criterion_2_interpolation_theory():
         v_m = morley_interp_avg(u, mesh)
         _, _, e_i = broken_error_norms(u, v_m, quad, 2)
         for _ in range(10):
-            w_m = DiscreteFunction(morley_map, rng.standard_normal(morley_map.n_free))
+            w_m = DiscreteFunction(mesh, SpaceTag.MORLEY, rng.standard_normal(morley_map.n_free))
             _, _, e_w = broken_error_norms(u, w_m, quad, 2)
             d = w_m.coeffs - v_m.coeffs
             worst_pyth = max(
@@ -151,7 +151,7 @@ def test_criterion_3_two_triangle_example():
         verts = np.array([[0.0, 0.0], [1.0, 0.0], list(p3), list(p4)])
         mesh = build_triangulation(verts, np.array([[0, 1, 3], [1, 2, 3]]))
         lag = build_dof_map(mesh, SpaceTag.LAGRANGE_P2)
-        out = morley_interp_avg(DiscreteFunction(lag, np.array([1.0])))
+        out = morley_interp_avg(DiscreteFunction(mesh, SpaceTag.LAGRANGE_P2, np.array([1.0])))
         e = int(np.flatnonzero(~mesh.edge_is_boundary)[0])
         t1, t2 = mesh.tri_area
         expected = (mesh.edge_length[e] / 2.0) * (1.0 / t1 - 1.0 / t2)

@@ -72,7 +72,7 @@ def conforming_solution(mesh, quad_order=9):
     b = plain_load_vector(mesh, dofmap, LoadSpec(density=U1.biharmonic), quad_order)
     x, stats = solve(A, b)
     assert stats["residual"] < 1e-9
-    return DiscreteFunction(dofmap, x)
+    return DiscreteFunction(mesh, SpaceTag.HCT, x)
 
 
 def test_conforming_solution_validates_pipeline():

@@ -272,7 +272,7 @@ def test_unknown_space_tag_rejected(mesh2):
 def test_coefficient_length_checked(mesh2):
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
     with pytest.raises(ValueError, match="coefficient length"):
-        DiscreteFunction(dm, np.zeros(dm.n_free + 1))
+        DiscreteFunction(mesh2, SpaceTag.MORLEY, np.zeros(dm.n_free + 1))
 
 
 # --- quadratic dual basis -----------------------------------------------------
@@ -323,7 +323,7 @@ def test_morley_reference_coefficients_against_dense_oracle():
     for b in range(6):
         coeffs = np.zeros(6)
         coeffs[b] = 1.0
-        f = DiscreteFunction(build_dof_map(mesh, SpaceTag.DG_P2), coeffs)
+        f = DiscreteFunction(mesh, SpaceTag.DG_P2, coeffs)
         for j in range(3):
             lam = np.zeros(3)
             lam[j] = 1.0
@@ -381,7 +381,7 @@ def test_edge_shape_function_scaling_bracket(rng):
 
 def test_morley_hessians_constant(mesh2, rng):
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
-    f = DiscreteFunction(dm, rng.standard_normal(dm.n_free))
+    f = DiscreteFunction(mesh2, SpaceTag.MORLEY, rng.standard_normal(dm.n_free))
     for t in (0, 3):
         H1 = evaluate(f, t, np.array([0.6, 0.3, 0.1]), 2)
         H2 = evaluate(f, t, np.array([0.1, 0.2, 0.7]), 2)
@@ -400,15 +400,14 @@ def test_degenerate_triangle_raises():
 def test_evaluate_zero_everywhere(mesh2):
     for tag in SpaceTag:
         dm = build_dof_map(mesh2, tag)
-        f = DiscreteFunction(dm, np.zeros(dm.n_free))
+        f = DiscreteFunction(mesh2, tag, np.zeros(dm.n_free))
         for order in (0, 1, 2):
             v = evaluate(f, 0, np.array([0.2, 0.5, 0.3]), order)
             assert np.all(np.asarray(v) == 0.0)
 
 
 def test_evaluate_quadratic_hessian(mesh2):
-    dg = build_dof_map(mesh2, SpaceTag.DG_P2)
-    f = interpolate_nodal(dg, lambda x, y: x ** 2)
+    f = interpolate_nodal(mesh2, lambda x, y: x ** 2)
     for t in range(mesh2.num_triangles):
         H = evaluate(f, t, np.array([1 / 3, 1 / 3, 1 / 3]), 2)
         assert np.allclose(H, [[2.0, 0.0], [0.0, 0.0]], atol=1e-12)
@@ -417,7 +416,7 @@ def test_evaluate_quadratic_hessian(mesh2):
 def test_evaluate_morley_edge_dof_mean(mesh1):
     dm = build_dof_map(mesh1, SpaceTag.MORLEY)
     assert dm.n_free == 1
-    f = DiscreteFunction(dm, np.array([1.0]))
+    f = DiscreteFunction(mesh1, SpaceTag.MORLEY, np.array([1.0]))
     e = int(np.flatnonzero(~mesh1.edge_is_boundary)[0])
     a, b = mesh1.edge_vertices[e]
     pa, pb = mesh1.vertices[a], mesh1.vertices[b]
@@ -434,7 +433,7 @@ def test_evaluate_morley_edge_dof_mean(mesh1):
 
 def test_evaluate_errors(mesh2):
     dg = build_dof_map(mesh2, SpaceTag.DG_P2)
-    f = DiscreteFunction(dg, np.zeros(dg.n_free))
+    f = DiscreteFunction(mesh2, SpaceTag.DG_P2, np.zeros(dg.n_free))
     with pytest.raises(ValueError, match="outside"):
         evaluate(f, 0, np.array([-0.2, 0.6, 0.6]), 0)
     with pytest.raises(ValueError, match="order"):
@@ -445,8 +444,7 @@ def test_p2_reproduction_elementwise(mesh2, rng):
     def q(x, y):
         return 1.0 + 2 * x - y + 0.5 * x * x + 0.25 * x * y - 0.75 * y * y
 
-    dg = build_dof_map(mesh2, SpaceTag.DG_P2)
-    f = interpolate_nodal(dg, q)
+    f = interpolate_nodal(mesh2, q)
     for _ in range(20):
         t = rng.integers(0, mesh2.num_triangles)
         lam = rng.dirichlet([1.0, 1.0, 1.0])
@@ -640,7 +638,7 @@ def test_hct_shape_functions_vanish_on_far_edges(mesh2, rng):
 
 def test_to_dgp2_preserves_values(mesh2, rng):
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
-    f = DiscreteFunction(dm, rng.standard_normal(dm.n_free))
+    f = DiscreteFunction(mesh2, SpaceTag.MORLEY, rng.standard_normal(dm.n_free))
     g = to_dgp2(f)
     for _ in range(10):
         t = int(rng.integers(0, mesh2.num_triangles))
@@ -650,7 +648,7 @@ def test_to_dgp2_preserves_values(mesh2, rng):
 
 def test_prolongation_is_exact(mesh2, rng):
     dm = build_dof_map(mesh2, SpaceTag.DG_P2)
-    f = DiscreteFunction(dm, rng.standard_normal(dm.n_free))
+    f = DiscreteFunction(mesh2, SpaceTag.DG_P2, rng.standard_normal(dm.n_free))
     fine = refine_uniform(mesh2)
     g = prolongate_to_refined(f, fine)
     for ft in range(0, fine.num_triangles, 7):

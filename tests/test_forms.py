@@ -25,7 +25,7 @@ from platefem.forms import (
 from platefem.functions import get_manufactured
 from platefem.mesh import build_triangulation, unit_square_mesh
 from platefem.quadrature import edge_rule, triangle_rule
-from platefem.rhs import LoadSpec
+from platefem.rhs import LoadSpec, plain_load_vector, smoothed_load_vector
 from platefem.solve import compute_errors, solve_scheme
 
 from p2_oracles import interpolate_nodal
@@ -74,14 +74,14 @@ def _evaluated_jumps(f, params, order):
 def test_apw_kernel_contains_affines(mesh2):
     dg = build_dof_map(mesh2, SpaceTag.DG_P2)
     A = assemble_apw(mesh2, dg)
-    v = interpolate_nodal(dg, lambda x, y: 1.0 - 0.5 * x + 2.0 * y)
+    v = interpolate_nodal(mesh2, lambda x, y: 1.0 - 0.5 * x + 2.0 * y)
     assert abs(v.coeffs @ A.matvec(v.coeffs)) < 1e-12
 
 
 def test_apw_quadratic_energy(mesh2):
     dg = build_dof_map(mesh2, SpaceTag.DG_P2)
     A = assemble_apw(mesh2, dg)
-    v = interpolate_nodal(dg, lambda x, y: x ** 2)
+    v = interpolate_nodal(mesh2, lambda x, y: x ** 2)
     assert abs(v.coeffs @ A.matvec(v.coeffs) - 4.0) < 1e-12
 
 
@@ -91,7 +91,7 @@ def test_apw_matches_quadrature_oracle(mesh2, rng):
     from platefem.fespace import local_lagrange_coeffs, p2_hessians
 
     for _ in range(5):
-        v = DiscreteFunction(dm, rng.standard_normal(dm.n_free))
+        v = DiscreteFunction(mesh2, SpaceTag.MORLEY, rng.standard_normal(dm.n_free))
         quad = v.coeffs @ A.matvec(v.coeffs)
         lag = local_lagrange_coeffs(v)
         H = np.einsum("taij,ta->tij", p2_hessians(mesh2), lag)
@@ -107,7 +107,7 @@ def test_jump_form_annihilates_nonconforming(mesh2, rng):
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
     B = assemble_jump_form(mesh2, dg)
     for _ in range(20):
-        v = to_dgp2(DiscreteFunction(dm, rng.standard_normal(dm.n_free)))
+        v = to_dgp2(DiscreteFunction(mesh2, SpaceTag.MORLEY, rng.standard_normal(dm.n_free)))
         w = rng.standard_normal(dg.n_free)
         assert abs(np.dot(B.matvec(v.coeffs), w)) < 1e-12 * max(1.0, np.abs(w).max())
 
@@ -118,8 +118,8 @@ def test_jump_form_zero_on_matched_interior_edges(mesh1):
     # to the single-trace boundary terms
     dg = build_dof_map(mesh1, SpaceTag.DG_P2)
     B = assemble_jump_form(mesh1, dg)
-    v = interpolate_nodal(dg, lambda x, y: x ** 2 + 0.5 * x * y - y ** 2)
-    w = interpolate_nodal(dg, lambda x, y: x * y)
+    v = interpolate_nodal(mesh1, lambda x, y: x ** 2 + 0.5 * x * y - y ** 2)
+    w = interpolate_nodal(mesh1, lambda x, y: x * y)
     got = np.dot(B.matvec(v.coeffs), w.coeffs)
 
     def grad_v(x, y):
@@ -145,7 +145,7 @@ def test_jump_form_single_edge_gauss_oracle(mesh1):
     B = assemble_jump_form(mesh1, dg)
     e = int(np.flatnonzero(~mesh1.edge_is_boundary)[0])
     tp = int(mesh1.edge_tris[e, 0])
-    w_fn = interpolate_nodal(dg, lambda x, y: x ** 2)
+    w_fn = interpolate_nodal(mesh1, lambda x, y: x ** 2)
     v = np.zeros(dg.n_free)
     v[dg.cell_dofs[tp]] = w_fn.coeffs[dg.cell_dofs[tp]]
     got = np.dot(B.matvec(v), w_fn.coeffs)
@@ -185,7 +185,7 @@ def test_cdg_value_jump_vanishes_for_continuous(mesh2, rng):
     huge = SchemeConfig(scheme=SchemeTag.DG, sigma1=1e12, sigma2=1.0)
     tiny = SchemeConfig(scheme=SchemeTag.DG, sigma1=1e-12, sigma2=1.0)
     for _ in range(5):
-        v = to_dgp2(DiscreteFunction(lag, rng.standard_normal(lag.n_free)))
+        v = to_dgp2(DiscreteFunction(mesh2, SpaceTag.LAGRANGE_P2, rng.standard_normal(lag.n_free)))
         a = penalty_value(v, huge)
         b = penalty_value(v, tiny)
         assert abs(a - b) < 1e-10 * max(1.0, b)
@@ -204,7 +204,7 @@ def test_morley_cdg_positive_but_cp_zero(mesh2, rng):
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
     cfg_dg = SchemeConfig(scheme=SchemeTag.DG)
     cfg_p = SchemeConfig(scheme=SchemeTag.WOPSIP)
-    v = to_dgp2(DiscreteFunction(dm, rng.standard_normal(dm.n_free)))
+    v = to_dgp2(DiscreteFunction(mesh2, SpaceTag.MORLEY, rng.standard_normal(dm.n_free)))
     assert penalty_value(v, cfg_dg) > 1e-6
     assert abs(penalty_value(v, cfg_p)) < 1e-12
     assert jump_seminorm(v) < 1e-12
@@ -217,7 +217,7 @@ def test_cip_cases(mesh2, rng):
     # oracle: normal-slope jumps evaluated side by side at the Gauss points
     s, w = edge_rule(3)
     for _ in range(5):
-        v = DiscreteFunction(lag, rng.standard_normal(lag.n_free))
+        v = DiscreteFunction(mesh2, SpaceTag.LAGRANGE_P2, rng.standard_normal(lag.n_free))
         njump = _evaluated_jumps(v, s, 1)
         oracle = 20.0 * float(np.sum(w[None, :] * njump ** 2))
         got = v.coeffs @ C.matvec(v.coeffs)
@@ -235,7 +235,7 @@ def test_cp_single_vertex_jump(mesh2):
     la = int(info["local_a"][e, 0])
     v = np.zeros(dg.n_free)
     v[dg.cell_dofs[t, la]] = 1.0  # unit value at vertex a, T+ side only
-    f = DiscreteFunction(dg, v)
+    f = DiscreteFunction(mesh2, SpaceTag.DG_P2, v)
     h = mesh2.edge_length[:, None]
     got = v @ C.matvec(v)
 
@@ -331,8 +331,8 @@ def test_ip_restriction_of_dg(mesh2, rng):
     for _ in range(20):
         a = rng.standard_normal(lag.n_free)
         b = rng.standard_normal(lag.n_free)
-        fa = to_dgp2(DiscreteFunction(lag, a))
-        fb = to_dgp2(DiscreteFunction(lag, b))
+        fa = to_dgp2(DiscreteFunction(mesh2, lag.tag, a))
+        fb = to_dgp2(DiscreteFunction(mesh2, lag.tag, b))
         lhs = fa.coeffs @ A_dg.matvec(fb.coeffs)
         rhs = a @ A_ip.matvec(b)
         assert abs(lhs - rhs) < 1e-12 * scale * max(1.0, np.abs(a).max() * np.abs(b).max())
@@ -345,8 +345,19 @@ def test_forms_require_the_meshes_own_dof_map(mesh2, mesh4):
     # an equal map that is not the memoized one could number differently
     copy = dataclasses.replace(dofmap, cell_dofs=dofmap.cell_dofs[:, ::-1].copy())
     for assemble in (assemble_apw, assemble_jump_form, assemble_cp):
-        with pytest.raises(ValueError, match="own DOF map"):
+        with pytest.raises(ValueError, match="different mesh"):
             assemble(mesh2, copy)
+    # both loads: a map of the coarser mesh, and an equal copy of the mesh's own
+    load = LoadSpec(density=U1.biharmonic)
+    for tag in SpaceTag:
+        own = build_dof_map(mesh4, tag)
+        for wrong in (build_dof_map(mesh2, tag), dataclasses.replace(own)):
+            loads = [plain_load_vector]
+            if tag is not SpaceTag.HCT:
+                loads.append(smoothed_load_vector)
+            for load_vector in loads:
+                with pytest.raises(ValueError, match="different mesh"):
+                    load_vector(mesh4, wrong, load)
 
 
 def test_config_validation():
@@ -397,7 +408,7 @@ def test_penalty_matrix_matches_penalty_value(skewed_mesh, rng, config):
          SchemeTag.C0IP: lambda: assemble_cip(skewed_mesh, dofmap, config.sigma_ip),
          SchemeTag.WOPSIP: lambda: assemble_cp(skewed_mesh, dofmap)}[config.scheme]()
     for _ in range(10):
-        v = DiscreteFunction(dofmap, rng.standard_normal(dofmap.n_free))
+        v = DiscreteFunction(skewed_mesh, config.space_tag, rng.standard_normal(dofmap.n_free))
         mat = v.coeffs @ C.matvec(v.coeffs)
         oracle = penalty_value(v, config)
         assert abs(mat - oracle) <= 1e-12 * max(1.0, oracle)
@@ -408,7 +419,7 @@ def test_jump_seminorm_matches_evaluated_jumps(skewed_mesh, rng):
     dg = build_dof_map(skewed_mesh, SpaceTag.DG_P2)
     h = skewed_mesh.edge_length
     for _ in range(3):
-        v = DiscreteFunction(dg, rng.standard_normal(dg.n_free))
+        v = DiscreteFunction(skewed_mesh, SpaceTag.DG_P2, rng.standard_normal(dg.n_free))
         vjump = _evaluated_jumps(v, (0.0, 1.0), 0)
         njump = _evaluated_jumps(v, (0.5,), 1)
         oracle = np.sqrt(np.sum(vjump ** 2 / h[:, None] ** 2) + np.sum(njump ** 2))
@@ -420,7 +431,7 @@ def test_jump_seminorm_of_a_morley_function_is_exactly_zero(skewed_mesh, rng):
     # the same function embedded in the DG space leaves only round-off
     dm = build_dof_map(skewed_mesh, SpaceTag.MORLEY)
     for _ in range(3):
-        v = DiscreteFunction(dm, rng.standard_normal(dm.n_free))
+        v = DiscreteFunction(skewed_mesh, SpaceTag.MORLEY, rng.standard_normal(dm.n_free))
         assert jump_seminorm(v) == 0.0
         assert jump_seminorm(to_dgp2(v)) <= 1e-12
     sol = solve_scheme(unit_square_mesh(4), SchemeConfig(scheme=SchemeTag.MORLEY),

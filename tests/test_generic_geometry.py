@@ -48,8 +48,8 @@ def test_identities_on_skew_mesh(skew_mesh, rng):
     B = assemble_jump_form(skew_mesh, dg)
     wop = SchemeConfig(scheme=SchemeTag.WOPSIP)
     for _ in range(20):
-        v = to_dgp2(DiscreteFunction(morley, rng.uniform(-1, 1, morley.n_free)))
-        w = to_dgp2(DiscreteFunction(morley, rng.uniform(-1, 1, morley.n_free)))
+        v = to_dgp2(DiscreteFunction(skew_mesh, SpaceTag.MORLEY, rng.uniform(-1, 1, morley.n_free)))
+        w = to_dgp2(DiscreteFunction(skew_mesh, SpaceTag.MORLEY, rng.uniform(-1, 1, morley.n_free)))
         bh = -np.dot(B.matvec(v.coeffs), w.coeffs) - np.dot(B.matvec(w.coeffs), v.coeffs)
         assert abs(bh) < 1e-12
         assert abs(penalty_value(v, wop)) < 1e-12

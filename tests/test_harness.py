@@ -200,9 +200,19 @@ def test_report_env_block_round_trips(tmp_path):
     data = json.loads(json_path.read_text())
     assert data["env"] == environment()
     assert data["env"] == {"numpy": np.__version__, "python": platform.python_version(),
-                           "cpu_count": os.cpu_count()}
+                           "cpu_count": os.cpu_count(),
+                           "longdouble_mantissa_bits": np.finfo(np.longdouble).nmant}
     assert {k: v for k, v in data.items() if k != "env"} == json.loads(
         json.dumps(rep.to_json_dict()))
+
+
+def test_environment_records_the_longdouble_mantissa():
+    # a platform whose np.longdouble is plain double (52 bits) refines its
+    # solutions against a double residual; the report's env block shows it
+    from platefem.harness import environment
+
+    bits = environment()["longdouble_mantissa_bits"]
+    assert type(bits) is int and bits >= 52
 
 
 def test_solver_failure_yields_partial_flagged_report():

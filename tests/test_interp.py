@@ -53,7 +53,7 @@ def reference_triangle():
 
 def test_local_interp_projects_p2(mesh2, rng):
     dg = build_dof_map(mesh2, SpaceTag.DG_P2)
-    f = DiscreteFunction(dg, rng.standard_normal(dg.n_free))
+    f = DiscreteFunction(mesh2, SpaceTag.DG_P2, rng.standard_normal(dg.n_free))
     g = morley_interp_local(f)
     assert np.abs(g.coeffs - f.coeffs).max() < 1e-12
 
@@ -83,7 +83,7 @@ def test_local_interp_hessian_is_cell_mean(mesh4):
 
 def test_avg_interp_identity_on_nonconforming(mesh2, rng):
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
-    f = DiscreteFunction(dm, rng.standard_normal(dm.n_free))
+    f = DiscreteFunction(mesh2, SpaceTag.MORLEY, rng.standard_normal(dm.n_free))
     out = morley_interp_avg(to_dgp2(f))
     assert np.abs(out.coeffs - f.coeffs).max() < 1e-12
 
@@ -99,7 +99,7 @@ def test_two_triangle_edge_bubble_worked_example():
     mesh = quad_two_triangles()
     lag = build_dof_map(mesh, SpaceTag.LAGRANGE_P2)
     assert lag.n_free == 1
-    b_e = DiscreteFunction(lag, np.array([1.0]))
+    b_e = DiscreteFunction(mesh, SpaceTag.LAGRANGE_P2, np.array([1.0]))
     out = morley_interp_avg(b_e)
     t1, t2 = mesh.tri_area
     e = int(np.flatnonzero(~mesh.edge_is_boundary)[0])
@@ -108,7 +108,7 @@ def test_two_triangle_edge_bubble_worked_example():
 
     square = quad_two_triangles(p3=(1.0, 1.0), p4=(0.0, 1.0))
     lag2 = build_dof_map(square, SpaceTag.LAGRANGE_P2)
-    out2 = morley_interp_avg(DiscreteFunction(lag2, np.array([1.0])))
+    out2 = morley_interp_avg(DiscreteFunction(square, SpaceTag.LAGRANGE_P2, np.array([1.0])))
     assert abs(out2.coeffs[0]) < 1e-12
 
 
@@ -126,7 +126,7 @@ def test_avg_interp_reproduces_vertex_values_bit_for_bit(tag, rng):
     # sum divided by the patch size is the value itself
     mesh = unit_square_mesh(8)
     space = build_dof_map(mesh, tag)
-    f = DiscreteFunction(space, rng.standard_normal(space.n_free))
+    f = DiscreteFunction(mesh, tag, rng.standard_normal(space.n_free))
     out = morley_interp_avg(f)
     vids = np.flatnonzero(~mesh.vertex_is_boundary)
     vertex = space.vertex_dofs[vids] if tag is SpaceTag.LAGRANGE_P2 else space.vertex_dofs[vids, 0]
@@ -136,7 +136,7 @@ def test_avg_interp_reproduces_vertex_values_bit_for_bit(tag, rng):
 
 def test_transfer_operators_store_no_zero_entry():
     for mesh in (unit_square_mesh(8), quad_two_triangles(), reference_triangle()):
-        ops = [interp_matrix(build_dof_map(mesh, tag)) for tag in SpaceTag]
+        ops = [interp_matrix(mesh, tag) for tag in SpaceTag]
         ops += [companion_matrix(mesh), transfer_ic_matrix(mesh)]
         assert all(np.all(A.vals != 0) for A in ops)
 
@@ -164,7 +164,7 @@ def test_right_inverse_identity(mesh2):
 
 def test_companion_of_zero(mesh2):
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
-    out = companion(DiscreteFunction(dm, np.zeros(dm.n_free)))
+    out = companion(DiscreteFunction(mesh2, SpaceTag.MORLEY, np.zeros(dm.n_free)))
     assert np.all(out.coeffs == 0.0)
 
 
@@ -172,7 +172,7 @@ def test_companion_edge_mean_by_gauss(mesh1):
     # single-DOF input: the companion's edge mean of the normal derivative,
     # recomputed by 3-point Gauss from either side, equals the input DOF
     dm = build_dof_map(mesh1, SpaceTag.MORLEY)
-    jv = companion(DiscreteFunction(dm, np.array([1.0])))
+    jv = companion(DiscreteFunction(mesh1, SpaceTag.MORLEY, np.array([1.0])))
     e = int(np.flatnonzero(~mesh1.edge_is_boundary)[0])
     a, b = mesh1.edge_vertices[e]
     pa, pb = mesh1.vertices[a], mesh1.vertices[b]
@@ -193,7 +193,7 @@ def test_companion_edge_mean_by_gauss(mesh1):
 def test_companion_gradient_is_patch_average(mesh2, rng):
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
     hct = build_dof_map(mesh2, SpaceTag.HCT)
-    f = DiscreteFunction(dm, rng.standard_normal(dm.n_free))
+    f = DiscreteFunction(mesh2, SpaceTag.MORLEY, rng.standard_normal(dm.n_free))
     jv = companion(f)
     indptr, tris, lv = mesh2.vertex_tri_patches()
     z = int(np.flatnonzero(~mesh2.vertex_is_boundary)[0])
@@ -213,7 +213,7 @@ def test_companion_gradient_is_patch_average(mesh2, rng):
 def test_transfer_midpoint_average(mesh2, rng):
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
     lag = build_dof_map(mesh2, SpaceTag.LAGRANGE_P2)
-    f = DiscreteFunction(dm, rng.standard_normal(dm.n_free))
+    f = DiscreteFunction(mesh2, SpaceTag.MORLEY, rng.standard_normal(dm.n_free))
     out = transfer_ic(f)
     info = mesh2.edge_side_info()
     for e in np.flatnonzero(~mesh2.edge_is_boundary):
@@ -235,7 +235,7 @@ def test_transfer_midpoint_average(mesh2, rng):
 
 def test_transfer_of_zero(mesh2):
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
-    out = transfer_ic(DiscreteFunction(dm, np.zeros(dm.n_free)))
+    out = transfer_ic(DiscreteFunction(mesh2, SpaceTag.MORLEY, np.zeros(dm.n_free)))
     assert np.all(out.coeffs == 0.0)
 
 
@@ -243,14 +243,15 @@ def test_transfer_of_zero(mesh2):
 
 def test_smoother_zero(mesh2):
     dg = build_dof_map(mesh2, SpaceTag.DG_P2)
-    assert np.all(smoother(DiscreteFunction(dg, np.zeros(dg.n_free))).coeffs == 0.0)
+    zero = DiscreteFunction(mesh2, SpaceTag.DG_P2, np.zeros(dg.n_free))
+    assert np.all(smoother(zero).coeffs == 0.0)
 
 
 def test_smoother_core_idempotent(mesh2, rng):
     # interpolation o companion o interpolation = interpolation
     dg = build_dof_map(mesh2, SpaceTag.DG_P2)
     for _ in range(10):
-        f = DiscreteFunction(dg, rng.standard_normal(dg.n_free))
+        f = DiscreteFunction(mesh2, SpaceTag.DG_P2, rng.standard_normal(dg.n_free))
         im_f = morley_interp_avg(f)
         again = morley_interp_avg(smoother(f))
         assert np.abs(again.coeffs - im_f.coeffs).max() < 1e-11
@@ -263,8 +264,7 @@ def test_smoother_distance_shrinks_under_refinement():
     mesh = unit_square_mesh(4)
     prev = None
     for _ in range(3):
-        dg = build_dof_map(mesh, SpaceTag.DG_P2)
-        v = interpolate_nodal(dg, lambda x, y: U1.value(x, y))
+        v = interpolate_nodal(mesh, lambda x, y: U1.value(x, y))
         s = smoother(v)
         # || v - J I_M v ||_h: exact broken energy plus the jump part of v
         val = np.sqrt(energy_distance_p2_hct(v, s) ** 2 + jump_seminorm(v) ** 2)
@@ -318,7 +318,7 @@ def test_pythagoras_identity(mesh4, rng):
         v_m = morley_interp_avg(u, mesh4)
         _, _, e_interp = broken_error_norms(u, v_m, 13, 2)
         for _ in range(5):
-            w_m = DiscreteFunction(dm, rng.standard_normal(dm.n_free))
+            w_m = DiscreteFunction(mesh4, SpaceTag.MORLEY, rng.standard_normal(dm.n_free))
             _, _, e_w = broken_error_norms(u, w_m, 13, 2)
             d = w_m.coeffs - v_m.coeffs
             cross = float(d @ A.matvec(d))
@@ -332,6 +332,6 @@ def test_best_approximation_property(mesh4, rng):
     v_m = morley_interp_avg(U1, mesh4)
     _, _, e_interp = broken_error_norms(U1, v_m, 11, 2)
     for _ in range(10):
-        v2 = DiscreteFunction(dg, rng.standard_normal(dg.n_free))
+        v2 = DiscreteFunction(mesh4, SpaceTag.DG_P2, rng.standard_normal(dg.n_free))
         _, _, e2 = broken_error_norms(U1, v2, 11, 2)
         assert e_interp <= e2 + 1e-9

@@ -254,7 +254,7 @@ def test_derived_keys_on_arguments():
     maps = {tag: build_dof_map(m, tag) for tag in SpaceTag}
     assert len({id(dm) for dm in maps.values()}) == len(SpaceTag)
     for tag, dm in maps.items():
-        assert dm.tag is tag and dm.mesh is m
+        assert dm.tag is tag
         assert build_dof_map(m, tag) is dm
         assert build_dof_map(mesh=m, tag=tag) is dm
     # equal arrays share an entry; different values or dtypes do not
@@ -314,7 +314,7 @@ def test_derived_entries_do_not_reach_refined_mesh():
     assert probe(fine) is not coarse_value
     assert calls == [coarse, fine]
     fine_dg = build_dof_map(fine, SpaceTag.DG_P2)
-    assert fine_dg is not dg and fine_dg.mesh is fine
+    assert fine_dg is not dg and build_dof_map(fine, SpaceTag.DG_P2) is fine_dg
     assert fine_dg.n_free == 4 * dg.n_free
 
 
@@ -345,6 +345,6 @@ def test_geometry_is_not_a_constructor_argument():
 
 def test_interp_matrix_is_memoized_per_space():
     m = unit_square_mesh(2)
-    mat = interp_matrix(build_dof_map(m, SpaceTag.DG_P2))
-    assert interp_matrix(build_dof_map(m, SpaceTag.DG_P2)) is mat
-    assert interp_matrix(build_dof_map(m, SpaceTag.HCT)) is not mat
+    mat = interp_matrix(m, SpaceTag.DG_P2)
+    assert interp_matrix(m, SpaceTag.DG_P2) is mat
+    assert interp_matrix(m, SpaceTag.HCT) is not mat

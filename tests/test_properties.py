@@ -363,7 +363,7 @@ def _transfer_mismatches(mesh):
     added size times).
     """
     out = []
-    pairs = [(interp.interp_matrix(build_dof_map(mesh, tag)),
+    pairs = [(interp.interp_matrix(mesh, tag),
               transfer_oracles.interp_matrix(mesh, tag), tag.value)
              for tag in (SpaceTag.MORLEY, SpaceTag.DG_P2, SpaceTag.HCT)]
     pairs.append((interp.transfer_ic_matrix(mesh), transfer_oracles.transfer_ic_matrix(mesh),
@@ -371,7 +371,7 @@ def _transfer_mismatches(mesh):
     for got, want, name in pairs:   # the stored entries: the oracle's nonzero ones
         if not _same_bits((got.rows, got.cols, got.vals), _stored(want)):
             out.append(name)
-    got = interp.interp_matrix(build_dof_map(mesh, SpaceTag.LAGRANGE_P2))
+    got = interp.interp_matrix(mesh, SpaceTag.LAGRANGE_P2)
     rows, cols, vals = _stored(transfer_oracles.interp_matrix(mesh, SpaceTag.LAGRANGE_P2))
     vertex_rows = np.isin(got.rows, build_dof_map(mesh, SpaceTag.MORLEY).vertex_dofs)
     if not (_same_bits((got.rows, got.cols), (rows, cols)) and np.all(got.vals[vertex_rows] == 1.0)
@@ -463,7 +463,7 @@ def _macro_load_oracle(mesh, load, quad_order):
     for weight, xy in load.points:
         t, lam = locate_point(mesh, np.asarray(xy))
         for i in range(hct_map.n_free):
-            unit = DiscreteFunction(hct_map, np.eye(1, hct_map.n_free, i)[0])
+            unit = DiscreteFunction(mesh, SpaceTag.HCT, np.eye(1, hct_map.n_free, i)[0])
             b[i] += weight * evaluate(unit, t, lam)
     return b
 
@@ -750,7 +750,7 @@ def test_evaluate_matches_closed_form_oracles(pair, seed):
     for mesh in pair:
         for tag in SpaceTag:
             dm = build_dof_map(mesh, tag)
-            f = DiscreteFunction(dm, rng.standard_normal(dm.n_free))
+            f = DiscreteFunction(mesh, tag, rng.standard_normal(dm.n_free))
             oracle = evaluate_hct_oracle if tag is SpaceTag.HCT else evaluate_p2_oracle
             cells = rng.integers(mesh.num_triangles, size=8)
             points = rng.dirichlet(np.ones(3), size=8)
@@ -768,7 +768,7 @@ def test_quadratic_norms_match_closed_form_oracle(pair, seed):
     for mesh in pair:
         for tag in (SpaceTag.MORLEY, SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
             dm = build_dof_map(mesh, tag)
-            f = DiscreteFunction(dm, 0.01 * rng.standard_normal(dm.n_free))
+            f = DiscreteFunction(mesh, tag, 0.01 * rng.standard_normal(dm.n_free))
             got = broken_error_norms(u, f, 7, 2)
             want = broken_error_norms_oracle(u, f, 7)
             assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-12, tag.value

@@ -59,7 +59,7 @@ def test_point_load_general_evaluation_oracle(mesh2, rng):
     for i in rng.choice(dg.n_free, size=12, replace=False):
         e = np.zeros(dg.n_free)
         e[i] = 1.0
-        val = evaluate(smoother(DiscreteFunction(dg, e)), t, lam, 0)
+        val = evaluate(smoother(DiscreteFunction(mesh2, SpaceTag.DG_P2, e)), t, lam, 0)
         assert abs(b[i] - val) < 1e-12
 
 
@@ -139,7 +139,7 @@ def test_plain_point_loads_on_the_macro_space(mesh2):
     assert np.array_equal(at_vertex, 2.5 * np.eye(1, hct.n_free, hct.vertex_dofs[center, 0])[0])
     t, lam = locate_point(mesh2, (0.3, 0.45))
     for i in range(hct.n_free):
-        phi = evaluate(DiscreteFunction(hct, np.eye(1, hct.n_free, i)[0]), t, lam)
+        phi = evaluate(DiscreteFunction(mesh2, SpaceTag.HCT, np.eye(1, hct.n_free, i)[0]), t, lam)
         assert abs(b[i] - at_vertex[i] - phi) < 1e-12
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from platefem.fespace import DiscreteFunction, SpaceTag, build_dof_map
 from platefem.forms import SchemeConfig, SchemeTag, assemble_scheme, matrix_config
 from platefem.functions import ScalarFunction, get_manufactured
+from platefem.harness import reference_error_norm_h
 from platefem.interp import morley_interp_avg
 from platefem.mesh import build_triangulation, refine_uniform, unit_square_mesh
 from platefem.rhs import LoadSpec, smoothed_load_vector
@@ -256,6 +259,31 @@ def test_configs_differing_only_in_quad_order_share_the_matrix_and_factor():
     other = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.MORLEY, theta=0.0, sigma1=1.0), load)
     assert morley.stats["factor_reused"] is False and other.stats["factor_reused"] is True
     assert other.u_h.coeffs.tobytes() == morley.u_h.coeffs.tobytes()
+
+
+def test_dropped_mesh_is_freed_without_the_collector():
+    # the memos on a mesh (DOF maps, patterns, matrices, factors, J) hold no
+    # reference back to it, so deleting its last name frees it and them at
+    # once, with the cyclic collector off
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        mesh = unit_square_mesh(3)
+        fine = refine_uniform(mesh)
+        refs = weakref.ref(mesh), weakref.ref(fine)
+        for scheme in SchemeTag:
+            compute_errors(U1, solve_scheme(mesh, SchemeConfig(scheme=scheme),
+                                            LoadSpec(density=U1.biharmonic)))
+        point = LoadSpec(points=((1.0, (0.3, 0.6)),))
+        u_h = solve_scheme(mesh, SchemeConfig(scheme=SchemeTag.DG), point).u_h
+        reference = solve_scheme(fine, SchemeConfig(), point).u_h
+        assert reference_error_norm_h(u_h, [mesh, fine], reference) > 0.0
+        del mesh, fine, u_h, reference
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_non_coercive_factorization_is_not_memoized():
@@ -511,7 +539,7 @@ def test_constant_hessian_case(mesh2):
                                      np.broadcast(x, y).shape + (2, 2)),
     )
     dm = build_dof_map(mesh2, SpaceTag.MORLEY)
-    zero = DiscreteFunction(dm, np.zeros(dm.n_free))
+    zero = DiscreteFunction(mesh2, SpaceTag.MORLEY, np.zeros(dm.n_free))
     _, _, energy = broken_error_norms(u, zero, 5, 2)
     expected = np.sqrt(np.sum(mesh2.tri_area * 3.0))  # |H|_F^2 = 1+1+1+0
     assert abs(energy - expected) < 1e-13
