@@ -117,15 +117,15 @@ class SchemeConfig:
 def edge_traces(mesh: Triangulation, params):
     """Signed P2 jump rows at parameters ``params`` of every edge.
 
-    ``params`` are positions in [0,1] along the edge from its first to
-    its second stored endpoint.  Returns basis values ``N`` (ne, nq, 12)
-    and gradients ``G`` (ne, nq, 12, 2) over the 6 DOFs of side 0 then
-    the 6 of side 1, side 1 negated, so that ``N v_E`` is [v] and
-    ``G v_E`` is [grad v]; the side-1 rows are zero on boundary edges,
-    where the jump is the single trace.  A side running from local
-    vertex a to b reads the reference table of the points
-    lambda_a = 1 - s, lambda_b = s, and its gradients are pushed forward
-    by one batched matmul.  Both arrays are shared and read-only.
+    ``params``, a tuple of floats, are positions in [0,1] along the edge
+    from its first to its second stored endpoint.  Returns basis values
+    ``N`` (ne, nq, 12) and gradients ``G`` (ne, nq, 12, 2) over the 6
+    DOFs of side 0 then the 6 of side 1, side 1 negated, so that
+    ``N v_E`` is [v] and ``G v_E`` is [grad v]; the side-1 rows are zero
+    on boundary edges, where the jump is the single trace.  A side
+    running from local vertex a to b reads the reference table of the
+    points lambda_a = 1 - s, lambda_b = s, and its gradients are pushed
+    forward by one batched matmul.  Both arrays are shared and read-only.
     """
     params = np.asarray(params, dtype=np.float64)
     info = mesh.edge_side_info()
@@ -320,7 +320,7 @@ def assemble_jump_form(mesh: Triangulation, dofmap: DofMap) -> SparseMatrix:
     if dofmap.tag not in (SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
         raise ValueError("consistency form lives on the discontinuous/continuous P2 spaces")
     s, w = edge_rule(EDGE_GAUSS)
-    Jg = edge_traces(mesh, s)[1]
+    Jg = edge_traces(mesh, tuple(s))[1]
     Hn = _hess_avg_rows(mesh)
     block = (Hn * mesh.edge_length[:, None, None]) @ np.einsum("q,eqji->eij", w, Jg)
     return _reduce(mesh, dofmap, "edge", block)
@@ -412,12 +412,12 @@ def _jump_terms(mesh, config=None):
         # point functionals, no quadrature: value jumps at both endpoints and
         # the midpoint slope jump, which is the edge mean; c_p = j_h^2 * h^-2
         p = 0 if scheme is None else 2
-        Jv, Jn = edge_traces(mesh, np.array([0.0, 1.0]))[0], _slope_jumps(mesh, np.array([0.5]))
+        Jv, Jn = edge_traces(mesh, (0.0, 1.0))[0], _slope_jumps(mesh, (0.5,))
         return [(Jv, Jv / h ** (2 + p)), (Jn, Jn / h ** p)]
     if scheme is SchemeTag.MORLEY:
         return []
     s, w = edge_rule(EDGE_GAUSS)
-    w = w[:, None]     # one weight per row
+    s, w = tuple(s), w[:, None]     # a memo key; one weight per row
     Jn = _slope_jumps(mesh, s)
     if scheme is SchemeTag.C0IP:
         return [(Jn, Jn * (config.sigma_ip * w))]

@@ -205,9 +205,12 @@ def run_comparison(config: StudyConfig, extra_levels: int = 2) -> ConvergenceRep
     Hessian distance (the best-approximation benchmark, computed once
     per level).  For pure point loads, where no closed-form solution
     exists, errors are measured against a surrogate: the nonconforming
-    solution ``extra_levels`` refinements further down.
+    solution ``extra_levels`` (at least 1) refinements further down.
     """
     u = config.exact()
+    if u is None and extra_levels < 1:
+        raise ValueError(f"extra_levels must be at least 1 for a surrogate comparison, "
+                         f"got {extra_levels}")
     load = config.load_spec()
     meshes = mesh_sequence(config.n0, config.levels + (0 if u else extra_levels))
     if u is None:

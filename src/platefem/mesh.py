@@ -54,12 +54,11 @@ def derived(fn):
     The owner is any object with a ``_cache`` dict: a
     :class:`Triangulation`, or a ``SparseMatrix`` for its factor.  The
     key is ``(fn, *args)``, with arguments passed by name moved to their
-    positions; array arguments are keyed by their dtype, shape and
-    bytes, so equal arrays share one entry, and other arguments must be
-    hashable.  Entries live as long as the owner and are shared by every
-    caller, so they must not be mutated.  A call that raises stores
-    nothing.  ``memo.cached``, given the same arguments, tells whether
-    the entry is already stored, without computing it.
+    positions, so every argument must be hashable.  Entries live as long
+    as the owner and are shared by every caller, so they must not be
+    mutated.  A call that raises stores nothing.  ``memo.cached``, given
+    the same arguments, tells whether the entry is already stored,
+    without computing it.
     """
     signature = inspect.signature(fn)
 
@@ -67,11 +66,7 @@ def derived(fn):
         if kwargs:
             args = signature.bind(*args, **kwargs).args
         owner, *rest = args
-        key = (fn,) + tuple(
-            (a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
-            for a in rest
-        )
-        return owner._cache, key, args
+        return owner._cache, (fn, *rest), args
 
     @functools.wraps(fn)
     def memo(*args, **kwargs):

@@ -5,7 +5,8 @@ algebraic nested-dissection ordering (George 1973) bisects the matrix
 graph recursively with breadth-first level-set separators.  Unknowns
 with identical adjacency (supervariables: the 6 of a discontinuous P2
 triangle) are ordered as one weighted vertex, which gives the same
-ordering on a graph 6 times smaller.  The multifrontal method (Liu 1992)
+ordering on a graph 6 times smaller; a matrix without them is ordered
+as its own quotient, on the same path.  The multifrontal method (Liu 1992)
 then factors one dense front per separator-tree node with LAPACK and
 BLAS, children before parents, and keeps each pivot block's inverse,
 formed by recursive halving, for the triangular sweeps;
@@ -143,9 +144,10 @@ def _quotient_graph(A: SparseMatrix):
     rows.  A row without its diagonal stays alone.  Returns ``(group,
     src, dst)``: ``group[v]`` numbers v's group by the order of the
     groups' smallest members, and ``src``/``dst`` are the edges of the
-    graph between the groups, read from one row per group.  Returns None
-    when no group has two members, or when a row meets only part of a
-    group, which A's rows alone do not show to be one in A + A^T.
+    graph between the groups, read from one row per group.  Every unknown
+    is its own group when no two rows agree, or when a row meets only
+    part of a group, which A's rows alone do not show to be one in
+    A + A^T; the quotient is then the graph of A + A^T itself.
     """
     n = A.nrows
     indptr = np.searchsorted(A.rows, np.arange(n + 1))
@@ -156,31 +158,34 @@ def _quotient_graph(A: SparseMatrix):
     first = np.diff(r, prepend=-1) != 0
     leader[r[first]] = c[first]       # rows are sorted: the smallest such column
     v = np.flatnonzero(leader != np.arange(n))
-    if not v.size:
-        return None
     has_diagonal = np.zeros(n, dtype=bool)
     has_diagonal[r[r == c]] = True
     v = v[~(has_diagonal[v] & _same_rows(indptr, A.cols, v, leader[v]))]
     leader[v] = v
-    reps = np.flatnonzero(leader == np.arange(n))
-    if reps.size == n:
-        return None
-    ng = reps.size
-    rank = np.empty(n, dtype=np.int64)
-    rank[reps] = np.arange(ng)
-    group = rank[leader]
-    pos, count = ragged_positions(indptr, reps)
-    src, dst = np.repeat(np.arange(ng), count), group[A.cols[pos]]
-    out = src != dst
-    keys = np.sort(src[out] * ng + dst[out])
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    # each row meets all of a neighbouring group or none of it
-    if not np.array_equal(np.diff(first, append=keys.size),
-                          np.bincount(group, minlength=ng)[keys[first] % ng]):
-        return None
-    src, dst = np.divmod(keys[first], ng)
-    edges = _sorted_unique(np.concatenate([keys[first], dst * ng + src]))
-    return group, edges // ng, edges % ng
+    # a row meeting only part of a group leaves every unknown in its own
+    for lead in (leader, np.arange(n)):
+        reps = np.flatnonzero(lead == np.arange(n))
+        ng = reps.size
+        rank = np.empty(n, dtype=np.int64)
+        rank[reps] = np.arange(ng)
+        group = rank[lead]
+        pos, count = ragged_positions(indptr, reps)
+        src, dst = np.repeat(np.arange(ng), count), group[A.cols[pos]]
+        # row-major already when groups are numbered like their members, as
+        # singletons and DG's blocks are: a stable sort then passes over once
+        keys = np.sort((src * ng + dst)[src != dst], kind="stable")
+        met = keys.size
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        src, dst = np.divmod(keys, ng)
+        # a row meets each unknown once, so it meets all of every neighbouring
+        # group exactly when its entries add up to their sizes
+        if np.bincount(group, minlength=ng)[dst].sum() == met:
+            break
+    # the keys and their sorted transposes are two runs, which a stable sort merges
+    edges = np.sort(np.concatenate([keys, np.sort(dst * ng + src)]), kind="stable")
+    keep = np.ones(edges.size, dtype=bool)
+    keep[1:] = edges[1:] != edges[:-1]
+    return (group, *np.divmod(edges[keep], ng))
 
 
 def _dissect(n, src, dst, weight, last):
@@ -191,9 +196,9 @@ def _dissect(n, src, dst, weight, last):
     weights, and a tie on the farthest level goes to the vertex holding
     the largest unknown.  A vertex's group mates lie one level beyond it
     in the graph of the unknowns, so the root's own weight counts one
-    level out.  With unit weights this is the ordering of the unknowns
-    themselves; with the weights of :func:`_quotient_graph`, its tree
-    expands to that same ordering.
+    level out.  With unit weights (groups of one) this is the ordering of
+    the unknowns themselves; with the weights of :func:`_quotient_graph`,
+    its tree expands to that same ordering.
     """
     part = np.zeros(n, dtype=np.int64)
     part_parent = np.full(min(n, 1), -1)   # tree node each part hangs below; none if n == 0
@@ -305,19 +310,12 @@ def nested_dissection(A: SparseMatrix):
     their place, with each group weighted by its size, and every tree
     node expands to its unknowns in ascending order.  The result is the
     ordering of the unknowns themselves, byte for byte; a discontinuous
-    P2 space has 6 unknowns to a group.
+    P2 space has 6 unknowns to a group.  A matrix without groups is
+    ordered as its own quotient, every unknown a group of one.
     """
     n = A.nrows
-    quotient = _quotient_graph(A)
-    if quotient is None:
-        off = A.rows != A.cols
-        rows, cols = A.rows[off], A.cols[off]
-        edges = _sorted_unique(np.concatenate([rows * n + cols, cols * n + rows]))
-        perm, starts, parent = _dissect(n, edges // n, edges % n, np.ones(n, dtype=np.int64),
-                                        np.arange(n))
-        return perm, starts, parent, n
-    group, src, dst = quotient
-    ng = int(group.max()) + 1
+    group, src, dst = _quotient_graph(A)
+    ng = int(group.max(initial=-1)) + 1
     last = np.zeros(ng, dtype=np.int64)
     np.maximum.at(last, group, np.arange(n))
     qperm, qstarts, parent = _dissect(ng, src, dst, np.bincount(group, minlength=ng), last)

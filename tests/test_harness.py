@@ -158,6 +158,17 @@ def test_point_load_comparison_uses_surrogate():
         assert rec.assembly_time > 0.0 and rec.solve_time > 0.0
 
 
+@pytest.mark.parametrize("extra_levels", [0, -1])
+def test_surrogate_comparison_needs_a_finer_reference(extra_levels):
+    # the surrogate must lie below every study mesh; a manufactured
+    # solution needs no surrogate and ignores extra_levels
+    cfg = StudyConfig(n0=2, levels=2, solution=None, load=LoadSpec(points=((1.0, (0.5, 0.5)),)))
+    with pytest.raises(ValueError, match=f"extra_levels must be at least 1 .*got {extra_levels}"):
+        run_comparison(cfg, extra_levels=extra_levels)
+    rep = run_comparison(StudyConfig(n0=2, levels=2, solution="u1"), extra_levels=extra_levels)
+    assert len(rep.levels) == 2
+
+
 def test_wopsip_study_extras():
     cfg = StudyConfig(scheme=SchemeConfig(scheme=SchemeTag.WOPSIP),
                       n0=2, levels=3, solution="u1")

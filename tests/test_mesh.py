@@ -257,10 +257,10 @@ def test_derived_keys_on_arguments():
         assert dm.tag is tag
         assert build_dof_map(m, tag) is dm
         assert build_dof_map(mesh=m, tag=tag) is dm
-    # equal arrays share an entry; different values or dtypes do not
-    a = edge_traces(m, np.array([0.0, 1.0, 0.5]))
-    assert edge_traces(m, np.array([0.0, 1.0, 0.5])) is a
-    assert edge_traces(m, np.array([0.0, 0.5, 1.0])) is not a
+    # equal tuples share an entry; different values do not
+    a = edge_traces(m, (0.0, 1.0, 0.5))
+    assert edge_traces(m, (0.0, 1.0, 0.5)) is a
+    assert edge_traces(m, (0.0, 0.5, 1.0)) is not a
 
     calls = []
 
@@ -269,11 +269,15 @@ def test_derived_keys_on_arguments():
         calls.append(args)
         return object()
 
-    x = np.array([0.0, 1.0])
+    x = (0.0, 1.0)
     first = probe(m, x)
-    assert probe(m, x.copy()) is first
-    assert probe(m, x.view(np.int64)) is not first  # same bytes, other dtype
-    assert probe(m, x.reshape(2, 1)) is not first   # same bytes, other shape
+    assert probe(m, tuple(list(x))) is first
+    assert probe(m, (1.0, 0.0)) is not first        # same values, other order
+    assert probe(m, ((0.0,), (1.0,))) is not first  # same values, other shape
+    assert len(calls) == 3
+    # an array is unhashable like any other: no key, no call
+    with pytest.raises(TypeError, match="unhashable"):
+        probe(m, np.array(x))
     assert len(calls) == 3
 
 

@@ -76,6 +76,13 @@ def test_full_size_dg_ordering_matches_the_full_graph():
     assert assert_orders_like_the_full_graph(A) == 8192
 
 
+@pytest.mark.parametrize("scheme", [SchemeTag.MORLEY, SchemeTag.C0IP])
+def test_full_size_ungrouped_ordering_matches_the_full_graph(scheme):
+    # no groups: every unknown is its own, and the quotient is the full graph
+    A, _ = assemble_scheme(unit_square_mesh(64), SchemeConfig(scheme=scheme))
+    assert assert_orders_like_the_full_graph(A) == A.nrows
+
+
 @pytest.mark.parametrize("degree", [2, 8])
 def test_random_sparse_ordering_matches_the_full_graph(degree, rng):
     n = 500
@@ -184,17 +191,19 @@ def test_rows_without_their_diagonal_stay_alone():
     cols = [2, 3, 2, 3, 2, 3, 3]
     A = SparseMatrix.from_triplets(4, 4, rows, cols, np.ones(7))
     assert not closed_rows(A)[0, 1]
-    assert solve_module._quotient_graph(A) is None
+    group, _, _ = solve_module._quotient_graph(A)
+    assert np.array_equal(group, np.arange(4))
     assert assert_orders_like_the_full_graph(A) == 4
 
 
 def test_a_row_meeting_part_of_a_group_orders_the_full_graph():
     # rows 0 and 1 are equal, but column 1 alone is stored in row 2, so in
-    # A + A^T unknown 2 tells them apart: no quotient
+    # A + A^T unknown 2 tells them apart: every unknown is its own group
     rows = [0, 0, 0, 1, 1, 1, 2, 2]
     cols = [0, 1, 3, 0, 1, 3, 1, 2]
     A = SparseMatrix.from_triplets(4, 4, rows, cols, np.ones(8))
-    assert solve_module._quotient_graph(A) is None
+    group, _, _ = solve_module._quotient_graph(A)
+    assert np.array_equal(group, np.arange(4))
     assert assert_orders_like_the_full_graph(A) == 4
 
 

@@ -845,7 +845,7 @@ def _p2_table_pairs(mesh):
     for params in (edge_rule(forms.EDGE_GAUSS)[0], np.array([0.0, 1.0, 0.5])):
         want = p2_oracles.edge_traces(mesh, params)
         # the signed jump rows: side 0's traces, then side 1's negated
-        for key, got in zip("NG", edge_traces(mesh, params)):
+        for key, got in zip("NG", edge_traces(mesh, tuple(params))):
             signed = np.concatenate([want[f"{key}0"], -want[f"{key}1"]], axis=2)
             yield f"{key} at {params.size} points", got, signed
 
