@@ -26,7 +26,13 @@ from .functions import ScalarFunction, get_manufactured
 from .interp import morley_interp_avg
 from .mesh import Triangulation, refine_uniform, unit_square_mesh
 from .rhs import LoadSpec
-from .solve import ErrorReport, SolverError, compute_errors, solve_scheme
+from .solve import (
+    LONGDOUBLE_MANTISSA_BITS,
+    ErrorReport,
+    SolverError,
+    compute_errors,
+    solve_scheme,
+)
 
 CSV_COLUMNS = [
     "level", "hmax", "ndof", "energy_pw", "jump", "norm_h", "norm_scheme",
@@ -266,7 +272,7 @@ def environment():
     """numpy and Python versions, CPU count of the running process, and the
     mantissa bits of the ``np.longdouble`` that refinement residuals use."""
     return {"numpy": np.__version__, "python": platform.python_version(),
-            "cpu_count": os.cpu_count(), "longdouble_mantissa_bits": np.finfo(np.longdouble).nmant}
+            "cpu_count": os.cpu_count(), "longdouble_mantissa_bits": LONGDOUBLE_MANTISSA_BITS}
 
 
 def write_json(path, data):

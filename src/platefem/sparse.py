@@ -9,11 +9,24 @@ operators (``interp``) and serves tests.  The bilinear forms do not
 sort: they reduce their dense blocks onto a block pattern built once per
 mesh (see ``forms``), which sums the same values in the same order and
 hands its rows, columns and transpose index to the matrices it makes.
+
+When ``y`` is mostly zeros, ``rmatvec`` reads only the stored rows
+where ``y`` is nonzero, through the memoized :func:`row_index`.  A
+skipped term is ``a_ij * (+-0)``, an exact zero for a finite ``a_ij``,
+and adding a zero leaves a column's sum as it was (the sum starts at +0
+and so is never -0), so both readings give the same bits; a point
+load's pullback J^T b reads a dozen rows of J instead of all of them.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .mesh import derived
+
+# rmatvec reads y's rows one by one when fewer than 1 in SPARSE_Y are
+# nonzero; above that, gathering the rows costs more than the full product
+SPARSE_Y = 8
 
 
 @dataclass(frozen=True)
@@ -93,8 +106,17 @@ class SparseMatrix:
         return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.nrows)
 
     def rmatvec(self, y):
-        """Transpose matvec A^T y."""
+        """Transpose matvec A^T y; a mostly zero y reads only its nonzero rows."""
         y = np.asarray(y, dtype=np.float64)
+        live = np.flatnonzero(y)
+        if live.size * SPARSE_Y < y.size:
+            indptr, order, finite = row_index(self)
+            if finite:
+                pos = ragged_positions(indptr, live)[0]
+                if order is not None:   # back to storage order, the order bincount adds in
+                    pos = np.sort(order[pos])
+                return np.bincount(self.cols[pos], self.vals[pos] * y[self.rows[pos]],
+                                   minlength=self.ncols)
         return np.bincount(self.cols, self.vals * y[self.rows], minlength=self.ncols)
 
     def to_dense(self):
@@ -112,6 +134,24 @@ class SparseMatrix:
         for i, j, v in zip(self.rows, self.cols, self.vals):
             lines.append(f"{i + 1} {j + 1} {v:.17g}")
         return "\n".join(lines) + "\n"
+
+
+@derived
+def row_index(A: SparseMatrix):
+    """``(indptr, order, finite)``: the entries grouped by row, memoized on A.
+
+    Row i's entries are ``order[indptr[i]:indptr[i+1]]``, in storage
+    order.  ``order`` is None when the rows are already sorted, as in
+    every matrix ``from_triplets`` or a block pattern makes; the entries
+    are then ``indptr[i]:indptr[i+1]`` themselves.  ``finite`` tells
+    whether every stored value is finite.
+    """
+    order = None
+    if (A.rows[1:] < A.rows[:-1]).any():
+        order = np.argsort(A.rows, kind="stable")
+    indptr = np.zeros(A.nrows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(A.rows, minlength=A.nrows), out=indptr[1:])
+    return indptr, order, bool(np.isfinite(A.vals).all())
 
 
 def ragged_positions(indptr, keys):

@@ -77,6 +77,9 @@ def test_solve_json_round_trip_every_scheme(tmp_path, tag):
     assert data["ndof"] == data["stats"]["n"] == ndof > 0
     # the ordering runs on one vertex per triangle of the 8 for DG and WOPSIP
     assert data["stats"]["supervariables"] == (8 if tag in ("dg", "wopsip") else ndof)
+    # the precision the refinement residual ran in: 52 bits is plain double
+    bits = data["stats"]["longdouble_mantissa_bits"]
+    assert type(bits) is int and bits == np.finfo(np.longdouble).nmant
 
 
 def test_compare_and_wopsip_run(tmp_path, capsys):

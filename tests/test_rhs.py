@@ -3,7 +3,7 @@ import pytest
 
 from platefem.fespace import DiscreteFunction, SpaceTag, build_dof_map, evaluate
 from platefem.functions import get_manufactured
-from platefem.interp import smoother
+from platefem.interp import companion_matrix, interp_matrix, smoother
 from platefem.mesh import barycentric, build_triangulation, unit_square_mesh
 from platefem.quadrature import triangle_rule
 from platefem.rhs import (
@@ -15,6 +15,8 @@ from platefem.rhs import (
     resolve_point_loads,
     smoothed_load_vector,
 )
+
+from product_oracles import rmatvec as oracle_rmatvec
 
 U1 = get_manufactured("u1")
 
@@ -39,6 +41,21 @@ def test_point_load_at_interior_vertex_is_nodal_shortcut():
     expected = np.zeros(dm.n_free)
     expected[dof] = 1.0
     assert np.array_equal(b, expected)  # bit-exact nodal shortcut
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_point_load_pullback_reads_like_the_full_products(n):
+    # I_M^T J^T b reads only the rows of J and I_M where its input is
+    # nonzero; it must give the bits of the products over every row
+    mesh = unit_square_mesh(n)
+    for xy in ((0.5, 0.5), (0.5 + 0.25 / n, 0.5), (0.3141, 0.6271)):   # vertex, edge, cell
+        load = LoadSpec(points=((1.0, xy),))
+        b = plain_load_vector(mesh, build_dof_map(mesh, SpaceTag.HCT), load)
+        for tag in (SpaceTag.MORLEY, SpaceTag.DG_P2, SpaceTag.LAGRANGE_P2):
+            want = oracle_rmatvec(interp_matrix(mesh, tag),
+                                  oracle_rmatvec(companion_matrix(mesh), b))
+            got = smoothed_load_vector(mesh, build_dof_map(mesh, tag), load)
+            assert got.tobytes() == want.tobytes(), (xy, tag)
 
 
 def test_point_load_snap_tolerance(mesh2):

@@ -17,6 +17,7 @@ from platefem.solve import (
     LEAF_SIZE,
     NonCoerciveError,
     SolverError,
+    _residual_layout,
     _scheme_system,
     broken_error_norms,
     compute_errors,
@@ -224,13 +225,20 @@ def test_scaled_matrix_does_not_inherit_the_factor():
     A, dofmap = assemble_scheme(mesh, config)
     b = smoothed_load_vector(mesh, dofmap, point_load(0.3, 0.6))
     x, stats = solve(A, b)
-    assert stats["factor_reused"] is False and A._cache
+    assert stats["factor_reused"] is False and _residual_layout.cached(A)
+    _, weights, starts = _residual_layout(A)
+    entries = np.ones(weights.size, dtype=bool)
+    entries[starts] = False     # the b slots
     for scaled in (A.scale(2.0), dataclasses.replace(A, vals=2.0 * A.vals)):
         assert not scaled._cache
         y, scaled_stats = solve(scaled, b)
         assert scaled_stats["factor_reused"] is False
         assert scaled_stats["min_pivot"] == pytest.approx(2.0 * stats["min_pivot"], rel=1e-12)
         assert np.abs(2.0 * y - x).max() <= 1e-12 * np.abs(x).max()
+        # the residual layout is the scaled matrix's own
+        scaled_weights = _residual_layout(scaled)[1]
+        assert np.all(scaled_weights[starts] == 1.0)
+        assert np.array_equal(scaled_weights[entries], 2.0 * weights[entries])
 
 
 def test_configs_differing_in_a_penalty_do_not_share_a_factor():
